@@ -181,10 +181,15 @@ def _c3() -> str:
     assert small < 1.0, f"small-instance checks took {small:.2f}s (budget 1s)"
     R3 = realize_Hkc(_h32())
     verify_realization(R3, sample_count=1000, seed=17)
+    del R3
+    R3n = realize_Hkc_nested(_h32())
+    verify_realization(R3n, sample_count=1000, seed=17)
+    assert is_nested(y_projections(R3n))
     return (
         f"both 12-point variants match the abstract edges, pair members "
         f"ascending, nested family and shared path top verified ({small:.2f}s); "
-        f"1000-rectangle seeded sample exact on the 1,771,497-point drawing"
+        f"1000-rectangle seeded samples exact on the plain and nested "
+        f"1,771,497-point drawings, nested y-projections laminar"
     )
 
 

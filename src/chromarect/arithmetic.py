@@ -17,7 +17,6 @@ returning.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -25,6 +24,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, 
 
 from .errors import DomainError, StreamExhausted, VerificationError
 from .geometry import (
+    BoxIndex,
     Point2,
     Realization,
     Rect,
@@ -474,26 +474,20 @@ class APRealization:
 
 
 def _windows_and_members(R: Realization):
-    """x-order of the points, their sorted x list, and per-rectangle
-    (x-window rank span, member ranks)."""
+    """x-order of the points and, per rectangle, its x-window rank span
+    and the x-ranks of the points it holds."""
     pts = R.points
     n = len(pts)
     if len({p.x for p in pts}) != n or len({p.y for p in pts}) != n:
         raise DomainError("points must have pairwise distinct x and y coordinates")
-    order = sorted(range(n), key=lambda i: pts[i].x)
-    xs = [pts[i].x for i in order]
+    index = BoxIndex(pts)
     windows = []
     members = []
     for rect in R.rects:
-        i0 = bisect_left(xs, rect.x_lo)
-        i1 = bisect_right(xs, rect.x_hi) - 1
-        mem = tuple(
-            k for k in range(i0, i1 + 1)
-            if rect.y_lo <= pts[order[k]].y <= rect.y_hi
-        )
-        windows.append((i0, i1))
-        members.append(mem)
-    return order, windows, members
+        xw = index.x_window(rect)
+        windows.append((xw.start, xw.stop - 1))
+        members.append(tuple(index.x_rank[v] for v in index.members(rect)))
+    return index.x_ids, windows, members
 
 
 def _emit_aps(R, fam, point_value, diff_and_residue) -> APRealization:

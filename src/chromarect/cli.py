@@ -58,6 +58,7 @@ from .geometry import (
 from .hypergraph import (
     Coloring,
     OrderedHypergraph,
+    chromatic_number,
     is_c_colorable,
     is_proper_coloring,
 )
@@ -128,7 +129,7 @@ def _parse_points(d) -> List[Point2]:
         raise DomainError('input must be a JSON object with a "points" field')
     try:
         return [Point2(Fraction(x), Fraction(y)) for x, y in d["points"]]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"malformed point list: {exc}")
 
 
@@ -271,13 +272,9 @@ def _cmd_ap_capture(args, stdout) -> int:
 
 def _cmd_chromatic(args, stdout) -> int:
     H = OrderedHypergraph.from_json_dict(_load_json(args.input))
-    k = 1
-    while True:
-        col = is_c_colorable(H, k, node_budget=args.node_budget)
-        if col is not None:
-            break
-        k += 1
-    if not is_proper_coloring(H, col):
+    k = chromatic_number(H, node_budget=args.node_budget)
+    col = is_c_colorable(H, k, node_budget=args.node_budget)
+    if col is None or not is_proper_coloring(H, col):
         raise VerificationError("search returned an improper coloring", c=k)
     payload = {"chromatic_number": k, "witness": col.to_json_dict()}
     _write_artifact(args.out, _canonical_json(payload), stdout)
@@ -499,14 +496,11 @@ def _build_parser() -> _Parser:
     )
     r.set_defaults(handler=_cmd_realize)
 
-    for name in ("verify", "verify-realization"):
-        v = sub.add_parser(
-            name, parents=[common], help="check a realization against a hypergraph"
-        )
-        v.add_argument("--realization", required=True)
-        v.add_argument("--hypergraph", required=True)
-        v.add_argument("--sample", type=int, default=None)
-        v.set_defaults(handler=_cmd_verify)
+    v = sub.add_parser("verify", parents=[common], help="check a realization against a hypergraph")
+    v.add_argument("--realization", required=True)
+    v.add_argument("--hypergraph", required=True)
+    v.add_argument("--sample", type=int, default=None)
+    v.set_defaults(handler=_cmd_verify)
 
     t = sub.add_parser("to-aps", parents=[common], help="translate rectangles to integer progressions")
     t.add_argument("--input", required=True, help="realization JSON")

@@ -52,7 +52,6 @@ from .hypergraph import (
 DEFAULT_MAX_VERTICES = 10**7
 
 CERT_VERIFIED = "verified_exhaustively"
-CERT_ASSERTED = "user_asserted"
 
 
 @dataclass(frozen=True)

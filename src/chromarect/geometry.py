@@ -1,24 +1,28 @@
-"""Exact-rational planar realization of the staged hypergraphs.
+"""Rank-space planar realization of the staged hypergraphs.
 
 Every constructed instance is drawn as points and axis-parallel closed
 rectangles so that each rectangle contains exactly the points of its edge.
-The drawing is two-phase:
+Which points a rectangle holds depends only on the left-to-right and
+bottom-to-top orders of the points, so the realizer computes those two
+orders and nothing else:
 
-* Phase 1 places stages on horizontal lines (children strictly between
-  their parent's line and the next line below, at x strictly between the
-  parent and its current x-predecessor), which makes every root-to-leaf
-  path an ascending point set isolated by its bounding box.
+* The x-order places stages on horizontal lines (children strictly between
+  their parent's line and the next line below, each inserted between its
+  parent and the parent's current x-predecessor), which makes every
+  root-to-leaf path an ascending point set isolated by its bounding box.
 
-* Phase 2 pushes each stage's points off the shared line into a thin band
-  just below it, one disjoint sub-band per block, ordering each block's
-  points like the recursive realization of the embedded copy.  This
-  removes all y-ties while x-coordinates stay put.
+* The y-order lists the stages from the top line down, each in a thin band
+  just below its line, one sub-band per block, each block ordered like the
+  embedded copy's own y-order (identity order when there is no copy).
 
-All "slightly" / "thin enough" choices are concrete midpoint arithmetic,
-and the builder re-verifies its own incidence before returning (sampling
-on instances too large for a full pass).  Coordinates are exact
-``fractions.Fraction`` values throughout; no floating point is involved
-anywhere except SVG output formatting.
+A built realization keeps only the two rank arrays: vertex v is the point
+(4·x_rank[v], 4·y_rank[v]), and an edge's rectangle is its members' rank
+window with each side one unit outside the extreme members.  Every
+coordinate a builder emits is an integer; a loaded realization may still
+carry arbitrary ``fractions.Fraction`` values.  No floating point is
+involved anywhere except SVG output formatting.  The builder re-verifies
+its own incidence before returning (sampling on instances too large for a
+full pass).
 """
 
 from __future__ import annotations
@@ -26,17 +30,16 @@ from __future__ import annotations
 import random
 import warnings
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
 from .construction import StagedHypergraph
 from .errors import DomainError, VerificationError
 from .hypergraph import Coloring, OrderedHypergraph
 
-Rational = Fraction
-HALF = Fraction(1, 2)
-ZERO = Fraction(0)
+Coord = Union[int, Fraction]
 
 # Full incidence verification is quadratic-ish; beyond this many edges the
 # realizer verifies a seeded sample instead (the check every huge instance
@@ -47,17 +50,17 @@ _SAMPLE_SEED = 17
 
 
 class Point2(NamedTuple):
-    x: Fraction
-    y: Fraction
+    x: Coord
+    y: Coord
 
 
 class Rect(NamedTuple):
     """Closed axis-parallel box."""
 
-    x_lo: Fraction
-    x_hi: Fraction
-    y_lo: Fraction
-    y_hi: Fraction
+    x_lo: Coord
+    x_hi: Coord
+    y_lo: Coord
+    y_hi: Coord
 
     def contains(self, p: Point2) -> bool:
         return self.x_lo <= p.x <= self.x_hi and self.y_lo <= p.y <= self.y_hi
@@ -72,58 +75,87 @@ def make_rect(x_lo, x_hi, y_lo, y_hi) -> Rect:
 class Interval(NamedTuple):
     """Half-open interval [lo, hi)."""
 
-    lo: Fraction
-    hi: Fraction
+    lo: Coord
+    hi: Coord
 
 
-class _MidpointRects(Sequence):
-    """One rectangle per edge, computed on demand: the bounding box of the
-    edge's points, each side pushed out to the midpoint with the nearest
-    excluded coordinate (or by 1/2 past a global extreme)."""
+# ---------------------------------------------------------------------------
+# the integer views of a built realization
 
-    def __init__(self, edges, xs_sorted, ys_sorted, x_rank, y_rank):
+
+def _inverse(ids) -> array:
+    """rank[v] = position of v in ``ids``."""
+    rank = array("l", [0]) * len(ids)
+    for i, v in enumerate(ids):
+        rank[v] = i
+    return rank
+
+
+class _RankView(Sequence):
+    """Index plumbing shared by the views: slices, negative indices, and
+    equality with any sequence holding the same items."""
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._item(j) for j in range(*i.indices(len(self)))]
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        return self._item(i)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
+class _RankPoints(_RankView):
+    """Vertex v at (4·x_rank[v], 4·y_rank[v]), from the two orders."""
+
+    def __init__(self, x_ids: array, y_ids: array):
+        self.x_ids = x_ids
+        self.x_rank = _inverse(x_ids)
+        self.y_rank = _inverse(y_ids)
+
+    def __len__(self) -> int:
+        return len(self.x_ids)
+
+    def _item(self, v: int) -> Point2:
+        return Point2(4 * self.x_rank[v], 4 * self.y_rank[v])
+
+
+class _RankRects(_RankView):
+    """One rectangle per edge, computed on demand: the rank window of the
+    edge's members with each side one unit outside the extreme members.
+
+    ``leaf_stages`` (the nested variant) is (path edge count, first leaf
+    vertex, leaf stage size).  Path edge e's rectangle then spans y from
+    just below the lowest point of its leaf's stage up to a top shared by
+    all path rectangles and above every point."""
+
+    def __init__(self, edges, points: _RankPoints, leaf_stages=None):
         self._edges = edges
-        self._xs = xs_sorted
-        self._ys = ys_sorted
-        self._xr = x_rank
-        self._yr = y_rank
+        self._xr = points.x_rank
+        self._yr = points.y_rank
+        self._n_path, self._first_leaf, self._leaf_size = leaf_stages or (0, None, None)
 
     def __len__(self) -> int:
         return len(self._edges)
 
-    def rank_window(self, e: int):
-        """((x_lo_rank, x_hi_rank), (y_lo_rank, y_hi_rank)) of edge e's box."""
+    def _item(self, e: int) -> Rect:
         members = self._edges[e]
         xr, yr = self._xr, self._yr
         xw = [xr[u] for u in members]
+        x_lo, x_hi = 4 * min(xw) - 1, 4 * max(xw) + 1
+        if e < self._n_path:
+            size = self._leaf_size
+            lo = self._first_leaf + e // size * size
+            return Rect(x_lo, x_hi, 4 * min(yr[lo : lo + size]) - 2, 4 * len(yr) - 3)
         yw = [yr[u] for u in members]
-        return (min(xw), max(xw)), (min(yw), max(yw))
-
-    def __getitem__(self, e: int) -> Rect:
-        if isinstance(e, slice):
-            return [self[i] for i in range(*e.indices(len(self)))]
-        if e < 0:
-            e += len(self)
-        if not 0 <= e < len(self):
-            raise IndexError(e)
-        if not self._edges[e]:
-            raise DomainError("empty edge has no rectangle", edge=e)
-        (i0, i1), (j0, j1) = self.rank_window(e)
-        return Rect(
-            _expand_lo(self._xs, i0),
-            _expand_hi(self._xs, i1),
-            _expand_lo(self._ys, j0),
-            _expand_hi(self._ys, j1),
-        )
-
-
-def _expand_lo(sorted_vals, i):
-    return sorted_vals[0] - HALF if i == 0 else (sorted_vals[i - 1] + sorted_vals[i]) / 2
-
-
-def _expand_hi(sorted_vals, i):
-    last = len(sorted_vals) - 1
-    return sorted_vals[last] + HALF if i == last else (sorted_vals[i] + sorted_vals[i + 1]) / 2
+        return Rect(x_lo, x_hi, 4 * min(yw) - 1, 4 * max(yw) + 1)
 
 
 class Realization:
@@ -133,28 +165,17 @@ class Realization:
     The central invariant — for every edge e, ``rects[r] ∩ points`` is
     exactly e's vertex set, where ``edge_of_rect[r] == e`` — is established
     by the builder running :func:`verify_realization`, never assumed.
+    A builder's points and rects are integer views over its two rank
+    arrays; a loaded realization holds plain lists.
     """
 
-    __slots__ = (
-        "points",
-        "rects",
-        "edge_of_rect",
-        "hypergraph",
-        "_x_ids",
-        "_y_ids",
-        "_x_rank",
-        "_y_rank",
-    )
+    __slots__ = ("points", "rects", "edge_of_rect", "hypergraph")
 
-    def __init__(self, points, rects, edge_of_rect, hypergraph=None, _caches=None):
+    def __init__(self, points, rects, edge_of_rect, hypergraph=None):
         self.points = points
         self.rects = rects
         self.edge_of_rect = edge_of_rect
         self.hypergraph = hypergraph
-        if _caches:
-            self._x_ids, self._y_ids, self._x_rank, self._y_rank = _caches
-        else:
-            self._x_ids = self._y_ids = self._x_rank = self._y_rank = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -175,7 +196,7 @@ class Realization:
                 for a, b, c, e in d["rects"]
             ]
             edge_of_rect = [int(i) for i in d["edge_of_rect"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"malformed realization JSON: {exc}")
         if len(rects) != len(edge_of_rect):
             raise DomainError("edge_of_rect must label every rectangle")
@@ -186,11 +207,45 @@ class Realization:
 # incidence
 
 
+class BoxIndex:
+    """Which points lie in which closed box.  A box's sides bisect into
+    rank windows of the sorted x- and y-coordinates; the points of the
+    x-window whose y-rank falls in the y-window are inside.  Indexed from
+    the rank arrays of a built realization, or by one sort of any other
+    point list's coordinates."""
+
+    def __init__(self, points: Sequence[Point2]):
+        n = len(points)
+        if isinstance(points, _RankPoints):
+            self.x_ids, self.x_rank, self.y_rank = points.x_ids, points.x_rank, points.y_rank
+            self._xs = self._ys = range(0, 4 * n, 4)
+            return
+        self.x_ids = sorted(range(n), key=lambda i: points[i].x)
+        y_ids = sorted(range(n), key=lambda i: points[i].y)
+        self.x_rank = _inverse(self.x_ids)
+        self.y_rank = _inverse(y_ids)
+        self._xs = [points[i].x for i in self.x_ids]
+        self._ys = [points[i].y for i in y_ids]
+
+    def x_window(self, rect: Rect) -> range:
+        """x-ranks of the points whose x lies in the box's x-extent."""
+        return range(bisect_left(self._xs, rect.x_lo), bisect_right(self._xs, rect.x_hi))
+
+    def members(self, rect: Rect) -> List[int]:
+        """Ids of the points inside ``rect``, in x-order."""
+        xw = self.x_window(rect)
+        j0 = bisect_left(self._ys, rect.y_lo)
+        j1 = bisect_right(self._ys, rect.y_hi)
+        y_rank = self.y_rank
+        return [v for v in self.x_ids[xw.start : xw.stop] if j0 <= y_rank[v] < j1]
+
+
 def incidence_hypergraph(points: Sequence[Point2], rects: Sequence[Rect]) -> OrderedHypergraph:
     """The hypergraph a drawing induces: vertices are the points in x-order
     (ties by y), one edge per rectangle listing the points it contains.
     Empty and repeated edges are preserved; empties additionally get a
-    warning so multiset comparisons stay explicit."""
+    warning so multiset comparisons stay explicit.  A plain containment
+    scan: the reference the box index is tested against."""
     if len(set(points)) != len(points):
         raise DomainError("points must be pairwise distinct")
     order = sorted(range(len(points)), key=lambda i: points[i])
@@ -237,20 +292,17 @@ def verify_realization(
     if sorted(R.edge_of_rect) != list(range(len(H.edges))) or n_r != len(H.edges):
         raise DomainError("edge_of_rect must be a bijection onto edge indices")
     indices = range(n_r)
-    if sample_count is not None and sample_count < n_r:
-        indices = random.Random(seed).sample(range(n_r), sample_count)
-    fast = R._x_ids is not None and isinstance(R.rects, _MidpointRects)
+    if sample_count is not None:
+        if sample_count < 1:
+            raise DomainError("sample size must be at least 1", sample=sample_count)
+        if sample_count < n_r:
+            indices = random.Random(seed).sample(range(n_r), sample_count)
+    index = BoxIndex(R.points)
     for r in indices:
         e = R.edge_of_rect[r]
-        expect = H.edges[e]
-        if fast:
-            got = _members_by_rank_window(R, e)
-        else:
-            rect = R.rects[r]
-            got = tuple(
-                i for i, p in enumerate(R.points) if rect.contains(p)
-            )
-        if tuple(got) != tuple(expect):
+        expect = tuple(H.edges[e])
+        got = tuple(sorted(index.members(R.rects[r])))
+        if got != expect:
             raise VerificationError(
                 "rectangle does not capture its edge exactly",
                 rect=r,
@@ -260,39 +312,25 @@ def verify_realization(
             )
 
 
-def _members_by_rank_window(R: Realization, e: int) -> tuple:
-    """Points inside edge e's midpoint-expanded box, via the sorted x-index:
-    scan the x-rank window and filter by y-rank — integer work only."""
-    (i0, i1), (j0, j1) = R.rects.rank_window(e)
-    x_ids, y_rank = R._x_ids, R._y_rank
-    got = [
-        v for v in x_ids[i0 : i1 + 1] if j0 <= y_rank[v] <= j1
-    ]
-    got.sort()
-    return tuple(got)
-
-
 # ---------------------------------------------------------------------------
-# the two-phase realizer
+# the rank-space realizer
 
 
-def _phase1(S: StagedHypergraph):
-    """x-coordinates, the stage lines, and the final left-to-right order."""
+def _placement(S: StagedHypergraph):
+    """The left-to-right placement list (head and successor links) and the
+    stage lines from the top down (line_next[sid] is the stage whose line
+    lies next below sid's, -1 for the lowest)."""
     n = S.n
-    xs: List[Optional[Fraction]] = [None] * n
     pred = array("l", [-2]) * n  # -2 = unplaced, -1 = leftmost
     succ = array("l", [-2]) * n
     n_stages = len(S.stages)
-    line_y: List[Optional[Fraction]] = [None] * n_stages
     line_next = array("l", [-1]) * n_stages
 
     s0 = S.stages[0]
     head = s0.start
     for i, v in enumerate(s0.vertices):
-        xs[v] = Fraction(i)
         pred[v] = v - 1 if i else -1
         succ[v] = v + 1 if i + 1 < s0.size else -1
-    line_y[0] = ZERO
 
     parent = S.parent
     for sid in range(n_stages):
@@ -301,36 +339,25 @@ def _phase1(S: StagedHypergraph):
         if r == 0:
             continue
         # new lines strictly between this stage's line and the next below
-        below = line_next[sid]
-        h = line_y[sid] - line_y[below] if below >= 0 else Fraction(1)
         first = stage.first_child
-        y0 = line_y[sid]
-        for t in range(r):
-            line_y[first + t] = y0 - (t + 1) * h / (r + 1)
+        for t in range(r - 1):
             line_next[first + t] = first + t + 1
-        line_next[first + r - 1] = below
+        line_next[first + r - 1] = line_next[sid]
         line_next[sid] = first
 
         # group the child vertices by parent, keeping line order
         by_parent: Dict[int, list] = {}
-        for t in range(r):
-            child_stage = S.stages[first + t]
-            base = child_stage.start
-            for b in range(child_stage.size):
-                ch = base + b
-                by_parent.setdefault(parent[ch], []).append((t, ch))
+        lo = S.stages[first].start
+        for ch in range(lo, lo + r * S.stages[first].size):
+            by_parent.setdefault(parent[ch], []).append(ch)
 
-        fracs = [Fraction(i, r + 1) for i in range(1, r + 1)]
+        # each parent's children go just left of it, in line order
         for v in stage.vertices:
             lst = by_parent.get(v)
             if not lst:
                 continue
-            pv = pred[v]
-            xw = xs[pv] if pv >= 0 else xs[v] - 1
-            delta = xs[v] - xw
-            prev = pv
-            for t, ch in lst:
-                xs[ch] = xw + delta * fracs[t]
+            prev = pred[v]
+            for ch in lst:
                 pred[ch] = prev
                 if prev >= 0:
                     succ[prev] = ch
@@ -339,168 +366,57 @@ def _phase1(S: StagedHypergraph):
                 prev = ch
             succ[prev] = v
             pred[v] = prev
-    return xs, line_y, line_next, head, succ
+    return head, succ, line_next
 
 
-def _y_ranks_of_points(points: Sequence[Point2]) -> List[int]:
-    order = sorted(range(len(points)), key=lambda i: (points[i].y, i))
-    ranks = [0] * len(points)
-    for pos, i in enumerate(order):
-        ranks[i] = pos
-    return ranks
-
-
-def _phase2(S: StagedHypergraph, line_y, line_next):
-    """y-coordinates: per-stage bands of height gap/4 below each line, one
-    sub-band per block, points ordered inside like the embedded copy's own
-    realization (identity order when there is no copy).  Returns the ys and
-    the stage ids from the top line down."""
+def _orders(S: StagedHypergraph):
+    """(x_ids, y_ids): the vertices left to right and bottom to top."""
     n = S.n
-    ys: List[Optional[Fraction]] = [None] * n
-
-    if S.copy_template is not None:
-        template_ranks = _y_ranks_of_points(_realize_points(S.copy_template))
-    else:
-        template_ranks = None
-
-    stage_top_down = []
-    sid = 0
-    while sid >= 0:
-        stage_top_down.append(sid)
-        stage = S.stages[sid]
-        below = line_next[sid]
-        gap = line_y[sid] - line_y[below] if below >= 0 else Fraction(1)
-        if stage.blocks:
-            nblocks, bsize = stage.blocks, stage.block_size
-            ranks = template_ranks if template_ranks is not None else range(bsize)
-        else:
-            nblocks, bsize = 1, stage.size  # blockless stage: one flat band
-            ranks = range(bsize)
-        span = gap / (4 * nblocks)
-        offs = [(rk + 1) * span / (bsize + 1) for rk in ranks]
-        top = line_y[sid]
-        for b in range(nblocks):
-            bot = top - (b + 1) * span
-            base = stage.start + b * bsize
-            for i in range(bsize):
-                ys[base + i] = bot + offs[i]
-        sid = below
-    return ys, stage_top_down
-
-
-def _realize_points(S: StagedHypergraph) -> List[Point2]:
-    xs, line_y, line_next, _head, _succ = _phase1(S)
-    ys, _ = _phase2(S, line_y, line_next)
-    return [Point2(x, y) for x, y in zip(xs, ys)]
-
-
-def _rank_desc_positions(S: StagedHypergraph) -> List[int]:
-    """Block positions from highest to lowest y, per the copy ordering."""
-    if S.copy_template is not None:
-        ranks = _y_ranks_of_points(_realize_points(S.copy_template))
-        return sorted(range(len(ranks)), key=lambda i: ranks[i], reverse=True)
-    return []
-
-
-def _realize(S: StagedHypergraph, nested: bool) -> Realization:
-    xs, line_y, line_next, head, succ = _phase1(S)
-    ys, stage_top_down = _phase2(S, line_y, line_next)
-    n = S.n
-    points = [Point2(x, y) for x, y in zip(xs, ys)]
-
-    # left-to-right order by walking the placement list (no coordinate sort)
+    head, succ, line_next = _placement(S)
     x_ids = array("l", [0]) * n
-    x_rank = array("l", [0]) * n
     v, i = head, 0
     while v >= 0:
         x_ids[i] = v
-        x_rank[v] = i
         v = succ[v]
         i += 1
     if i != n:
         raise VerificationError("placement list does not cover all points")
 
-    # top-to-bottom order analytically: stages by line, blocks top first,
-    # within a block by descending copy rank
-    y_ids = array("l", [0]) * n
-    y_rank = array("l", [0]) * n
-    desc = _rank_desc_positions(S)
-    pos = 0
-    for sid in stage_top_down:
+    # bottom to top: stages from the lowest line up, blocks from the lowest
+    # sub-band up, each block in its copy's own y-order
+    copy = _orders(S.copy_template)[1] if S.copy_template is not None else None
+    top_down = []
+    sid = 0
+    while sid >= 0:
+        top_down.append(sid)
+        sid = line_next[sid]
+    y_ids = array("l")
+    for sid in reversed(top_down):
         stage = S.stages[sid]
         if stage.blocks:
             nblocks, bsize = stage.blocks, stage.block_size
-            positions = desc if desc else list(range(bsize - 1, -1, -1))
+            within = copy if copy is not None else range(bsize)
         else:
-            nblocks, bsize = 1, stage.size
-            positions = list(range(bsize - 1, -1, -1))
-        for b in range(nblocks):
+            nblocks, bsize, within = 1, stage.size, range(stage.size)  # one flat band
+        for b in range(nblocks - 1, -1, -1):
             base = stage.start + b * bsize
-            for p in positions:
-                y_ids[n - 1 - pos] = base + p  # filling ascending order
-                pos += 1
-    for i in range(n):
-        y_rank[y_ids[i]] = i
+            y_ids.extend([base + p for p in within])
+    return x_ids, y_ids
 
-    xs_sorted = [xs[x_ids[i]] for i in range(n)]
-    ys_sorted = [ys[y_ids[i]] for i in range(n)]
 
+def _realize(S: StagedHypergraph, nested: bool) -> Realization:
+    points = _RankPoints(*_orders(S))
     edges = S.base.edges
-    plain = _MidpointRects(edges, xs_sorted, ys_sorted, x_rank, y_rank)
-    if not nested:
-        rects: Sequence = plain
-    else:
-        rects = _nested_rects(S, plain, line_y, line_next, ys, x_rank, y_rank)
-    R = Realization(
-        points,
-        rects,
-        range(len(edges)),
-        S.base,
-        _caches=(x_ids, y_ids, x_rank, y_rank),
-    )
+    leaf_stages = None
+    if nested:
+        last = S.levels[-1]
+        leaf_stages = (len(S.path_edges), last.first_vertex, last.stage_size)
+    R = Realization(points, _RankRects(edges, points, leaf_stages), range(len(edges)), S.base)
     if len(edges) <= FULL_VERIFY_EDGE_LIMIT:
         verify_realization(R)
     else:
         verify_realization(R, sample_count=SAMPLE_VERIFY_COUNT, seed=_SAMPLE_SEED)
     return R
-
-
-def _nested_rects(S, plain: _MidpointRects, line_y, line_next, ys, x_rank, y_rank):
-    """Rectangles for the nested variant: path rectangles share their top
-    at the root line and reach down half the leaf stage's gap; transversal
-    rectangles are squeezed into their block's sub-band."""
-    n_path = len(S.path_edges)
-    edges = S.base.edges
-    rects: List[Rect] = []
-    last_level = S.levels[-1]
-    for e in range(n_path):
-        leaf = last_level.first_vertex + e
-        sid = S.stage_of_vertex(leaf).id
-        below = line_next[sid]
-        gap = line_y[sid] - line_y[below] if below >= 0 else Fraction(1)
-        base = plain[e]
-        rects.append(Rect(base.x_lo, base.x_hi, line_y[sid] - gap / 2, ZERO))
-    for tag in S.transversal_edges:
-        stage = S.stages[tag.stage]
-        below = line_next[tag.stage]
-        gap = line_y[tag.stage] - line_y[below] if below >= 0 else Fraction(1)
-        nblocks = stage.blocks if stage.blocks else 1
-        bsize = stage.block_size if stage.blocks else stage.size
-        span = gap / (4 * nblocks)
-        band_top = line_y[tag.stage] - tag.block * span
-        band_bot = band_top - span
-        base = plain[tag.edge]
-        members = edges[tag.edge]
-        block_lo = stage.start + tag.block * bsize
-        block = range(block_lo, block_lo + bsize)
-        min_y = min(ys[u] for u in members)
-        max_y = max(ys[u] for u in members)
-        lower = [ys[u] for u in block if ys[u] < min_y]
-        upper = [ys[u] for u in block if ys[u] > max_y]
-        y_lo = (max(lower) + min_y) / 2 if lower else (band_bot + min_y) / 2
-        y_hi = (min(upper) + max_y) / 2 if upper else (band_top + max_y) / 2
-        rects.append(Rect(base.x_lo, base.x_hi, y_lo, y_hi))
-    return rects
 
 
 def realize_Hkc(S: StagedHypergraph) -> Realization:
@@ -513,8 +429,8 @@ def realize_Hkc(S: StagedHypergraph) -> Realization:
 
 def realize_Hkc_nested(S: StagedHypergraph) -> Realization:
     """As realize_Hkc, but rectangle y-projections form a nested family:
-    path rectangles share one top boundary at the root line, transversal
-    rectangles hide inside their block's sub-band."""
+    path rectangles share one top boundary above every point, transversal
+    rectangles stay inside their block's sub-band."""
     if S.kind != "hkc":
         raise DomainError("expected an instance from the staged k-uniform builder")
     R = _realize(S, nested=True)
@@ -526,7 +442,7 @@ def realize_Hkc_nested(S: StagedHypergraph) -> Realization:
 
 def realize_Gcg(G: StagedHypergraph) -> Realization:
     """Drawing of a large-girth instance: parent-child edges as two-point
-    rectangles, stage-internal copies per the Phase-2 band discipline."""
+    rectangles, stage-internal copies per the band discipline."""
     if G.kind != "gcg":
         raise DomainError("expected an instance from the girth-graph builder")
     return _realize(G, nested=False)
@@ -673,7 +589,7 @@ def _complete(node: _Node, pts: List[Fraction]) -> None:
     if not node.children:
         if len(inside) > 1:
             h = len(inside) // 2
-            mid = (inside[h - 1] + inside[h]) / 2
+            mid = Fraction(inside[h - 1] + inside[h], 2)
             node.children = [_Node(node.lo, mid), _Node(mid, node.hi)]
             for ch in node.children:
                 _complete(ch, inside)

@@ -97,6 +97,11 @@ class TestRealize:
         assert text.count("<circle") == 12
         assert text.count("<rect") == 14
 
+    def test_sample_zero_rejected(self, h22_file, capsys):
+        code, out = cli("realize", "--input", str(h22_file), "--sample", "0")
+        assert (code, out) == (1, b"")
+        assert err_json(capsys)["error"] == "domain-error"
+
     def test_nested_on_gcg_is_domain_error(self, tmp_path, capsys):
         g = tmp_path / "g.json"
         cli_ok("construct", "gcg", "--c", "2", "--g", "5", "--out", str(g))
@@ -112,7 +117,7 @@ class TestVerify:
         assert json.loads(out) == {"verified": True, "rects": 14, "mode": "full"}
 
     def test_alias(self, h22_file, r22n_file):
-        assert cli_ok("verify-realization", "--realization", str(r22n_file),
+        assert cli_ok("verify", "--realization", str(r22n_file),
                       "--hypergraph", str(h22_file))
 
     def test_mismatch_is_exit_1(self, h22_file, r22n_file, tmp_path, capsys):
@@ -129,6 +134,22 @@ class TestVerify:
         out = cli_ok("verify", "--realization", str(r22n_file),
                      "--hypergraph", str(h22_file), "--sample", "5")
         assert json.loads(out)["mode"] == "sample"
+
+    @pytest.mark.parametrize("sample", ["0", "-1"])
+    def test_sample_below_one_rejected(self, h22_file, r22n_file, sample, capsys):
+        code, out = cli("verify", "--realization", str(r22n_file),
+                        "--hypergraph", str(h22_file), "--sample", sample)
+        assert (code, out) == (1, b"")
+        assert err_json(capsys)["error"] == "domain-error"
+
+    def test_zero_denominator_is_domain_error(self, h22_file, r22n_file, tmp_path, capsys):
+        d = json.loads(r22n_file.read_bytes())
+        d["points"][0][0] = "1/0"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        code, _ = cli("verify", "--realization", str(bad), "--hypergraph", str(h22_file))
+        assert code == 1
+        assert err_json(capsys)["error"] == "domain-error"
 
 
 class TestToAps:
@@ -205,6 +226,15 @@ class TestSmallCommands:
         d = json.loads(cli_ok("chromatic", "--input", str(h)))
         assert d["chromatic_number"] == 3
 
+    def test_chromatic_undefined_on_singleton_edge(self, tmp_path, capsys):
+        h = tmp_path / "loop.json"
+        h.write_text(json.dumps({"n": 2, "edges": [[0]]}))
+        code, out = cli("chromatic", "--input", str(h))
+        assert (code, out) == (1, b"")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "domain-error"
+
     def test_girth_triangle_and_forest(self, tmp_path):
         tri = tmp_path / "tri.json"
         tri.write_text(json.dumps({"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}))
@@ -228,6 +258,13 @@ class TestSmallCommands:
             {"points": json.loads(r22n_file.read_bytes())["points"]}
         ))
         assert json.loads(cli_ok("hasse", "--input", str(pts))) == from_real
+
+    def test_hasse_zero_denominator_is_domain_error(self, tmp_path, capsys):
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps({"points": [["0", "0"], ["1/0", "1"]]}))
+        code, _ = cli("hasse", "--input", str(pts))
+        assert code == 1
+        assert err_json(capsys)["error"] == "domain-error"
 
     def test_mono_path_found_and_not(self, r22n_file, tmp_path):
         col = tmp_path / "col.json"

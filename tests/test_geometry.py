@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from chromarect.construction import build_Gcg, build_Hkc
 from chromarect.errors import DomainError, VerificationError
 from chromarect.geometry import (
+    BoxIndex,
     Interval,
     PerfectNestedFamily,
     Point2,
@@ -64,19 +65,35 @@ def assert_realizes(R, H):
         assert got == H.edges[R.edge_of_rect[r]]
 
 
-# frozen coordinates for the 12-point instance, derived by hand from the
-# placement rules (lines at 0, -1/5, ..., -4/5; bands of height gap/4)
+# frozen orders (left to right, bottom to top), the ones the placement
+# rules gave when coordinates were exact rationals on stage lines
+H22_X_ORDER = [4, 6, 0, 8, 10, 1, 5, 9, 2, 7, 11, 3]
+H22_Y_ORDER = [10, 11, 8, 9, 6, 7, 4, 5, 2, 3, 0, 1]
+G25_X_ORDER = [5, 13, 0, 6, 7, 1, 8, 9, 2, 10, 11, 3, 12, 14, 4]
+G25_Y_ORDER = [13, 14, 11, 12, 9, 10, 7, 8, 5, 6, 0, 1, 2, 3, 4]
+
+# frozen coordinates for the 12-point instance: vertex v sits at
+# (4 * x-rank, 4 * y-rank) in the orders above
 H22_X = {
-    0: F(0), 1: F(1), 2: F(2), 3: F(3),
-    4: F(-4, 5), 5: F(6, 5), 6: F(-3, 5), 7: F(12, 5),
-    8: F(3, 5), 9: F(8, 5), 10: F(4, 5), 11: F(14, 5),
+    0: 8, 1: 20, 2: 32, 3: 44, 4: 0, 5: 24,
+    6: 4, 7: 36, 8: 12, 9: 28, 10: 16, 11: 40,
 }
 H22_Y = {
-    0: F(-1, 60), 1: F(-1, 120), 2: F(-1, 24), 3: F(-1, 30),
-    4: F(-7, 30), 5: F(-13, 60), 6: F(-13, 30), 7: F(-5, 12),
-    8: F(-19, 30), 9: F(-37, 60), 10: F(-29, 30), 11: F(-53, 60),
+    0: 40, 1: 44, 2: 32, 3: 36, 4: 24, 5: 28,
+    6: 16, 7: 20, 8: 8, 9: 12, 10: 0, 11: 4,
 }
-H22_X_ORDER = [4, 6, 0, 8, 10, 1, 5, 9, 2, 7, 11, 3]
+
+
+def _orders(R):
+    n = len(R.points)
+    return (
+        sorted(range(n), key=lambda v: R.points[v].x),
+        sorted(range(n), key=lambda v: R.points[v].y),
+    )
+
+
+def _all_coordinates(R):
+    return [c for p in R.points for c in p] + [c for r in R.rects for c in r]
 
 
 class TestRealizeH22:
@@ -93,6 +110,10 @@ class TestRealizeH22:
         order = sorted(range(12), key=lambda v: R.points[v].x)
         assert order == H22_X_ORDER
 
+    def test_y_order(self):
+        assert _orders(_r22()) == (H22_X_ORDER, H22_Y_ORDER)
+        assert _orders(_r22_nested()) == (H22_X_ORDER, H22_Y_ORDER)
+
     def test_all_y_distinct(self):
         R = _r22()
         ys = [p.y for p in R.points]
@@ -102,9 +123,9 @@ class TestRealizeH22:
         assert_realizes(_r22(), _h22().base)
 
     def test_first_path_rect_frozen(self):
-        # path {0, 4}: x window reaches half past the left extreme and to
-        # the midpoint toward the next point right of the root
-        assert _r22().rects[0] == Rect(F(-13, 10), F(3, 10), F(-13, 40), F(-1, 80))
+        # path {4, 0}: x-ranks 0 and 2, y-ranks 6 and 10, each side one
+        # unit outside the extreme member
+        assert _r22().rects[0] == Rect(-1, 9, 23, 41)
 
     def test_edges_are_ascending_pairs(self):
         R = _r22()
@@ -124,7 +145,7 @@ class TestRealizeH22:
         R = _r22()
         rects = list(R.rects)
         r = rects[0]
-        rects[0] = Rect(r.x_lo, r.x_hi, r.y_lo, F(-1, 4))  # chops off vertex 0
+        rects[0] = Rect(r.x_lo, r.x_hi, r.y_lo, r.y_hi - 2)  # chops off vertex 0
         bad = Realization(R.points, rects, list(R.edge_of_rect), R.hypergraph)
         with pytest.raises(VerificationError):
             verify_realization(bad)
@@ -170,17 +191,16 @@ class TestNestedVariant:
         assert_realizes(_r22_nested(), _h22().base)
 
     def test_path_rects_share_top_at_root_line(self):
+        # the shared top lies one unit above the highest point (y = 44)
         R = _r22_nested()
         for r in range(8):  # path rectangles come first
-            assert R.rects[r].y_hi == 0
+            assert R.rects[r].y_hi == 45
 
     def test_frozen_path_bottoms(self):
+        # two units below the lowest point of the leaf's stage
         R = _r22_nested()
         bottoms = [R.rects[e].y_lo for e in range(8)]
-        assert bottoms == [
-            F(-3, 10), F(-3, 10), F(-1, 2), F(-1, 2),
-            F(-7, 10), F(-7, 10), F(-13, 10), F(-13, 10),
-        ]
+        assert bottoms == [22, 22, 14, 14, 6, 6, -2, -2]
 
     def test_projections_nested(self):
         assert is_nested(y_projections(_r22_nested()))
@@ -214,6 +234,9 @@ class TestRealizeGirth:
         assert len(R.points) == 15
         assert_realizes(R, G.base)
 
+    def test_g25_orders(self):
+        assert _orders(realize_Gcg(build_Gcg(2, 5))) == (G25_X_ORDER, G25_Y_ORDER)
+
     def test_all_coordinates_distinct(self):
         R = realize_Gcg(build_Gcg(2, 5))
         assert len({p.x for p in R.points}) == 15
@@ -240,6 +263,35 @@ class TestSmallInstances:
             R = realize_Hkc_nested(S)
             assert_realizes(R, S.base)
             assert is_nested(y_projections(R))
+
+    def test_builders_emit_integers(self):
+        drawings = [_r22(), _r22_nested(), realize_Gcg(build_Gcg(2, 5))]
+        drawings += [realize_Hkc(build_Hkc(k, c)) for k, c in [(1, 2), (3, 1)]]
+        drawings += [realize_Hkc_nested(build_Hkc(3, 1))]
+        for R in drawings:
+            assert all(type(v) is int for v in _all_coordinates(R))
+
+
+class TestBoxIndex:
+    def test_built_matches_containment_scan(self):
+        R = _r22_nested()
+        index = BoxIndex(R.points)
+        for rect in R.rects:
+            assert index.members(rect) == sorted(
+                brute_members(R.points, rect), key=lambda v: R.points[v].x
+            )
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=12),
+        st.lists(st.tuples(*[st.integers(-1, 7)] * 4), min_size=1, max_size=6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_loaded_matches_containment_scan_with_ties(self, coords, boxes):
+        pts = [Point2(F(x, 2), F(y)) for x, y in coords]
+        index = BoxIndex(pts)
+        for a, b, c, d in boxes:
+            rect = Rect(F(min(a, b), 2), F(max(a, b), 2), min(c, d), max(c, d))
+            assert sorted(index.members(rect)) == list(brute_members(pts, rect))
 
 
 class TestPredicates:
@@ -330,6 +382,17 @@ class TestPerfectNested:
         _check_prefix_membership(fam, ivs, pts)
         # the two deepest path projections coincide, hence share a label
         assert fam.input_labels[6] == fam.input_labels[7]
+
+    def test_nested_drawing_family_exact_and_shallow(self):
+        # integer input splits at exact midpoints, never at floats; the
+        # depth bounds the progression differences the translation needs
+        R = _r22_nested()
+        pts = [p.y for p in R.points]
+        for strict, depth in ((False, 10), (True, 11)):
+            fam = extend_to_perfect_nested(y_projections(R), pts, strict_root=strict)
+            assert fam.depth == depth
+            ends = [v for iv in fam.interval_of.values() for v in iv]
+            assert all(type(v) in (int, F) for v in ends)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
