@@ -309,7 +309,7 @@ class StagedHypergraph:
     @classmethod
     def from_json_dict(cls, d: dict) -> "StagedHypergraph":
         try:
-            base = OrderedHypergraph(d["n"], d["edges"])
+            base = OrderedHypergraph.from_json_dict(d)
             kind = d["kind"]
             k, c, m = d["k"], d["c"], d["m"]
             parents = d["parents"]

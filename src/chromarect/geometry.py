@@ -23,6 +23,12 @@ carry arbitrary ``fractions.Fraction`` values.  No floating point is
 involved anywhere except SVG output formatting.  The builder re-verifies
 its own incidence before returning (sampling on instances too large for a
 full pass).
+
+Every box-membership question goes through :class:`BoxIndex`: a box is
+the pair of its x- and y-rank windows, and the index scans whichever
+window is shorter.  On H(3,2) the path rectangles have narrow x-windows
+and the transversal rectangles y-windows of at most three ranks, so
+neither kind pays for its wide side.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
 from .construction import StagedHypergraph
 from .errors import DomainError, VerificationError
@@ -104,6 +110,9 @@ class _RankView(Sequence):
             raise IndexError(i)
         return self._item(i)
 
+    def __iter__(self):
+        return map(self._item, range(len(self)))
+
     def __eq__(self, other):
         if not isinstance(other, Sequence):
             return NotImplemented
@@ -117,6 +126,7 @@ class _RankPoints(_RankView):
 
     def __init__(self, x_ids: array, y_ids: array):
         self.x_ids = x_ids
+        self.y_ids = y_ids
         self.x_rank = _inverse(x_ids)
         self.y_rank = _inverse(y_ids)
 
@@ -209,35 +219,46 @@ class Realization:
 
 class BoxIndex:
     """Which points lie in which closed box.  A box's sides bisect into
-    rank windows of the sorted x- and y-coordinates; the points of the
-    x-window whose y-rank falls in the y-window are inside.  Indexed from
-    the rank arrays of a built realization, or by one sort of any other
-    point list's coordinates."""
+    rank windows of the sorted x- and y-coordinates, and the box holds
+    exactly the points in both windows.  The shorter window is scanned and
+    filtered by the other window's ranks, so a wide flat box costs its
+    y-window and a tall narrow one its x-window.  Indexed from the rank
+    arrays of a built realization, or by one sort of any other point
+    list's coordinates."""
 
     def __init__(self, points: Sequence[Point2]):
         n = len(points)
         if isinstance(points, _RankPoints):
-            self.x_ids, self.x_rank, self.y_rank = points.x_ids, points.x_rank, points.y_rank
+            self.x_ids, self.y_ids = points.x_ids, points.y_ids
+            self.x_rank, self.y_rank = points.x_rank, points.y_rank
             self._xs = self._ys = range(0, 4 * n, 4)
             return
         self.x_ids = sorted(range(n), key=lambda i: points[i].x)
-        y_ids = sorted(range(n), key=lambda i: points[i].y)
+        self.y_ids = sorted(range(n), key=lambda i: points[i].y)
         self.x_rank = _inverse(self.x_ids)
-        self.y_rank = _inverse(y_ids)
+        self.y_rank = _inverse(self.y_ids)
         self._xs = [points[i].x for i in self.x_ids]
-        self._ys = [points[i].y for i in y_ids]
+        self._ys = [points[i].y for i in self.y_ids]
 
     def x_window(self, rect: Rect) -> range:
         """x-ranks of the points whose x lies in the box's x-extent."""
         return range(bisect_left(self._xs, rect.x_lo), bisect_right(self._xs, rect.x_hi))
 
+    def y_window(self, rect: Rect) -> range:
+        """y-ranks of the points whose y lies in the box's y-extent."""
+        return range(bisect_left(self._ys, rect.y_lo), bisect_right(self._ys, rect.y_hi))
+
     def members(self, rect: Rect) -> List[int]:
         """Ids of the points inside ``rect``, in x-order."""
-        xw = self.x_window(rect)
-        j0 = bisect_left(self._ys, rect.y_lo)
-        j1 = bisect_right(self._ys, rect.y_hi)
-        y_rank = self.y_rank
-        return [v for v in self.x_ids[xw.start : xw.stop] if j0 <= y_rank[v] < j1]
+        xw, yw = self.x_window(rect), self.y_window(rect)
+        i0, i1, j0, j1 = xw.start, xw.stop, yw.start, yw.stop
+        if len(xw) <= len(yw):
+            y_rank = self.y_rank
+            return [v for v in self.x_ids[i0:i1] if j0 <= y_rank[v] < j1]
+        x_rank = self.x_rank
+        inside = [v for v in self.y_ids[j0:j1] if i0 <= x_rank[v] < i1]
+        inside.sort(key=x_rank.__getitem__)
+        return inside
 
 
 def incidence_hypergraph(points: Sequence[Point2], rects: Sequence[Rect]) -> OrderedHypergraph:
@@ -434,8 +455,7 @@ def realize_Hkc_nested(S: StagedHypergraph) -> Realization:
     if S.kind != "hkc":
         raise DomainError("expected an instance from the staged k-uniform builder")
     R = _realize(S, nested=True)
-    projections = [Interval(r.y_lo, r.y_hi) for r in R.rects]
-    if not is_nested(projections):
+    if not is_nested((r.y_lo, r.y_hi) for r in R.rects):
         raise VerificationError("y-projections failed the nested check")
     return R
 
@@ -461,18 +481,17 @@ def is_ascending(points: Sequence[Point2]) -> bool:
     return True
 
 
-def is_nested(intervals: Sequence) -> bool:
-    """Whether every two half-open intervals are disjoint or one contains
-    the other.  Duplicates count as nested."""
-    ivs = [Interval(lo, hi) for lo, hi in intervals]
-    ivs.sort(key=lambda iv: (iv.lo, -(iv.hi - iv.lo)))
-    stack: List[Interval] = []
-    for iv in ivs:
-        while stack and stack[-1].hi <= iv.lo:
+def is_nested(intervals: Iterable) -> bool:
+    """Whether every two half-open (lo, hi) intervals are disjoint or one
+    contains the other.  Duplicates count as nested."""
+    stack: list = []  # right ends of the intervals enclosing the current one
+    for lo, neg_hi in sorted([(lo, -hi) for lo, hi in intervals]):
+        hi = -neg_hi
+        while stack and stack[-1] <= lo:
             stack.pop()
-        if stack and iv.hi > stack[-1].hi:
+        if stack and hi > stack[-1]:
             return False  # straddles the enclosing interval's right end
-        stack.append(iv)
+        stack.append(hi)
     return True
 
 

@@ -70,7 +70,10 @@ class OrderedHypergraph:
     @classmethod
     def from_json_dict(cls, d: dict) -> "OrderedHypergraph":
         try:
-            return cls(d["n"], d["edges"])
+            n, edges = d["n"], d["edges"]
+            if type(n) is not int or any(type(v) is not int for e in edges for v in e):
+                raise DomainError("vertex count and vertex ids must be ints")
+            return cls(n, edges)
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed hypergraph JSON: {exc}")
 
@@ -92,9 +95,15 @@ class Coloring:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Coloring":
         try:
-            return cls(d["c"], list(d["colors"]))
+            c, colors = d["c"], list(d["colors"])
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed coloring JSON: {exc}")
+        if type(c) is not int or c < 1:
+            raise DomainError("palette size must be an int >= 1", c=c)
+        for v, x in enumerate(colors):
+            if type(x) is not int or not 0 <= x < c:
+                raise DomainError("color must be an int in [0, c)", vertex=v, color=x, c=c)
+        return cls(c, colors)
 
 
 @dataclass(frozen=True)

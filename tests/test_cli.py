@@ -32,6 +32,13 @@ def err_json(capsys):
     return payload
 
 
+def one_error(capsys):
+    """The single JSON object a failed command wrote to stderr."""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    return json.loads(err[0])
+
+
 def canonical(payload) -> bytes:
     return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
@@ -337,6 +344,64 @@ class TestErrorContract:
         code, _ = cli("vdc", "--n", "3", "--node-budget", "-5")
         assert code == 1
         err_json(capsys)
+
+    @pytest.mark.parametrize(
+        "coloring",
+        [
+            {"c": 2, "colors": [-1, 0, 1] + [0, 1] * 4 + [0]},  # exited 0
+            {"c": 2, "colors": [5] * 12},  # printed {"color": 5, ...}
+            {"c": 0, "colors": [0] * 12},
+            {"c": 2.0, "colors": [0] * 12},
+            {"c": True, "colors": [0] * 12},
+            {"c": "2", "colors": [0] * 12},
+            {"c": 2, "colors": [True] + [0] * 11},
+            {"c": 2, "colors": [1.0] + [0] * 11},
+            {"c": 2, "colors": ["1"] + [0] * 11},
+            {"c": 2, "colors": [2] + [0] * 11},
+        ],
+    )
+    @pytest.mark.parametrize("command", ["find-mono", "mono-path"])
+    def test_coloring_outside_palette_rejected(
+        self, command, coloring, h22_file, r22n_file, tmp_path, capsys
+    ):
+        col = tmp_path / "col.json"
+        col.write_text(json.dumps(coloring))
+        source = h22_file if command == "find-mono" else r22n_file
+        code, out = cli(command, "--input", str(source), "--coloring", str(col))
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "domain-error"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n": 3, "edges": [[1, 2.0]]},  # was a TypeError traceback
+            {"n": 3, "edges": [[1, True]]},
+            {"n": 3, "edges": [[1, "2"]]},
+            {"n": 3.0, "edges": [[1, 2]]},
+            {"n": True, "edges": [[0]]},
+        ],
+    )
+    def test_chromatic_non_int_vertex_ids_rejected(self, payload, tmp_path, capsys):
+        h = tmp_path / "h.json"
+        h.write_text(json.dumps(payload))
+        code, out = cli("chromatic", "--input", str(h))
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "domain-error"
+
+    @pytest.mark.parametrize("command", ["realize", "find-mono"])
+    def test_staged_float_vertex_id_rejected(self, command, h22_file, tmp_path, capsys):
+        staged = json.loads(h22_file.read_bytes())
+        staged["edges"][0][1] = float(staged["edges"][0][1])  # was a TypeError traceback
+        bad = tmp_path / "staged.json"
+        bad.write_text(json.dumps(staged))
+        col = tmp_path / "col.json"
+        col.write_text(json.dumps({"c": 2, "colors": [0, 1] * 6}))
+        argv = [command, "--input", str(bad)]
+        if command == "find-mono":
+            argv += ["--coloring", str(col)]
+        code, out = cli(*argv)
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "domain-error"
 
 
 # ---------------------------------------------------------------------------

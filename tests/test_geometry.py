@@ -52,8 +52,18 @@ def _r22_nested():
     return realize_Hkc_nested(_h22())
 
 
+@lru_cache(maxsize=None)
+def _r25():
+    return realize_Gcg(build_Gcg(2, 5))
+
+
 def brute_members(points, rect):
     return tuple(i for i, p in enumerate(points) if rect.contains(p))
+
+
+def x_order_members(points, rect):
+    """The containment scan's ids in x-order, ties by id."""
+    return sorted(brute_members(points, rect), key=lambda v: points[v].x)
 
 
 def assert_realizes(R, H):
@@ -274,12 +284,17 @@ class TestSmallInstances:
 
 class TestBoxIndex:
     def test_built_matches_containment_scan(self):
-        R = _r22_nested()
-        index = BoxIndex(R.points)
-        for rect in R.rects:
-            assert index.members(rect) == sorted(
-                brute_members(R.points, rect), key=lambda v: R.points[v].x
-            )
+        # built H(2,2), nested H(2,2) and G(2,5), on their rank points and
+        # on the same points loaded back from JSON
+        for R in (_r22(), _r22_nested(), _r25()):
+            loaded = Realization.from_json_dict(R.to_json_dict())
+            for points in (R.points, loaded.points):
+                index = BoxIndex(points)
+                x_scans = 0
+                for rect in R.rects:
+                    assert index.members(rect) == x_order_members(points, rect)
+                    x_scans += len(index.x_window(rect)) <= len(index.y_window(rect))
+                assert 0 < x_scans < len(R.rects)  # both scan directions ran
 
     @given(
         st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=12),
@@ -292,6 +307,27 @@ class TestBoxIndex:
         for a, b, c, d in boxes:
             rect = Rect(F(min(a, b), 2), F(max(a, b), 2), min(c, d), max(c, d))
             assert sorted(index.members(rect)) == list(brute_members(pts, rect))
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=16),
+        st.lists(
+            st.one_of(
+                # tall and narrow: at most two x-values wide, any height
+                st.tuples(st.integers(-1, 9), st.integers(0, 1), st.integers(-1, 9), st.integers(0, 10)),
+                # wide and flat: any width, at most two y-values high
+                st.tuples(st.integers(-1, 9), st.integers(0, 10), st.integers(-1, 9), st.integers(0, 1)),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_both_scans_match_containment_in_x_order(self, coords, boxes):
+        pts = [Point2(F(x, 2), F(y, 3)) for x, y in coords]
+        index = BoxIndex(pts)
+        for x0, dx, y0, dy in boxes:
+            rect = Rect(F(x0, 2), F(x0 + dx, 2), F(y0, 3), F(y0 + dy, 3))
+            assert index.members(rect) == x_order_members(pts, rect)
 
 
 class TestPredicates:
