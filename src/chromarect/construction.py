@@ -320,12 +320,12 @@ class StagedHypergraph:
             )
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed staged-hypergraph JSON: {exc}")
-        parent = array("l", [-1 if p is None else p for p in parents])
+        levels = _levels_from_stage_records(stage_records, base.n)
+        parent = _parents_from_json(parents, levels, base.n)
         root = array("l", [0]) * base.n
         for v in range(base.n):
             p = parent[v]
             root[v] = v if p < 0 else root[p]
-        levels = _levels_from_stage_records(stage_records, base.n)
         out = cls(kind, base, k, c, m, parent, root, levels, n_path, template)
         if list(out.path_edges) != list(d["path_edges"]):
             raise DomainError("path_edges must be the initial run of edge indices")
@@ -336,6 +336,29 @@ class StagedHypergraph:
                 got=len(d.get("transversal_edges", ())),
             )
         return out
+
+
+def _parents_from_json(parents, levels, n) -> array:
+    """The parent array: None (-1) on level 0, a previous-level vertex elsewhere."""
+    if not isinstance(parents, list) or len(parents) != n:
+        raise DomainError("parents must hold one entry per vertex", n=n)
+    parent = array("l", [-1]) * n
+    top = levels[0]
+    if any(p is not None for p in parents[: top.n_stages * top.stage_size]):
+        raise DomainError("level-0 vertices must have no parent")
+    for prev, li in zip(levels, levels[1:]):
+        lo, hi = prev.first_vertex, li.first_vertex
+        for v in range(hi, hi + li.n_stages * li.stage_size):
+            p = parents[v]
+            if type(p) is not int or not lo <= p < hi:
+                raise DomainError(
+                    "parent must be a vertex of the previous level",
+                    vertex=v,
+                    parent=p,
+                    level=li.level,
+                )
+            parent[v] = p
+    return parent
 
 
 def _levels_from_stage_records(records, n) -> list:

@@ -6,14 +6,17 @@ Which points a rectangle holds depends only on the left-to-right and
 bottom-to-top orders of the points, so the realizer computes those two
 orders and nothing else:
 
-* The x-order places stages on horizontal lines (children strictly between
-  their parent's line and the next line below, each inserted between its
-  parent and the parent's current x-predecessor), which makes every
-  root-to-leaf path an ascending point set isolated by its bounding box.
+* The x-order is a post-order of the parent forest: every vertex comes
+  just after its children's subtrees, the children in id order.  It is
+  built level by level: each vertex's children go just left of it.  With
+  the y-order below, every root-to-leaf path is an ascending point set
+  isolated by its bounding box.
 
-* The y-order lists the stages from the top line down, each in a thin band
-  just below its line, one sub-band per block, each block ordered like the
-  embedded copy's own y-order (identity order when there is no copy).
+* The y-order is a reverse pre-order of the stage tree: a stage's child
+  subtrees from the last child to the first, then the stage itself, as a
+  thin band with one sub-band per block, the blocks from the last to the
+  first, each block ordered like the embedded copy's own y-order
+  (identity order when there is no copy).
 
 A built realization keeps only the two rank arrays: vertex v is the point
 (4·x_rank[v], 4·y_rank[v]), and an edge's rectangle is its members' rank
@@ -205,9 +208,11 @@ class Realization:
                 make_rect(Fraction(a), Fraction(b), Fraction(c), Fraction(e))
                 for a, b, c, e in d["rects"]
             ]
-            edge_of_rect = [int(i) for i in d["edge_of_rect"]]
+            edge_of_rect = list(d["edge_of_rect"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"malformed realization JSON: {exc}")
+        if any(type(i) is not int for i in edge_of_rect):
+            raise DomainError("edge_of_rect entries must be ints")
         if len(rects) != len(edge_of_rect):
             raise DomainError("edge_of_rect must label every rectangle")
         return cls(points, rects, edge_of_rect)
@@ -337,92 +342,73 @@ def verify_realization(
 # the rank-space realizer
 
 
-def _placement(S: StagedHypergraph):
-    """The left-to-right placement list (head and successor links) and the
-    stage lines from the top down (line_next[sid] is the stage whose line
-    lies next below sid's, -1 for the lowest)."""
-    n = S.n
-    pred = array("l", [-2]) * n  # -2 = unplaced, -1 = leftmost
-    succ = array("l", [-2]) * n
-    n_stages = len(S.stages)
-    line_next = array("l", [-1]) * n_stages
+def _x_order(S: StagedHypergraph) -> array:
+    """Post-order of the parent forest, children in id order, built level by level."""
+    parent, levels = S.parent, S.levels
+    top = levels[0]
+    order = array("l", range(top.first_vertex, top.first_vertex + top.n_stages * top.stage_size))
+    for prev, li in zip(levels, levels[1:]):
+        # each previous-level vertex's children, in id order, go just left of it
+        off = prev.first_vertex
+        kids = [[] for _ in range(prev.n_stages * prev.stage_size)]
+        lo = li.first_vertex
+        for ch in range(lo, lo + li.n_stages * li.stage_size):
+            kids[parent[ch] - off].append(ch)
+        placed = array("l")
+        for v in order:
+            if v >= off:
+                placed.extend(kids[v - off])
+            placed.append(v)
+        order = placed
+    if len(order) != S.n:
+        raise VerificationError("placement list does not cover all points")
+    return order
 
-    s0 = S.stages[0]
-    head = s0.start
-    for i, v in enumerate(s0.vertices):
-        pred[v] = v - 1 if i else -1
-        succ[v] = v + 1 if i + 1 < s0.size else -1
 
-    parent = S.parent
-    for sid in range(n_stages):
-        stage = S.stages[sid]
-        r = stage.n_children
-        if r == 0:
-            continue
-        # new lines strictly between this stage's line and the next below
-        first = stage.first_child
-        for t in range(r - 1):
-            line_next[first + t] = first + t + 1
-        line_next[first + r - 1] = line_next[sid]
-        line_next[sid] = first
+def _y_order(S: StagedHypergraph) -> array:
+    """Reverse pre-order of the stage tree: child subtrees last to first, then the stage."""
+    copy = _y_order(S.copy_template) if S.copy_template is not None else None
+    levels = S.levels
+    # one stage's band, relative to its first vertex: blocks from the lowest
+    # sub-band up, each block in its copy's own y-order
+    bands = []
+    for li in levels:
+        if li.blocks_per_stage:
+            bsize = li.block_size
+            within = copy if copy is not None else range(bsize)
+            bands.append(
+                [b * bsize + p for b in range(li.blocks_per_stage - 1, -1, -1) for p in within]
+            )
+        else:
+            bands.append(list(range(li.stage_size)))  # one flat band
+    # the last level's sibling stages are contiguous in ids, so each sibling
+    # family is one band: its stages from the last to the first
+    last = len(levels) - 1
+    if last:
+        size = levels[last].stage_size
+        r = levels[last - 1].children_per_stage
+        family = [t * size + p for t in range(r - 1, -1, -1) for p in bands[last]]
+    y_ids = array("l")
 
-        # group the child vertices by parent, keeping line order
-        by_parent: Dict[int, list] = {}
-        lo = S.stages[first].start
-        for ch in range(lo, lo + r * S.stages[first].size):
-            by_parent.setdefault(parent[ch], []).append(ch)
+    def emit(j: int, pos: int) -> None:
+        li = levels[j]
+        r = li.children_per_stage
+        if j + 1 == last:
+            base = levels[last].first_vertex + pos * r * size
+            y_ids.extend([base + p for p in family])
+        else:
+            for t in range((pos + 1) * r - 1, pos * r - 1, -1):
+                emit(j + 1, t)
+        base = li.first_vertex + pos * li.stage_size
+        y_ids.extend([base + p for p in bands[j]])
 
-        # each parent's children go just left of it, in line order
-        for v in stage.vertices:
-            lst = by_parent.get(v)
-            if not lst:
-                continue
-            prev = pred[v]
-            for ch in lst:
-                pred[ch] = prev
-                if prev >= 0:
-                    succ[prev] = ch
-                else:
-                    head = ch
-                prev = ch
-            succ[prev] = v
-            pred[v] = prev
-    return head, succ, line_next
+    emit(0, 0)
+    return y_ids
 
 
 def _orders(S: StagedHypergraph):
     """(x_ids, y_ids): the vertices left to right and bottom to top."""
-    n = S.n
-    head, succ, line_next = _placement(S)
-    x_ids = array("l", [0]) * n
-    v, i = head, 0
-    while v >= 0:
-        x_ids[i] = v
-        v = succ[v]
-        i += 1
-    if i != n:
-        raise VerificationError("placement list does not cover all points")
-
-    # bottom to top: stages from the lowest line up, blocks from the lowest
-    # sub-band up, each block in its copy's own y-order
-    copy = _orders(S.copy_template)[1] if S.copy_template is not None else None
-    top_down = []
-    sid = 0
-    while sid >= 0:
-        top_down.append(sid)
-        sid = line_next[sid]
-    y_ids = array("l")
-    for sid in reversed(top_down):
-        stage = S.stages[sid]
-        if stage.blocks:
-            nblocks, bsize = stage.blocks, stage.block_size
-            within = copy if copy is not None else range(bsize)
-        else:
-            nblocks, bsize, within = 1, stage.size, range(stage.size)  # one flat band
-        for b in range(nblocks - 1, -1, -1):
-            base = stage.start + b * bsize
-            y_ids.extend([base + p for p in within])
-    return x_ids, y_ids
+    return _x_order(S), _y_order(S)
 
 
 def _realize(S: StagedHypergraph, nested: bool) -> Realization:

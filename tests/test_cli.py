@@ -403,6 +403,49 @@ class TestErrorContract:
         assert (code, out) == (1, b"")
         assert one_error(capsys)["error"] == "domain-error"
 
+    @pytest.mark.parametrize(
+        "vertex,parent",
+        [
+            (5, 5.0),  # was a TypeError traceback
+            (5, "1"),
+            (5, 999),
+            (5, -3),  # a negative index would wrap silently
+            (5, 8),  # a vertex of the same level
+            (5, None),
+            (5, True),
+            (0, 1),  # a level-0 vertex with a parent
+        ],
+    )
+    def test_staged_bad_parent_rejected(self, vertex, parent, h22_file, tmp_path, capsys):
+        staged = json.loads(h22_file.read_bytes())
+        staged["parents"][vertex] = parent
+        bad = tmp_path / "staged.json"
+        bad.write_text(json.dumps(staged))
+        code, out = cli("realize", "--input", str(bad))
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "domain-error"
+
+    def test_staged_short_parents_rejected(self, h22_file, tmp_path, capsys):
+        staged = json.loads(h22_file.read_bytes())
+        staged["parents"].pop()  # was an IndexError traceback
+        bad = tmp_path / "staged.json"
+        bad.write_text(json.dumps(staged))
+        code, out = cli("realize", "--input", str(bad))
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "domain-error"
+
+    @pytest.mark.parametrize("index", [0.9, 0.0, "0", True])  # each verified, exit 0
+    def test_realization_non_int_edge_index_rejected(
+        self, index, h22_file, r22n_file, tmp_path, capsys
+    ):
+        d = json.loads(r22n_file.read_bytes())
+        d["edge_of_rect"][0] = index
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        code, out = cli("verify", "--realization", str(bad), "--hypergraph", str(h22_file))
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "domain-error"
+
 
 # ---------------------------------------------------------------------------
 # determinism

@@ -1,14 +1,17 @@
 """Tests for the exact-rational drawings and interval machinery."""
 
+import hashlib
 import itertools
 import json
+from array import array
 from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chromarect.construction import build_Gcg, build_Hkc
+from chromarect import geometry
+from chromarect.construction import build_Gcg, build_Hkc, make_random_provider
 from chromarect.errors import DomainError, VerificationError
 from chromarect.geometry import (
     BoxIndex,
@@ -280,6 +283,110 @@ class TestSmallInstances:
         drawings += [realize_Hkc_nested(build_Hkc(3, 1))]
         for R in drawings:
             assert all(type(v) is int for v in _all_coordinates(R))
+
+
+def _placement_orders(S):
+    """Frozen reference for the realizer's two orders: the left-to-right
+    placement list, where each stage's child vertices are inserted just
+    left of their parent, and the stage lines from the top down, where a
+    stage's children get new lines between its line and the next one
+    below.  (x_ids, y_ids) as plain lists."""
+    n = S.n
+    pred = array("l", [-2]) * n  # -2 = unplaced, -1 = leftmost
+    succ = array("l", [-2]) * n
+    line_next = array("l", [-1]) * len(S.stages)
+    s0 = S.stages[0]
+    head = s0.start
+    for i, v in enumerate(s0.vertices):
+        pred[v] = v - 1 if i else -1
+        succ[v] = v + 1 if i + 1 < s0.size else -1
+    for stage in S.stages:
+        r = stage.n_children
+        if r == 0:
+            continue
+        first = stage.first_child
+        for t in range(r - 1):
+            line_next[first + t] = first + t + 1
+        line_next[first + r - 1] = line_next[stage.id]
+        line_next[stage.id] = first
+        by_parent = {}
+        lo = S.stages[first].start
+        for ch in range(lo, lo + r * S.stages[first].size):
+            by_parent.setdefault(S.parent[ch], []).append(ch)
+        for v in stage.vertices:
+            prev = pred[v]
+            for ch in by_parent.get(v, ()):
+                pred[ch] = prev
+                if prev >= 0:
+                    succ[prev] = ch
+                else:
+                    head = ch
+                prev = ch
+            succ[prev] = v
+            pred[v] = prev
+    x_ids = []
+    v = head
+    while v >= 0:
+        x_ids.append(v)
+        v = succ[v]
+
+    copy = _placement_orders(S.copy_template)[1] if S.copy_template is not None else None
+    top_down = [0]
+    while line_next[top_down[-1]] >= 0:
+        top_down.append(line_next[top_down[-1]])
+    y_ids = []
+    for sid in reversed(top_down):
+        stage = S.stages[sid]
+        if stage.blocks:
+            nblocks, bsize = stage.blocks, stage.block_size
+            within = copy if copy is not None else range(bsize)
+        else:
+            nblocks, bsize, within = 1, stage.size, range(stage.size)
+        for b in range(nblocks - 1, -1, -1):
+            y_ids.extend(stage.start + b * bsize + p for p in within)
+    return x_ids, y_ids
+
+
+def _digest(ids):
+    return hashlib.sha256(",".join(map(str, ids)).encode()).hexdigest()
+
+
+ORDER_INSTANCES = (
+    [("hkc", k, c) for k, c in [(1, 1), (1, 2), (1, 3), (2, 1), (3, 1), (4, 1), (2, 2)]]
+    + [("gcg", 1, 7)]
+    + [("gcg", 2, g) for g in (4, 5, 7, 9, 51)]
+    + [("random", 2, seed) for seed in range(3)]
+)
+
+
+def _order_instance(kind, a, b):
+    if kind == "hkc":
+        return build_Hkc(a, b)
+    if kind == "gcg":
+        return build_Gcg(a, b)
+    return build_Gcg(2, 4, provider=make_random_provider(200, b))
+
+
+class TestOrders:
+    @pytest.mark.parametrize("kind,a,b", ORDER_INSTANCES)
+    def test_equal_placement_reference(self, kind, a, b):
+        S = _order_instance(kind, a, b)
+        x_ids, y_ids = geometry._orders(S)
+        assert (list(x_ids), list(y_ids)) == _placement_orders(S)
+
+    def test_random_providers_vary_child_counts(self):
+        # uneven families: the level-wise x-order groups children by parent
+        for seed in range(3):
+            S = _order_instance("random", 2, seed)
+            counts = {S.parent.count(v) for v in range(S.levels[1].first_vertex)}
+            assert len(counts) > 1
+
+    def test_h32_digests(self):
+        # the only three-level instance: the y-order recurses above the
+        # sibling-family fold.  Digests of the placement-list orders.
+        x_ids, y_ids = geometry._orders(build_Hkc(3, 2))
+        assert _digest(x_ids) == "460f917e8cdcdba3621ed6b71be1ac77fd28b2753c56aff46e78e5cb36e7a7a9"
+        assert _digest(y_ids) == "b2fedc9a73f7aabe0b8669d8b9032b1d8f7cf352039298579f8d90c7e1543335"
 
 
 class TestBoxIndex:
