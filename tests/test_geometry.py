@@ -364,7 +364,7 @@ def _order_instance(kind, a, b):
         return build_Hkc(a, b)
     if kind == "gcg":
         return build_Gcg(a, b)
-    return build_Gcg(2, 4, provider=make_random_provider(200, b))
+    return build_Gcg(a, 4, provider=make_random_provider(200, b))
 
 
 class TestOrders:
