@@ -191,9 +191,11 @@ def _cmd_realize(args, stdout) -> int:
         R = realize_Gcg(S)
     else:
         R = realize_Hkc_nested(S) if args.nested else realize_Hkc(S)
-    # The builders verify on construction; re-verify the exact object we
-    # are about to serialize (sampled above the full-check ceiling).
-    verify_realization(R, sample_count=_sample_policy(args.sample, R), seed=args.seed)
+    # The builders verify on construction, every rectangle up to the
+    # full-check ceiling.  Above it, or for an explicit --sample, check the
+    # drawing again with the requested sample and seed.
+    if args.sample is not None or len(R.rects) > FULL_VERIFY_EDGE_LIMIT:
+        verify_realization(R, sample_count=_sample_policy(args.sample, R), seed=args.seed)
     _write_artifact(args.out, _canonical_json(R.to_json_dict()), stdout)
     if args.svg:
         _write_artifact(args.svg, _checked_svg(R), stdout)

@@ -29,12 +29,12 @@ within the embedded copy).
 
 from __future__ import annotations
 
-import itertools
 import random
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from itertools import chain
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
     DomainError,
@@ -363,8 +363,20 @@ def _parents_from_json(parents, levels, n) -> array:
 
 def _levels_from_stage_records(records, n) -> list:
     """Recover per-level metadata, enforcing the level-homogeneous layout."""
-    if not records:
-        raise DomainError("staged hypergraph needs at least one stage")
+    if not isinstance(records, list) or not records:
+        raise DomainError("staged hypergraph needs a list of at least one stage")
+    # one type set per field across all records (H(3,2) has 551,125), not
+    # a check per record, which costs about three times as much
+    if not set(map(type, records)) <= {dict}:
+        raise DomainError("stage records must be objects")
+    for key in ("level", "block_size", "blocks"):
+        if not {type(rec.get(key, 0)) for rec in records} <= {int}:
+            raise DomainError(f"stage {key} must be an int")
+    vertex_lists = [rec.get("vertices") for rec in records]
+    if not set(map(type, vertex_lists)) <= {list} or not set(
+        map(type, chain.from_iterable(vertex_lists))
+    ) <= {int}:
+        raise DomainError("stage vertices must be lists of ints")
     levels = []
     seen_vertices = 0
     seen_stages = 0
@@ -437,59 +449,6 @@ class AuxiliaryHypergraph:
     claimed_girth: int
     claimed_chromatic_lower_bound: int
     certificate: str
-
-
-# ---------------------------------------------------------------------------
-# k-ary tree hypergraph
-
-
-def build_kary_tree_hypergraph(
-    k: int, depth: int, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> OrderedHypergraph:
-    """Complete k-ary tree of the given number of levels, as a hypergraph.
-
-    Vertices are numbered breadth-first, left to right.  Edges are the
-    root-to-leaf paths (one per leaf, in leaf order) followed by the
-    sibling edges (the k children of each internal vertex, in parent
-    order).
-    """
-    if k < 1 or depth < 1:
-        raise DomainError("k and depth must be positive", k=k, depth=depth)
-    n = depth if k == 1 else (k**depth - 1) // (k - 1)
-    if n > max_vertices:
-        raise SizeLimitExceeded(
-            "tree hypergraph too large", predicted_vertices=n, max_vertices=max_vertices
-        )
-    internal = n - k ** (depth - 1)
-    edges = []
-    for leaf in range(internal, n):
-        path = [leaf]
-        while path[-1] != 0:
-            path.append((path[-1] - 1) // k)
-        edges.append(tuple(reversed(path)))
-    for v in range(internal):
-        edges.append(tuple(range(k * v + 1, k * v + k + 1)))
-    return OrderedHypergraph._from_sorted(n, edges)
-
-
-# ---------------------------------------------------------------------------
-# f_m subsets
-
-
-def f_m_subsets(stage_vertices: Sequence, m: int) -> Iterator[tuple]:
-    """All ways of picking exactly one element from each consecutive block
-    of m, streamed in lexicographic order of the per-block choices."""
-    if m < 1:
-        raise DomainError("block size must be positive", m=m)
-    n = len(stage_vertices)
-    if n == 0 or n % m:
-        raise DomainError(
-            "list length must be a positive multiple of the block size",
-            length=n,
-            m=m,
-        )
-    blocks = [tuple(stage_vertices[i : i + m]) for i in range(0, n, m)]
-    return iter(itertools.product(*blocks))
 
 
 # ---------------------------------------------------------------------------

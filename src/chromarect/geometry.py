@@ -28,10 +28,15 @@ its own incidence before returning (sampling on instances too large for a
 full pass).
 
 Every box-membership question goes through :class:`BoxIndex`: a box is
-the pair of its x- and y-rank windows, and the index scans whichever
-window is shorter.  On H(3,2) the path rectangles have narrow x-windows
-and the transversal rectangles y-windows of at most three ranks, so
-neither kind pays for its wide side.
+the pair of its x- and y-rank windows.  Besides the two orders the index
+keeps one block array: the x-order cut into blocks of isqrt(n) ranks,
+each block's y-ranks sorted.  A box whose y-window is shorter than its
+x-window and at most one block long scans the y-window; every other box
+scans the partial blocks at the ends of its x-window and bisects each
+whole block between them for the y-window.  On H(3,2) the transversal
+rectangles have y-windows of three ranks, and a path rectangle's x-window
+of some 33k ranks costs about 25 bisects plus two partial blocks of at
+most 1331 ranks, so neither kind pays for its wide side.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
 from .construction import StagedHypergraph
@@ -225,11 +231,18 @@ class Realization:
 class BoxIndex:
     """Which points lie in which closed box.  A box's sides bisect into
     rank windows of the sorted x- and y-coordinates, and the box holds
-    exactly the points in both windows.  The shorter window is scanned and
-    filtered by the other window's ranks, so a wide flat box costs its
-    y-window and a tall narrow one its x-window.  Indexed from the rank
-    arrays of a built realization, or by one sort of any other point
-    list's coordinates."""
+    exactly the points in both windows.
+
+    Besides the two orders and their rank arrays, the index keeps one
+    block array: the x-order cut into blocks of ``block`` = isqrt(n) ranks,
+    each block's y-ranks sorted, the runs laid end to end (n ints).  A box
+    whose y-window is shorter than its x-window and at most one block long
+    scans its y-window and sorts the hits by x-rank.  Any other box scans
+    the partial blocks at the two ends of its x-window, and in each whole
+    block between them bisects the sorted run for the y-window, so a long
+    x-window costs O(√n) scanned ranks plus one bisect per block.  Indexed
+    from the rank arrays of a built realization, or by one sort of any
+    other point list's coordinates."""
 
     def __init__(self, points: Sequence[Point2]):
         n = len(points)
@@ -237,13 +250,17 @@ class BoxIndex:
             self.x_ids, self.y_ids = points.x_ids, points.y_ids
             self.x_rank, self.y_rank = points.x_rank, points.y_rank
             self._xs = self._ys = range(0, 4 * n, 4)
-            return
-        self.x_ids = sorted(range(n), key=lambda i: points[i].x)
-        self.y_ids = sorted(range(n), key=lambda i: points[i].y)
-        self.x_rank = _inverse(self.x_ids)
-        self.y_rank = _inverse(self.y_ids)
-        self._xs = [points[i].x for i in self.x_ids]
-        self._ys = [points[i].y for i in self.y_ids]
+        else:
+            self.x_ids = sorted(range(n), key=lambda i: points[i].x)
+            self.y_ids = sorted(range(n), key=lambda i: points[i].y)
+            self.x_rank = _inverse(self.x_ids)
+            self.y_rank = _inverse(self.y_ids)
+            self._xs = [points[i].x for i in self.x_ids]
+            self._ys = [points[i].y for i in self.y_ids]
+        self.block = B = max(1, isqrt(n))
+        self._runs = runs = array("l")
+        for b in range(0, n, B):
+            runs.extend(sorted(map(self.y_rank.__getitem__, self.x_ids[b : b + B])))
 
     def x_window(self, rect: Rect) -> range:
         """x-ranks of the points whose x lies in the box's x-extent."""
@@ -257,12 +274,25 @@ class BoxIndex:
         """Ids of the points inside ``rect``, in x-order."""
         xw, yw = self.x_window(rect), self.y_window(rect)
         i0, i1, j0, j1 = xw.start, xw.stop, yw.start, yw.stop
-        if len(xw) <= len(yw):
-            y_rank = self.y_rank
-            return [v for v in self.x_ids[i0:i1] if j0 <= y_rank[v] < j1]
-        x_rank = self.x_rank
-        inside = [v for v in self.y_ids[j0:j1] if i0 <= x_rank[v] < i1]
-        inside.sort(key=x_rank.__getitem__)
+        B, x_rank = self.block, self.x_rank
+        if len(yw) < len(xw) and len(yw) <= B:
+            inside = [v for v in self.y_ids[j0:j1] if i0 <= x_rank[v] < i1]
+            inside.sort(key=x_rank.__getitem__)
+            return inside
+        # whole blocks cover x-ranks [lo, hi); none if the window lies
+        # inside one block
+        lo, hi = -(-i0 // B) * B, i1 // B * B
+        if lo > hi:
+            lo = hi = i1
+        y_rank, x_ids, runs = self.y_rank, self.x_ids, self._runs
+        inside = [v for v in x_ids[i0:lo] if j0 <= y_rank[v] < j1]
+        hits = []
+        for b in range(lo, hi, B):
+            hits += runs[bisect_left(runs, j0, b, b + B) : bisect_left(runs, j1, b, b + B)]
+        hits = [self.y_ids[j] for j in hits]
+        hits.sort(key=x_rank.__getitem__)
+        inside += hits
+        inside += [v for v in x_ids[hi:i1] if j0 <= y_rank[v] < j1]
         return inside
 
 

@@ -9,7 +9,9 @@ import json
 
 import pytest
 
+from chromarect import cli as cli_module
 from chromarect.cli import run
+from chromarect.geometry import Realization, Rect, realize_Hkc
 
 
 def cli(*argv):
@@ -108,6 +110,36 @@ class TestRealize:
         code, out = cli("realize", "--input", str(h22_file), "--sample", "0")
         assert (code, out) == (1, b"")
         assert err_json(capsys)["error"] == "domain-error"
+
+    def test_sample_still_verifies(self, h22_file, monkeypatch, capsys):
+        # The builder checked every rectangle of this small drawing, so a
+        # plain realize does not check it again; --sample N does, with the
+        # requested size and seed, and catches a rectangle the builder
+        # never saw.
+        calls = []
+        verify = cli_module.verify_realization
+
+        def spy(R, sample_count=None, seed=0):
+            calls.append((sample_count, seed))
+            verify(R, sample_count=sample_count, seed=seed)
+
+        monkeypatch.setattr(cli_module, "verify_realization", spy)
+        cli_ok("realize", "--input", str(h22_file))
+        assert calls == []
+        cli_ok("realize", "--input", str(h22_file), "--sample", "5", "--seed", "3")
+        assert calls == [(5, 3)]
+
+        def corrupted(S):
+            R = realize_Hkc(S)
+            rects = list(R.rects)
+            r = rects[0]
+            rects[0] = Rect(r.x_lo, r.x_hi, r.y_lo, r.y_hi - 2)  # chops off vertex 0
+            return Realization(R.points, rects, list(R.edge_of_rect), R.hypergraph)
+
+        monkeypatch.setattr(cli_module, "realize_Hkc", corrupted)
+        code, out = cli("realize", "--input", str(h22_file), "--sample", "14")
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "verification-failed"
 
     def test_nested_on_gcg_is_domain_error(self, tmp_path, capsys):
         g = tmp_path / "g.json"
@@ -428,6 +460,49 @@ class TestErrorContract:
     def test_staged_short_parents_rejected(self, h22_file, tmp_path, capsys):
         staged = json.loads(h22_file.read_bytes())
         staged["parents"].pop()  # was an IndexError traceback
+        bad = tmp_path / "staged.json"
+        bad.write_text(json.dumps(staged))
+        code, out = cli("realize", "--input", str(bad))
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "domain-error"
+
+    @pytest.mark.parametrize(
+        "stages",
+        [
+            [1],  # was an AttributeError traceback
+            {"0": {}},
+            [],
+        ],
+    )
+    def test_staged_bad_stage_list_rejected(self, stages, h22_file, tmp_path, capsys):
+        staged = json.loads(h22_file.read_bytes())
+        staged["stages"] = stages
+        bad = tmp_path / "staged.json"
+        bad.write_text(json.dumps(staged))
+        code, out = cli("realize", "--input", str(bad))
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "domain-error"
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("block_size", "2"),  # was a TypeError traceback
+            ("block_size", 2.0),
+            ("block_size", True),
+            ("blocks", "2"),
+            ("blocks", 2.0),
+            ("blocks", False),
+            ("level", "0"),
+            ("level", 0.0),
+            ("level", False),
+            ("vertices", [0.0, 1, 2, 3]),  # was accepted silently
+            ("vertices", [True, 1, 2, 3]),
+            ("vertices", "0123"),
+        ],
+    )
+    def test_staged_bad_stage_record_rejected(self, key, value, h22_file, tmp_path, capsys):
+        staged = json.loads(h22_file.read_bytes())
+        staged["stages"][0][key] = value
         bad = tmp_path / "staged.json"
         bad.write_text(json.dumps(staged))
         code, out = cli("realize", "--input", str(bad))

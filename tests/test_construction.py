@@ -22,8 +22,6 @@ from chromarect.construction import (
     StagedHypergraph,
     build_Gcg,
     build_Hkc,
-    build_kary_tree_hypergraph,
-    f_m_subsets,
     find_monochromatic_edge,
     make_random_provider,
     odd_cycle_provider,
@@ -46,88 +44,6 @@ from chromarect.hypergraph import (
     is_proper_coloring,
     naive_monochromatic_edge,
 )
-
-
-# ---------------------------------------------------------------------------
-# k-ary tree hypergraph
-
-
-def test_tree_2_2():
-    H = build_kary_tree_hypergraph(2, 2)
-    assert H.n == 3
-    assert H.edges == [(0, 1), (0, 2), (1, 2)]
-
-
-def test_tree_1_2_has_singleton_sibling_edge():
-    H = build_kary_tree_hypergraph(1, 2)
-    assert H.n == 2
-    assert H.edges == [(0, 1), (1,)]
-
-
-def test_tree_2_3_not_two_colorable_exhaustive():
-    H = build_kary_tree_hypergraph(2, 3)
-    assert H.n == 7
-    # direct scan over all 2^7 colorings, independent of the search code
-    for bits in itertools.product((0, 1), repeat=7):
-        assert any(
-            len({bits[v] for v in e}) == 1 for e in H.edges if len(e) >= 2
-        ), bits
-    assert is_c_colorable(H, 2) is None
-
-
-def test_tree_paths_and_siblings_shape():
-    H = build_kary_tree_hypergraph(3, 3)
-    assert H.n == 13
-    leaves = 9
-    paths, siblings = H.edges[:leaves], H.edges[leaves:]
-    assert all(len(e) == 3 and e[0] == 0 for e in paths)
-    assert siblings == [(1, 2, 3), (4, 5, 6), (7, 8, 9), (10, 11, 12)]
-
-
-def test_tree_bad_args():
-    with pytest.raises(DomainError):
-        build_kary_tree_hypergraph(0, 2)
-    with pytest.raises(DomainError):
-        build_kary_tree_hypergraph(2, 0)
-    with pytest.raises(SizeLimitExceeded):
-        build_kary_tree_hypergraph(2, 40)
-
-
-# ---------------------------------------------------------------------------
-# f_m subsets
-
-
-def test_f2_example():
-    got = list(f_m_subsets(["a1", "a2", "a3", "a4"], 2))
-    assert got == [
-        ("a1", "a3"),
-        ("a1", "a4"),
-        ("a2", "a3"),
-        ("a2", "a4"),
-    ]
-
-
-def test_f1_whole_list():
-    assert list(f_m_subsets((7, 9), 1)) == [(7, 9)]
-
-
-def test_f_m_bad_lengths():
-    with pytest.raises(DomainError):
-        list(f_m_subsets([1, 2, 3], 2))
-    with pytest.raises(DomainError):
-        list(f_m_subsets([], 2))
-    with pytest.raises(DomainError):
-        list(f_m_subsets([1], 0))
-
-
-@given(
-    m=st.integers(min_value=1, max_value=3),
-    nblocks=st.integers(min_value=1, max_value=4),
-)
-def test_f_m_matches_product_oracle(m, nblocks):
-    vs = list(range(m * nblocks))
-    blocks = [tuple(vs[i : i + m]) for i in range(0, len(vs), m)]
-    assert list(f_m_subsets(vs, m)) == list(itertools.product(*blocks))
 
 
 # ---------------------------------------------------------------------------

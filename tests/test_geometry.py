@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from chromarect import geometry
 from chromarect.construction import build_Gcg, build_Hkc, make_random_provider
@@ -389,11 +389,28 @@ class TestOrders:
         assert _digest(y_ids) == "b2fedc9a73f7aabe0b8669d8b9032b1d8f7cf352039298579f8d90c7e1543335"
 
 
+def _branch(index, rect):
+    """How ``members`` answers a box, by the index's branch rule: "y" (the
+    y-window scan), "blocks" (the x-query with at least one whole block)
+    or "x" (the x-query over partial blocks only)."""
+    xw, yw = index.x_window(rect), index.y_window(rect)
+    B = index.block
+    if len(yw) < len(xw) and len(yw) <= B:
+        return "y"
+    return "blocks" if xw.stop // B > -(-xw.start // B) else "x"
+
+
+@lru_cache(maxsize=None)
+def _r2_51():
+    return realize_Gcg(build_Gcg(2, 51))
+
+
 class TestBoxIndex:
     def test_built_matches_containment_scan(self):
-        # built H(2,2), nested H(2,2) and G(2,5), on their rank points and
-        # on the same points loaded back from JSON
-        for R in (_r22(), _r22_nested(), _r25()):
+        # built H(2,2), nested H(2,2), G(2,5) and G(2,51), on their rank
+        # points and on the same points loaded back from JSON
+        branches = set()
+        for R in (_r22(), _r22_nested(), _r25(), _r2_51()):
             loaded = Realization.from_json_dict(R.to_json_dict())
             for points in (R.points, loaded.points):
                 index = BoxIndex(points)
@@ -401,7 +418,41 @@ class TestBoxIndex:
                 for rect in R.rects:
                     assert index.members(rect) == x_order_members(points, rect)
                     x_scans += len(index.x_window(rect)) <= len(index.y_window(rect))
+                    branches.add(_branch(index, rect))
                 assert 0 < x_scans < len(R.rects)  # both scan directions ran
+        # the y-window scan, and the x-query with and without whole blocks
+        assert branches == {"y", "blocks", "x"}
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=50, max_size=300),
+        st.lists(
+            st.tuples(
+                st.integers(0, 17),  # block of the window's first rank
+                st.integers(-2, 2),  # offset from that block's boundary
+                st.integers(0, 17),  # block of the window's last rank
+                st.integers(-2, 2),
+                st.integers(-1, 41),  # y-extent: any height, or a few rows
+                st.one_of(st.integers(0, 2), st.integers(0, 42)),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    # the explain phase alone takes minutes on a failing 300-point example
+    @settings(max_examples=100, deadline=None, phases=[p for p in Phase if p is not Phase.explain])
+    def test_block_boundaries_match_containment_in_x_order(self, coords, boxes):
+        # x-windows that start and end inside, on and across block
+        # boundaries, on points with tied coordinates
+        pts = [Point2(F(x, 2), F(y, 3)) for x, y in coords]
+        index = BoxIndex(pts)
+        n, B = len(pts), index.block
+        xs = sorted(p.x for p in pts)
+        for b0, d0, b1, d1, y0, dy in boxes:
+            r0 = min(max(b0 * B + d0, 0), n - 1)
+            r1 = min(max(b1 * B + d1, 0), n - 1)
+            x_lo, x_hi = sorted((xs[r0], xs[r1]))
+            rect = Rect(x_lo, x_hi, F(y0, 3), F(y0 + dy, 3))
+            assert index.members(rect) == x_order_members(pts, rect)
 
     @given(
         st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=12),
