@@ -44,12 +44,15 @@ from .errors import ChromarectError, DomainError, ResourceLimitError, Verificati
 from .geometry import (
     FULL_VERIFY_EDGE_LIMIT,
     SAMPLE_VERIFY_COUNT,
+    BoxIndex,
     Point2,
     Realization,
+    Rect,
     SvgStyle,
     dominance_hasse,
     emit_svg,
     monochromatic_increasing_path,
+    parse_coord,
     realize_Gcg,
     realize_Hkc,
     realize_Hkc_nested,
@@ -98,6 +101,8 @@ def _load_json(path: str):
         raise DomainError(f"cannot read input: {exc}")
     except json.JSONDecodeError as exc:
         raise DomainError(f"malformed JSON in {path}: {exc}")
+    except RecursionError:
+        raise DomainError(f"JSON in {path} is nested too deeply")
 
 
 def _write_artifact(path: Optional[str], data: bytes, stdout) -> None:
@@ -128,7 +133,7 @@ def _parse_points(d) -> List[Point2]:
     if not isinstance(d, dict) or "points" not in d:
         raise DomainError('input must be a JSON object with a "points" field')
     try:
-        return [Point2(Fraction(x), Fraction(y)) for x, y in d["points"]]
+        return [Point2(parse_coord(x), parse_coord(y)) for x, y in d["points"]]
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"malformed point list: {exc}")
 
@@ -286,36 +291,21 @@ def _cmd_chromatic(args, stdout) -> int:
 def _verify_girth_report(H: OrderedHypergraph, report) -> None:
     """Independent validity check of the girth answer before emitting it."""
     if report.witness is None:
-        # Acyclic claim: the bipartite incidence graph must be a forest,
-        # i.e. #nodes - #components == #incidence-arcs.
-        arcs = sum(len(e) for e in H.edges)
-        nodes = H.n + len(H.edges)
-        seen_v = [False] * H.n
-        seen_e = [False] * len(H.edges)
-        by_vertex = [[] for _ in range(H.n)]
+        # Acyclic claim: the bipartite incidence graph must be a forest, so
+        # no arc may join two nodes already connected (union-find).
+        root = list(range(H.n + len(H.edges)))
+
+        def find(x):
+            while root[x] != x:
+                root[x] = x = root[root[x]]
+            return x
+
         for j, e in enumerate(H.edges):
             for v in e:
-                by_vertex[v].append(j)
-        comps = 0
-        for start in range(H.n):
-            if seen_v[start]:
-                continue
-            comps += 1
-            stack = [start]
-            seen_v[start] = True
-            while stack:
-                v = stack.pop()
-                for j in by_vertex[v]:
-                    if seen_e[j]:
-                        continue
-                    seen_e[j] = True
-                    for w in H.edges[j]:
-                        if not seen_v[w]:
-                            seen_v[w] = True
-                            stack.append(w)
-        comps += sum(1 for s in seen_e if not s)  # isolated (empty) edges
-        if nodes - comps != arcs:
-            raise VerificationError("girth reported Infinite on a cyclic instance")
+                a, b = find(v), find(H.n + j)
+                if a == b:
+                    raise VerificationError("girth reported Infinite on a cyclic instance")
+                root[a] = b
         return
     vs, es = report.witness
     g = int(report.girth)
@@ -355,16 +345,14 @@ def _cmd_find_mono(args, stdout) -> int:
 def _cmd_hasse(args, stdout) -> int:
     points = _parse_points(_load_json(args.input))
     H = dominance_hasse(points)
-    # Re-verify each emitted pair is a genuine cover of the dominance order.
+    # Re-verify each emitted pair: its closed box holds exactly its two
+    # endpoints (x and y coordinates are pairwise distinct, so no other
+    # point sits on the boundary, and q dominates p).
+    index = BoxIndex(points)
     for u, v in H.edges:
-        p, q = points[u], points[v]
-        if p.x > q.x:
-            p, q = q, p
-        if not (p.x < q.x and p.y < q.y):
-            raise VerificationError("emitted pair is not dominance-comparable")
-        for i, w in enumerate(points):
-            if i not in (u, v) and p.x < w.x < q.x and p.y < w.y < q.y:
-                raise VerificationError("emitted pair is not a cover")
+        p, q = sorted((points[u], points[v]))
+        if sorted(index.members(Rect(p.x, q.x, p.y, q.y))) != [u, v]:
+            raise VerificationError("emitted pair is not a cover of the dominance order")
     _write_artifact(args.out, _canonical_json(H.to_json_dict()), stdout)
     return 0
 

@@ -81,6 +81,16 @@ class Rect(NamedTuple):
         return self.x_lo <= p.x <= self.x_hi and self.y_lo <= p.y <= self.y_hi
 
 
+def parse_coord(value) -> Fraction:
+    """A coordinate read from JSON: an int (not a bool) or a rational
+    string such as ``"3/4"``, which ``Fraction`` parses or rejects."""
+    if type(value) is not int and type(value) is not str:
+        raise DomainError(
+            f"coordinate must be an int or a rational string, not {type(value).__name__}"
+        )
+    return Fraction(value)
+
+
 def make_rect(x_lo, x_hi, y_lo, y_hi) -> Rect:
     if x_lo > x_hi or y_lo > y_hi:
         raise DomainError("rectangle bounds out of order")
@@ -209,11 +219,8 @@ class Realization:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Realization":
         try:
-            points = [Point2(Fraction(x), Fraction(y)) for x, y in d["points"]]
-            rects = [
-                make_rect(Fraction(a), Fraction(b), Fraction(c), Fraction(e))
-                for a, b, c, e in d["rects"]
-            ]
+            points = [Point2(parse_coord(x), parse_coord(y)) for x, y in d["points"]]
+            rects = [make_rect(*map(parse_coord, (a, b, c, e))) for a, b, c, e in d["rects"]]
             edge_of_rect = list(d["edge_of_rect"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"malformed realization JSON: {exc}")
@@ -344,8 +351,9 @@ def verify_realization(
     H = R.hypergraph
     if H is None:
         raise DomainError("realization carries no hypergraph to verify against")
-    n_r = len(R.rects)
-    if sorted(R.edge_of_rect) != list(range(len(H.edges))) or n_r != len(H.edges):
+    n_r, m = len(R.rects), len(H.edges)
+    # a builder's own range(m) is a bijection; a loaded list is sorted
+    if n_r != m or (R.edge_of_rect != range(m) and sorted(R.edge_of_rect) != list(range(m))):
         raise DomainError("edge_of_rect must be a bijection onto edge indices")
     indices = range(n_r)
     if sample_count is not None:
@@ -723,24 +731,26 @@ def _check_general_position(points: Sequence[Point2]) -> None:
 
 def dominance_hasse(points: Sequence[Point2]) -> OrderedHypergraph:
     """Cover pairs of the dominance order p < q (x and y both smaller):
-    the pairs with no third point strictly inside their spanning box."""
+    the pairs with no third point strictly inside their spanning box.
+
+    One O(n²) sweep over integer y-ranks in x-order: q covers p exactly
+    when q comes after p in x-order and p.y < q.y < the lowest y above p.y
+    among the points between them.  Each pair is (smaller index, larger
+    index), and the pairs are sorted."""
     _check_general_position(points)
     n = len(points)
+    x_ids = sorted(range(n), key=lambda i: points[i].x)
+    y_rank = _inverse(sorted(range(n), key=lambda i: points[i].y))
+    ys = [y_rank[v] for v in x_ids]
     edges = []
-    for i in range(n):
+    for i, yp in enumerate(ys):
+        bound = n  # lowest y-rank above yp seen so far
         for j in range(i + 1, n):
-            p, q = points[i], points[j]
-            if p.x > q.x:
-                p, q = q, p
-            if not (p.x < q.x and p.y < q.y):
-                continue
-            if any(
-                p.x < w.x < q.x and p.y < w.y < q.y
-                for k, w in enumerate(points)
-                if k != i and k != j
-            ):
-                continue
-            edges.append((i, j))
+            if yp < ys[j] < bound:
+                bound = ys[j]
+                a, b = x_ids[i], x_ids[j]
+                edges.append((a, b) if a < b else (b, a))
+    edges.sort()
     return OrderedHypergraph(n, edges)
 
 

@@ -4,6 +4,7 @@ Commands run in-process through ``run(argv, stdout=buffer)`` so the exact
 artifact bytes can be asserted without subprocesses.
 """
 
+import hashlib
 import io
 import json
 
@@ -12,6 +13,8 @@ import pytest
 from chromarect import cli as cli_module
 from chromarect.cli import run
 from chromarect.geometry import Realization, Rect, realize_Hkc
+from chromarect import hypergraph
+from chromarect.hypergraph import CyclesReport, Infinite, OrderedHypergraph
 
 
 def cli(*argv):
@@ -521,6 +524,84 @@ class TestErrorContract:
         assert (code, out) == (1, b"")
         assert one_error(capsys)["error"] == "domain-error"
 
+    def test_deeply_nested_json_rejected(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)  # was a RecursionError traceback
+        code, out = cli("hasse", "--input", str(deep))
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "domain-error"
+
+    @pytest.mark.parametrize(
+        "coord",
+        [
+            0.5,  # hasse exited 0
+            True,  # hasse exited 0, read as 1
+            1.0,
+            None,
+            [1],
+            {"x": 1},
+            "1/0",
+            "one",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["hasse", "mono-path", "verify"])
+    def test_non_rational_coordinate_rejected(
+        self, command, coord, h22_file, r22n_file, tmp_path, capsys
+    ):
+        d = json.loads(r22n_file.read_bytes())
+        d["points"][0][0] = coord
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        col = tmp_path / "col.json"
+        col.write_text(json.dumps({"c": 2, "colors": [0, 1] * 6}))
+        argv = {
+            "hasse": ["hasse", "--input", str(bad)],
+            "mono-path": ["mono-path", "--input", str(bad), "--coloring", str(col), "--k", "2"],
+            "verify": ["verify", "--realization", str(bad), "--hypergraph", str(h22_file)],
+        }[command]
+        code, out = cli(*argv)
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "domain-error"
+
+    @pytest.mark.parametrize("coord", [0.5, False, 2.0])
+    def test_non_rational_rect_bound_rejected(self, coord, h22_file, r22n_file, tmp_path, capsys):
+        d = json.loads(r22n_file.read_bytes())
+        d["rects"][0][1] = coord
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        code, out = cli("verify", "--realization", str(bad), "--hypergraph", str(h22_file))
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "domain-error"
+
+    @pytest.mark.parametrize(
+        "points,pair",
+        [
+            ([[0, 0], [1, 1], [2, 2]], (0, 2)),  # (1, 1) lies between
+            ([[0, 0], [1, 2], [2, 1]], (1, 2)),  # not comparable
+        ],
+    )
+    def test_hasse_recheck_rejects_non_cover(self, points, pair, tmp_path, monkeypatch, capsys):
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps({"points": points}))
+        real = cli_module.dominance_hasse
+
+        def with_non_cover(points):
+            H = real(points)
+            return OrderedHypergraph(H.n, H.edges + [pair])
+
+        monkeypatch.setattr(cli_module, "dominance_hasse", with_non_cover)
+        code, out = cli("hasse", "--input", str(pts))
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "verification-failed"
+
+    def test_girth_recheck_rejects_infinite_on_cyclic(self, tmp_path, monkeypatch, capsys):
+        h = tmp_path / "h.json"  # a triangle with a pendant edge
+        h.write_text(json.dumps({"n": 4, "edges": [[0, 3], [0, 1], [1, 2], [0, 2]]}))
+        monkeypatch.setattr(hypergraph, "hypergraph_girth", lambda H: CyclesReport(Infinite, None))
+        code, out = cli("girth", "--input", str(h))
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "verification-failed"
+
 
 # ---------------------------------------------------------------------------
 # determinism
@@ -534,3 +615,45 @@ class TestDeterminism:
     def test_svg_bytes_stable(self, r22n_file):
         argv = ("svg", "--input", str(r22n_file))
         assert cli_ok(*argv) == cli_ok(*argv)
+
+
+# sha256 of the girth and hasse artifacts as the all-rotations witness and
+# the cubic cover scan (the references in test_hypergraph and test_geometry)
+# emit them; the linear witness and the rank-space sweep must match byte
+# for byte
+_GIRTH_DIGESTS = {
+    5: "dcb5d357e7a47513c7732bab5d4f26a831f8633802d8c7e34c615d96604e9b4b",
+    7: "660f4d78d9b3103f631652ecb5f1c5681238c13e8738fe777a7e25b2b03f4c96",
+    9: "86e39c7fee024dda6c903641053bf8a27b621531d35dfbeaa02d428014961f87",
+    51: "773832be90a2189e8ed634f5718058ad96db7f7f7258bd8b9f8c10e6f4fc6353",
+    71: "842412e263a3023ab1387ab75a8df2911dc09581a904cc0b8d589bc4dc7cabe2",
+}
+_HASSE_DIGESTS = {
+    5: "4f67049dc42ffd977d54fed624a59eb3d313c66d3d662b0da5822fcb9a4a2d4d",
+    7: "00364c8b28490fa499cb3b926317f47e010f42e7c8e25272ab889d4fda85c5bd",
+    9: "8013426e8cb663d0e2d6f9cf33593f67d5af13ec61691cacac9243ab9276e539",
+    51: "8bd3425096f23fc7c749f1c6318e9f2598df782a8dd76f5532b9de7e9518a8ea",
+    71: "d1de56763a4caec074d44fd7e860058708080eef34646e2a7412e86dd75553f3",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestPinnedArtifacts:
+    @pytest.mark.parametrize("g", sorted(_GIRTH_DIGESTS))
+    def test_girth_and_hasse_of_girth_graph(self, g, tmp_path):
+        staged, real = tmp_path / "g.json", tmp_path / "r.json"
+        cli_ok("construct", "gcg", "--c", "2", "--g", str(g), "--out", str(staged))
+        assert _sha256(cli_ok("girth", "--input", str(staged))) == _GIRTH_DIGESTS[g]
+        cli_ok("realize", "--input", str(staged), "--out", str(real))
+        assert _sha256(cli_ok("hasse", "--input", str(real))) == _HASSE_DIGESTS[g]
+
+    def test_girth_and_hasse_of_h22(self, h22_file, r22n_file):
+        assert _sha256(cli_ok("girth", "--input", str(h22_file))) == (
+            "a6eb80a0980987a4672bb8b3efd01355d84e5976b33449cea92c1246de8198d8"
+        )
+        assert _sha256(cli_ok("hasse", "--input", str(r22n_file))) == (
+            "a8ca02675a61eb808806de5d3da2e983a30e4e7b02dfbc6a6bbf043ae83caea5"
+        )

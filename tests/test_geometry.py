@@ -614,7 +614,60 @@ class TestPerfectNested:
         _check_prefix_membership(fam, ivs, pts)
 
 
+def _dominance_hasse_cubic(points):
+    """The O(n³) reference: every dominance-comparable pair whose open box
+    holds no third point, as (smaller index, larger index), sorted."""
+    n = len(points)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            p, q = points[i], points[j]
+            if p.x > q.x:
+                p, q = q, p
+            if not (p.x < q.x and p.y < q.y):
+                continue
+            if any(
+                p.x < w.x < q.x and p.y < w.y < q.y
+                for k, w in enumerate(points)
+                if k != i and k != j
+            ):
+                continue
+            edges.append((i, j))
+    return edges
+
+
 class TestDominance:
+    @pytest.mark.parametrize("g", [5, 7, 9, 51, 71])
+    def test_sweep_matches_cubic_scan_on_girth_drawings(self, g):
+        R = realize_Gcg(build_Gcg(2, g))
+        for points in (R.points, Realization.from_json_dict(R.to_json_dict()).points):
+            H = dominance_hasse(points)
+            assert H.n == len(points) and H.edges == _dominance_hasse_cubic(points)
+
+    @pytest.mark.parametrize(
+        "R", [_r22, _r22_nested, lambda: realize_Hkc(build_Hkc(3, 1))], ids=["plain", "nested", "H(3,1)"]
+    )
+    def test_sweep_matches_cubic_scan_on_staged_drawings(self, R):
+        points = R().points
+        assert dominance_hasse(points).edges == _dominance_hasse_cubic(points)
+
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True),
+                st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True),
+                st.integers(1, 6),
+                st.integers(1, 6),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_matches_cubic_scan_on_random_points(self, xyd):
+        # Fraction points in general position: distinct x and distinct y
+        xs, ys, dx, dy = xyd
+        pts = [Point2(F(x, dx), F(y, dy)) for x, y in zip(xs, ys)]
+        assert dominance_hasse(pts).edges == _dominance_hasse_cubic(pts)
+
     def test_chain(self):
         pts = [Point2(F(i), F(i)) for i in range(3)]
         H = dominance_hasse(pts)

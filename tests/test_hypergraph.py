@@ -11,10 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chromarect import hypergraph
+from chromarect.construction import build_Gcg, build_Hkc
 from chromarect.errors import DomainError, NodeBudgetExceeded
 from chromarect.hypergraph import (
     Coloring,
@@ -241,6 +244,81 @@ def test_girth_matches_direct_graph_bfs(data):
         assert rep.girth == 2
     else:
         assert rep.girth == graph_girth_bfs(n, H.edges)
+    if rep.girth != Infinite:
+        assert witness_is_valid(H, rep)
+
+
+def _canonical_witness_all_rotations(cycle_nodes, n):
+    """The O(L²) reference: every rotation that starts at a vertex node, in
+    both directions, and the lexicographically smallest form among them."""
+    size = len(cycle_nodes)
+    best = None
+    for direction in (1, -1):
+        nodes = cycle_nodes if direction == 1 else cycle_nodes[::-1]
+        for start in range(size):
+            if nodes[start] >= n:
+                continue
+            rotated = nodes[start:] + nodes[:start]
+            cand = (tuple(rotated[0::2]), tuple(x - n for x in rotated[1::2]))
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def _girth_checked_against_reference(H: OrderedHypergraph):
+    """hypergraph_girth(H), asserting that every cycle it canonicalizes
+    gets the reference's form.  Returns (report, cycles checked)."""
+    linear = hypergraph._canonical_witness
+    seen = []
+
+    def both(cycle_nodes, n):
+        seen.append(cycle_nodes)
+        got = linear(cycle_nodes, n)
+        assert got == _canonical_witness_all_rotations(cycle_nodes, n), cycle_nodes
+        return got
+
+    with mock.patch.object(hypergraph, "_canonical_witness", both):
+        rep = hypergraph_girth(H)
+    return rep, len(seen)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_Gcg(2, 5),
+        lambda: build_Gcg(2, 7),
+        lambda: build_Gcg(2, 9),
+        lambda: build_Gcg(2, 51),
+        lambda: build_Gcg(2, 71),
+        lambda: build_Hkc(2, 2),
+        lambda: build_Hkc(3, 1),
+    ],
+    ids=["G(2,5)", "G(2,7)", "G(2,9)", "G(2,51)", "G(2,71)", "H(2,2)", "H(3,1)"],
+)
+def test_linear_witness_matches_all_rotations_on_built_instances(build):
+    H = build().base
+    rep, seen = _girth_checked_against_reference(H)
+    assert bool(seen) == (rep.girth != Infinite)
+    if seen:
+        assert witness_is_valid(H, rep)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=9).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 4)),
+                max_size=12,
+            ),
+        )
+    )
+)
+def test_linear_witness_matches_all_rotations_on_random_hypergraphs(nh):
+    n, edges = nh
+    H = OrderedHypergraph(n, edges)
+    rep, _ = _girth_checked_against_reference(H)
     if rep.girth != Infinite:
         assert witness_is_valid(H, rep)
 
