@@ -342,17 +342,24 @@ def _cmd_find_mono(args, stdout) -> int:
     return 0
 
 
+def _check_covers(points: Sequence[Point2], pairs) -> None:
+    """Each pair of point indices must be a cover of the dominance order:
+    its closed box holds exactly its two endpoints.  Coordinates are
+    pairwise distinct, so no other point sits on the boundary, and an
+    incomparable pair spans an empty box."""
+    index = BoxIndex(points)
+    for u, v in pairs:
+        p, q = sorted((points[u], points[v]))
+        if sorted(index.members(Rect(p.x, q.x, p.y, q.y))) != sorted((u, v)):
+            raise VerificationError(
+                "pair is not a cover of the dominance order", pair=[u, v]
+            )
+
+
 def _cmd_hasse(args, stdout) -> int:
     points = _parse_points(_load_json(args.input))
     H = dominance_hasse(points)
-    # Re-verify each emitted pair: its closed box holds exactly its two
-    # endpoints (x and y coordinates are pairwise distinct, so no other
-    # point sits on the boundary, and q dominates p).
-    index = BoxIndex(points)
-    for u, v in H.edges:
-        p, q = sorted((points[u], points[v]))
-        if sorted(index.members(Rect(p.x, q.x, p.y, q.y))) != [u, v]:
-            raise VerificationError("emitted pair is not a cover of the dominance order")
+    _check_covers(points, H.edges)
     _write_artifact(args.out, _canonical_json(H.to_json_dict()), stdout)
     return 0
 
@@ -370,6 +377,7 @@ def _cmd_mono_path(args, stdout) -> int:
                 raise VerificationError("path is not strictly increasing")
         if len(shades) != 1:
             raise VerificationError("path mixes colors")
+        _check_covers(points, zip(path, path[1:]))
     _write_artifact(args.out, _canonical_json({"path": path}), stdout)
     return 0
 

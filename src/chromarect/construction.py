@@ -25,6 +25,12 @@ level in lexicographic parent order, vertices within a stage in stage
 order.  Edge global order is: all path edges (by their defining last-level
 vertex), then all transversal edges (by stage, block, then edge index
 within the embedded copy).
+
+A built instance stores no edge list.  Its ``base.edges`` is a read-only
+sequence computed from the parent array: a path edge is a leaf and its
+ancestors, and a transversal edge is a template edge shifted into its
+block.  The H(3,2) instance (2,184,822 edges) thus keeps three integer
+arrays instead of some 300 MB of tuples.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from .errors import (
 from .hypergraph import (
     Coloring,
     OrderedHypergraph,
+    _LazySequence,
     hypergraph_girth,
     is_c_colorable,
 )
@@ -102,7 +109,7 @@ class TransversalEdge(NamedTuple):
     copy_edge: int
 
 
-class _StageSequence(Sequence):
+class _StageSequence(_LazySequence):
     """Stages derived on demand from per-level metadata."""
 
     def __init__(self, levels: Sequence[LevelInfo]):
@@ -113,13 +120,7 @@ class _StageSequence(Sequence):
     def __len__(self) -> int:
         return self._total
 
-    def __getitem__(self, i: int) -> Stage:
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(self._total))]
-        if i < 0:
-            i += self._total
-        if not 0 <= i < self._total:
-            raise IndexError(i)
+    def _item(self, i: int) -> Stage:
         li = self._levels[bisect_right(self._starts, i) - 1]
         pos = i - li.first_stage
         if li.children_per_stage:
@@ -139,7 +140,7 @@ class _StageSequence(Sequence):
         )
 
 
-class _TransversalTags(Sequence):
+class _TransversalTags(_LazySequence):
     """Lazy (edge, stage, block, copy_edge) tags in global transversal order."""
 
     def __init__(self, owner: "StagedHypergraph"):
@@ -148,13 +149,7 @@ class _TransversalTags(Sequence):
     def __len__(self) -> int:
         return len(self._o.base.edges) - len(self._o.path_edges)
 
-    def __getitem__(self, t: int) -> TransversalEdge:
-        if isinstance(t, slice):
-            return [self[j] for j in range(*t.indices(len(self)))]
-        if t < 0:
-            t += len(self)
-        if not 0 <= t < len(self):
-            raise IndexError(t)
+    def _item(self, t: int) -> TransversalEdge:
         o = self._o
         per_copy = o.edges_per_copy
         block_index, copy_edge = divmod(t, per_copy)
@@ -168,6 +163,84 @@ class _TransversalTags(Sequence):
             block=block,
             copy_edge=copy_edge,
         )
+
+
+class _StagedEdges(_LazySequence):
+    """The edges of a built instance, computed from its parent array rather
+    than stored.
+
+    Path edges come first, one per leaf ``first_leaf..n-1``: path edge i is
+    leaf ``first_leaf + i`` and its k-1 ancestors, root first.  Then the
+    transversal edges, one copy of ``template`` per block of ``stride``
+    vertices from ``origin`` to n: transversal edge t is template edge
+    ``t % len(template)`` shifted by ``origin + (t // len(template)) *
+    stride``.  An item costs O(k); :meth:`columns` gives all edges at once
+    as k integer arrays, and iteration walks those columns."""
+
+    def __init__(
+        self,
+        k: int,
+        parent: array,
+        root: array,
+        first_leaf: int,
+        template: Sequence[tuple],
+        origin: int,
+        stride: int,
+    ):
+        self._k = k
+        self._parent = parent
+        self._root = root
+        self._first_leaf = first_leaf
+        # one block's worth of edges, so holding them as tuples is cheap
+        self._template = tuple(template)
+        self._origin = origin
+        self._stride = stride
+        self._n_path = len(parent) - first_leaf
+        self._n_blocks = (len(parent) - origin) // stride
+        self._len = self._n_path + self._n_blocks * len(self._template)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _item(self, i: int) -> tuple:
+        if i < self._n_path:
+            v = self._first_leaf + i
+            path = [v]
+            for _ in range(self._k - 1):
+                v = self._parent[v]
+                path.append(v)
+            return tuple(reversed(path))
+        block, t = divmod(i - self._n_path, len(self._template))
+        shift = self._origin + block * self._stride
+        return tuple(map(shift.__add__, self._template[t]))
+
+    def __iter__(self):
+        return zip(*self.columns())
+
+    def columns(self) -> list:
+        """The k edge columns as ``array('l')``: column j holds member j
+        of every edge, in edge order.  Path columns are slices of the
+        parent and root arrays (a C-level parent lookup per extra level
+        when k > 3); transversal columns interleave one strided range per
+        template edge."""
+        lo, parent = self._first_leaf, self._parent
+        cols = [array("l", range(lo, len(parent)))]
+        if self._k > 1:
+            cols.append(parent[lo:])
+        for _ in range(self._k - 3):
+            cols.append(array("l", map(parent.__getitem__, cols[-1])))
+        if self._k > 2:
+            cols.append(self._root[lo:])
+        cols.reverse()
+        per_copy, stride = len(self._template), self._stride
+        span = self._n_blocks * stride
+        for col, members in zip(cols, zip(*self._template)):
+            part = array("l", [0]) * (self._n_blocks * per_copy)
+            for t, u in enumerate(members):
+                start = self._origin + u
+                part[t::per_copy] = array("l", range(start, start + span, stride))
+            col.extend(part)
+        return cols
 
 
 class StagedHypergraph:
@@ -534,9 +607,10 @@ def build_Hkc(
         )
 
     if c == 1:
-        base = OrderedHypergraph._from_sorted(k, [tuple(range(k))])
         parent = array("l", [-1]) * k
         root = array("l", range(k))
+        edges = _StagedEdges(k, parent, root, k, [tuple(range(k))], 0, k)
+        base = OrderedHypergraph._from_sorted(k, edges)
         levels = [LevelInfo(0, 0, 1, 0, k, k, 1, 0)]
         # The single full edge is the embedded "copy" of the base instance
         # itself; classifying it as transversal keeps the recursion uniform.
@@ -590,35 +664,12 @@ def build_Hkc(
                 if d >= 0:
                     choice[d] += 1
 
-    # Edges: paths first (by leaf vertex), then transversal copies
-    # (by stage, block, then template edge order).
-    edges = []
-    last = levels[-1]
-    if k == 2:
-        edges = [(parent[v], v) for v in range(last.first_vertex, n)]
-    elif k == 3:
-        edges = [(root[v], parent[v], v) for v in range(last.first_vertex, n)]
-    else:
-        for v in range(last.first_vertex, n):
-            e = [0] * k
-            u = v
-            for i in range(k - 1, -1, -1):
-                e[i] = u
-                u = parent[u]
-            edges.append(tuple(e))
-    n_path = len(edges)
-
-    template_edges = template.base.edges
-    for li in levels:
-        lo = li.first_vertex
-        hi = lo + li.n_stages * li.stage_size
-        if len(template_edges) == 1 and template_edges[0] == tuple(range(m)):
-            edges.extend(tuple(range(b, b + m)) for b in range(lo, hi, m))
-        else:
-            for b in range(lo, hi, m):
-                edges.extend(tuple(b + u for u in te) for te in template_edges)
-
+    # Edges: paths first (by leaf vertex), then transversal copies (by
+    # stage, block, then template edge order), computed on demand.
+    first_leaf = levels[-1].first_vertex
+    edges = _StagedEdges(k, parent, root, first_leaf, template.base.edges, 0, m)
     base = OrderedHypergraph._from_sorted(n, edges)
+    n_path = n - first_leaf
     return StagedHypergraph("hkc", base, k, c, m, parent, root, levels, n_path, template)
 
 
@@ -799,9 +850,10 @@ def build_Gcg(
     if c < 1 or g < 2:
         raise DomainError("need c >= 1 and g >= 2", c=c, g=g)
     if c == 1:
-        base = OrderedHypergraph._from_sorted(2, [(0, 1)])
         parent = array("l", [-1, -1])
         root = array("l", [0, 1])
+        edges = _StagedEdges(2, parent, root, 2, [(0, 1)], 0, 2)
+        base = OrderedHypergraph._from_sorted(2, edges)
         levels = [LevelInfo(0, 0, 1, 0, 2, 2, 1, 0)]
         return StagedHypergraph("gcg", base, 2, 1, 2, parent, root, levels, 0, None)
 
@@ -839,12 +891,9 @@ def build_Gcg(
             root[v] = pv
             v += 1
 
-    edges = [(parent[u], u) for u in range(n_h, n)]
-    n_path = len(edges)
-    template_edges = template.base.edges
-    for start in range(n_h, n, m):
-        edges.extend(tuple(start + u for u in te) for te in template_edges)
+    edges = _StagedEdges(2, parent, root, n_h, template.base.edges, n_h, m)
     base = OrderedHypergraph._from_sorted(n, edges)
+    n_path = n - n_h
     return StagedHypergraph(
         "gcg", base, 2, c, m, parent, root, levels, n_path, template, auxiliary=aux
     )

@@ -50,9 +50,9 @@ from fractions import Fraction
 from math import isqrt
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
-from .construction import StagedHypergraph
+from .construction import StagedHypergraph, _StagedEdges
 from .errors import DomainError, VerificationError
-from .hypergraph import Coloring, OrderedHypergraph
+from .hypergraph import Coloring, OrderedHypergraph, _LazySequence
 
 Coord = Union[int, Fraction]
 
@@ -116,31 +116,7 @@ def _inverse(ids) -> array:
     return rank
 
 
-class _RankView(Sequence):
-    """Index plumbing shared by the views: slices, negative indices, and
-    equality with any sequence holding the same items."""
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._item(j) for j in range(*i.indices(len(self)))]
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        return self._item(i)
-
-    def __iter__(self):
-        return map(self._item, range(len(self)))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
-
-
-class _RankPoints(_RankView):
+class _RankPoints(_LazySequence):
     """Vertex v at (4·x_rank[v], 4·y_rank[v]), from the two orders."""
 
     def __init__(self, x_ids: array, y_ids: array):
@@ -156,7 +132,7 @@ class _RankPoints(_RankView):
         return Point2(4 * self.x_rank[v], 4 * self.y_rank[v])
 
 
-class _RankRects(_RankView):
+class _RankRects(_LazySequence):
     """One rectangle per edge, computed on demand: the rank window of the
     edge's members with each side one unit outside the extreme members.
 
@@ -169,7 +145,7 @@ class _RankRects(_RankView):
         self._edges = edges
         self._xr = points.x_rank
         self._yr = points.y_rank
-        self._n_path, self._first_leaf, self._leaf_size = leaf_stages or (0, None, None)
+        self._n_path, self._first_leaf, self._leaf_size = leaf_stages or (0, 0, 1)
 
     def __len__(self) -> int:
         return len(self._edges)
@@ -185,6 +161,28 @@ class _RankRects(_RankView):
             return Rect(x_lo, x_hi, 4 * min(yr[lo : lo + size]) - 2, 4 * len(yr) - 3)
         yw = [yr[u] for u in members]
         return Rect(x_lo, x_hi, 4 * min(yw) - 1, 4 * max(yw) + 1)
+
+    def y_windows(self):
+        """(y_lo, y_hi) of every rectangle, as ``_item`` gives them, in
+        two arrays and without building the rectangles.  A path rectangle
+        of the nested variant takes its leaf stage's lowest point; any
+        other rectangle takes its members' y-ranks, read from the edge
+        columns at C level when the edges are a built instance's."""
+        yr, n_path, size = self._yr, self._n_path, self._leaf_size
+        lows = array("l")
+        for lo in range(self._first_leaf, self._first_leaf + n_path, size):
+            lows.extend(array("l", [4 * min(yr[lo : lo + size]) - 2]) * size)
+        highs = array("l", [4 * len(yr) - 3]) * n_path
+        edges = self._edges
+        if isinstance(edges, _StagedEdges):
+            cols = [array("l", map(yr.__getitem__, col[n_path:])) for col in edges.columns()]
+            y_min, y_max = map(min, zip(*cols)), map(max, zip(*cols))
+        else:
+            ys = [[yr[u] for u in e] for e in edges[n_path:]]
+            y_min, y_max = map(min, ys), map(max, ys)
+        lows.extend(4 * y - 1 for y in y_min)
+        highs.extend(4 * y + 1 for y in y_max)
+        return lows, highs
 
 
 class Realization:
@@ -479,7 +477,7 @@ def realize_Hkc_nested(S: StagedHypergraph) -> Realization:
     if S.kind != "hkc":
         raise DomainError("expected an instance from the staged k-uniform builder")
     R = _realize(S, nested=True)
-    if not is_nested((r.y_lo, r.y_hi) for r in R.rects):
+    if not is_nested(zip(*R.rects.y_windows())):
         raise VerificationError("y-projections failed the nested check")
     return R
 

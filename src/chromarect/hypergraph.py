@@ -20,12 +20,40 @@ DEFAULT_NODE_BUDGET = 10**9
 Infinite = math.inf
 
 
+class _LazySequence(Sequence):
+    """A read-only sequence whose items are computed on demand by
+    ``_item(i)`` for ``0 <= i < len(self)``.  Slices return lists,
+    negative indices count from the end, and the view equals any sequence
+    holding the same items in the same order.  Unhashable, like a list."""
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._item(j) for j in range(*i.indices(len(self)))]
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        return self._item(i)
+
+    def __iter__(self):
+        return map(self._item, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
 class OrderedHypergraph:
     """A hypergraph on vertices ``0..n-1`` with a fixed, meaningful order.
 
-    Edges are stored as strictly increasing tuples of vertex indices,
-    duplicate-free within each edge; the edge *list* may contain repeats
-    (multiset semantics).
+    Edges are strictly increasing tuples of vertex indices, duplicate-free
+    within each edge; the edge sequence may contain repeats (multiset
+    semantics).  A hand-made or parsed hypergraph holds them in a list; a
+    built staged instance holds a read-only sequence that computes each
+    edge from the builder's parent array (``construction._StagedEdges``).
     """
 
     __slots__ = ("n", "edges")
@@ -45,10 +73,11 @@ class OrderedHypergraph:
         self.edges = canonical
 
     @classmethod
-    def _from_sorted(cls, n: int, edges: list) -> "OrderedHypergraph":
+    def _from_sorted(cls, n: int, edges: Sequence) -> "OrderedHypergraph":
         # Internal fast path for builders that guarantee canonical edges
-        # (strictly increasing tuples, in range).  Skips per-edge validation,
-        # which matters for multi-million-edge instances.
+        # (strictly increasing tuples, in range), as a list or a computed
+        # sequence.  Skips per-edge validation, which matters for
+        # multi-million-edge instances.
         self = cls.__new__(cls)
         self.n = n
         self.edges = edges

@@ -594,6 +594,19 @@ class TestErrorContract:
         assert (code, out) == (1, b"")
         assert one_error(capsys)["error"] == "verification-failed"
 
+    def test_mono_path_recheck_rejects_non_cover(self, tmp_path, monkeypatch, capsys):
+        # (1, 1) lies between the two returned points, so they are not a cover
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps({"points": [[0, 0], [1, 1], [2, 2]]}))
+        col = tmp_path / "col.json"
+        col.write_text(json.dumps({"c": 1, "colors": [0, 0, 0]}))
+        argv = ("mono-path", "--input", str(pts), "--coloring", str(col), "--k", "2")
+        assert json.loads(cli_ok(*argv)) == {"path": [0, 1]}
+        monkeypatch.setattr(cli_module, "monochromatic_increasing_path", lambda p, c, k: [0, 2])
+        code, out = cli(*argv)
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "verification-failed"
+
     def test_girth_recheck_rejects_infinite_on_cyclic(self, tmp_path, monkeypatch, capsys):
         h = tmp_path / "h.json"  # a triangle with a pendant edge
         h.write_text(json.dumps({"n": 4, "edges": [[0, 3], [0, 1], [1, 2], [0, 2]]}))

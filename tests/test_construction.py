@@ -9,8 +9,10 @@ exhaustively against the naive edge scan.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import time
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -380,3 +382,114 @@ def test_gcg_bad_args():
         build_Gcg(2, 1)
     with pytest.raises(SizeLimitExceeded):
         build_Gcg(2, 5, max_vertices=10)
+
+
+# ---------------------------------------------------------------------------
+# the computed edge sequence of a built instance
+
+
+def _materialized_edges(S):
+    """Frozen reference: the edge lists the builders stored before their
+    edges became a computed sequence, rebuilt here from the parent and
+    root arrays and the level records with the same loops."""
+    if S.c == 1:
+        return [tuple(range(S.m))]
+    parent, root, n, m = S.parent, S.root, S.n, S.m
+    template_edges = _materialized_edges(S.copy_template)
+    if S.kind == "gcg":
+        n_h = S.levels[1].first_vertex
+        edges = [(parent[u], u) for u in range(n_h, n)]
+        for start in range(n_h, n, m):
+            edges.extend(tuple(start + u for u in te) for te in template_edges)
+        return edges
+    k, levels = S.k, S.levels
+    last = levels[-1]
+    if k == 2:
+        edges = [(parent[v], v) for v in range(last.first_vertex, n)]
+    elif k == 3:
+        edges = [(root[v], parent[v], v) for v in range(last.first_vertex, n)]
+    else:
+        edges = []
+        for v in range(last.first_vertex, n):
+            e = [0] * k
+            u = v
+            for i in range(k - 1, -1, -1):
+                e[i] = u
+                u = parent[u]
+            edges.append(tuple(e))
+    for li in levels:
+        lo = li.first_vertex
+        hi = lo + li.n_stages * li.stage_size
+        for b in range(lo, hi, m):
+            edges.extend(tuple(b + u for u in te) for te in template_edges)
+    return edges
+
+
+# every instance the vertex-order tests build, plus H(3,2) (its order
+# digests are pinned there)
+EDGE_INSTANCES = (
+    [("hkc", k, c) for k, c in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]]
+    + [("gcg", 1, 7)]
+    + [("gcg", 2, g) for g in (4, 5, 7, 9, 51)]
+    + [("random", 2, seed) for seed in range(3)]
+)
+
+
+def _edge_instance(kind, a, b):
+    if kind == "hkc":
+        return build_Hkc(a, b)
+    if kind == "gcg":
+        return build_Gcg(a, b)
+    return build_Gcg(a, 4, provider=make_random_provider(200, b))
+
+
+@pytest.mark.parametrize("kind,a,b", EDGE_INSTANCES)
+def test_edges_equal_materialized_reference(kind, a, b):
+    S = _edge_instance(kind, a, b)
+    edges, expected = S.base.edges, _materialized_edges(S)
+    assert len(edges) == len(expected)
+    assert edges == expected and expected == edges
+    assert not edges != expected
+    assert edges.columns() == [array("l", col) for col in zip(*expected)]
+    step = max(1, len(expected) // 997)  # every item when small, a spread sample when not
+    for i in range(0, len(expected), step):
+        assert edges[i] == expected[i] and edges[i - len(expected)] == expected[i]
+
+
+@pytest.mark.parametrize("kind,a,b", [("hkc", 2, 2), ("gcg", 2, 7), ("hkc", 1, 3)])
+def test_edge_slices_and_bounds(kind, a, b):
+    S = _edge_instance(kind, a, b)
+    edges, expected = S.base.edges, _materialized_edges(S)
+    m = len(expected)
+    for sl in [
+        slice(None),
+        slice(-1000, None),
+        slice(None, 1000),
+        slice(-3, -1),
+        slice(2, -2, 3),
+        slice(None, None, -1),
+        slice(-1, 0, -2),
+        slice(m + 5, None),
+        slice(1, 1),
+    ]:
+        got = edges[sl]
+        assert type(got) is list and got == expected[sl], sl
+    assert edges[-1] == expected[-1] and edges[-m] == expected[0]
+    for bad in (m, m + 1, -m - 1):
+        with pytest.raises(IndexError):
+            edges[bad]
+    with pytest.raises(TypeError):
+        hash(edges)
+    assert edges != expected[:-1] and edges != expected[:-1] + [(-1,) * S.k]
+    assert S.base == OrderedHypergraph(S.n, expected)
+    assert OrderedHypergraph(S.n, expected) == S.base
+
+
+def test_h32_edges_digest():
+    # sha256 of every edge of H(3,2) as "a,b,c;" in edge order, computed
+    # from the stored edge list the builder made before its edges became a
+    # computed sequence
+    h = hashlib.sha256()
+    for e in build_Hkc(3, 2).base.edges:
+        h.update(b"%d,%d,%d;" % e)
+    assert h.hexdigest() == "768c3439659408cb0b1ff7c02cb584a2a02c8a76b4eff77ceaa130fda1f1669b"

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import random
 from array import array
 from fractions import Fraction as F
 from functools import lru_cache
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from chromarect import geometry
-from chromarect.construction import build_Gcg, build_Hkc, make_random_provider
+from chromarect.construction import StagedHypergraph, build_Gcg, build_Hkc, make_random_provider
 from chromarect.errors import DomainError, VerificationError
 from chromarect.geometry import (
     BoxIndex,
@@ -238,6 +239,46 @@ class TestNestedVariant:
         # sanity: the plain drawing genuinely needs the variant
         R = _r22()
         assert not is_nested([(r.y_lo, r.y_hi) for r in R.rects])
+
+
+def _window_pairs(R, indices):
+    """(bulk windows, windows of the rectangle views) at ``indices``."""
+    lows, highs = R.rects.y_windows()
+    views = [R.rects[r] for r in indices]
+    return [(lows[r], highs[r]) for r in indices], [(v.y_lo, v.y_hi) for v in views]
+
+
+class TestBulkYWindows:
+    """``_RankRects.y_windows`` against the rectangles ``_item`` builds."""
+
+    @pytest.mark.parametrize(
+        "R",
+        [_r22, _r22_nested, _r25, lambda: realize_Hkc_nested(build_Hkc(1, 3))],
+        ids=["plain", "nested", "G(2,5)", "nested H(1,3)"],
+    )
+    def test_equal_rect_views_on_small_drawings(self, R):
+        R = R()
+        got, want = _window_pairs(R, range(len(R.rects)))
+        assert got == want
+
+    def test_loaded_edge_list_matches_computed_edges(self):
+        # a parsed staged instance keeps its edges in a plain list
+        S = _h22()
+        loaded = StagedHypergraph.from_json_dict(S.to_json_dict())
+        assert type(loaded.base.edges) is list
+        assert realize_Hkc_nested(loaded).rects.y_windows() == _r22_nested().rects.y_windows()
+
+    def test_equal_rect_views_on_seeded_h32_sample(self):
+        S = build_Hkc(3, 2)
+        last = S.levels[-1]
+        points = geometry._RankPoints(*geometry._orders(S))
+        leaf_stages = (len(S.path_edges), last.first_vertex, last.stage_size)
+        for stages in (leaf_stages, None):
+            R = Realization(points, geometry._RankRects(S.base.edges, points, stages), None)
+            sample = random.Random(7).sample(range(len(R.rects)), 2000)
+            sample += [0, len(S.path_edges) - 1, len(S.path_edges), len(R.rects) - 1]
+            got, want = _window_pairs(R, sample)
+            assert got == want
 
 
 class TestRealizeGirth:
