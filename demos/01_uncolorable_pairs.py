@@ -19,7 +19,7 @@ S = build_Hkc(2, 2)
 H = S.base
 print(f"instance: {H.n} vertices, {len(H.edges)} edges, all pairs")
 print(f"path edges:        {[H.edges[e] for e in S.path_edges]}")
-print(f"transversal edges: {[H.edges[t.edge] for t in S.transversal_edges]}")
+print(f"transversal edges: {H.edges[len(S.path_edges):]}")
 
 # Exhaust all 2^12 colorings: every single one trips over some edge.
 proper = sum(

@@ -10,7 +10,7 @@ JSON object describing the error is printed to stderr), 2 resource-limit
 error.  Argument errors count as domain errors so that exit code 2 stays
 unambiguous.
 
-Every command re-verifies the artifact it is about to emit; nothing is
+Every command verifies the artifact it is about to emit; nothing is
 written with exit 0 unless that check passed.
 """
 
@@ -33,6 +33,7 @@ from .arithmetic import (
     bit_reverse,
 )
 from .construction import (
+    DEFAULT_MAX_VERTICES,
     StagedHypergraph,
     build_Gcg,
     build_Hkc,
@@ -59,15 +60,13 @@ from .geometry import (
     verify_realization,
 )
 from .hypergraph import (
+    DEFAULT_NODE_BUDGET,
     Coloring,
     OrderedHypergraph,
     chromatic_number,
     is_c_colorable,
     is_proper_coloring,
 )
-
-DEFAULT_MAX_VERTICES = 10_000_000
-DEFAULT_NODE_BUDGET = 1_000_000_000
 
 _STREAM_NAMES = ("primes", "pow2", "pow3")
 
@@ -404,7 +403,7 @@ def _checked_svg(R: Realization, style: SvgStyle = SvgStyle()) -> bytes:
 
 def _cmd_svg(args, stdout) -> int:
     R = Realization.from_json_dict(_load_json(args.input))
-    style = SvgStyle(width=args.width) if args.width else SvgStyle()
+    style = SvgStyle() if args.width is None else SvgStyle(width=args.width)
     _write_artifact(args.out, _checked_svg(R, style), stdout)
     return 0
 

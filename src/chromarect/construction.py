@@ -26,11 +26,15 @@ order.  Edge global order is: all path edges (by their defining last-level
 vertex), then all transversal edges (by stage, block, then edge index
 within the embedded copy).
 
-A built instance stores no edge list.  Its ``base.edges`` is a read-only
-sequence computed from the parent array: a path edge is a leaf and its
-ancestors, and a transversal edge is a template edge shifted into its
-block.  The H(3,2) instance (2,184,822 edges) thus keeps three integer
-arrays instead of some 300 MB of tuples.
+A staged instance, built or loaded, stores no edge list.  Its
+``base.edges`` is a read-only sequence computed from the parent array: a
+path edge is a leaf and its ancestors, and a transversal edge is a
+template edge shifted into its block.  The H(3,2) instance (2,184,822
+edges) thus keeps three integer arrays instead of some 300 MB of tuples.
+A staged file holds the header (kind, k, c, m, n), the parents, the
+edges and the copy template; the loader derives the level layout from
+the header, rebuilds the instance through the builders' own assembly
+code, and rejects a file whose edges differ from the computed ones.
 """
 
 from __future__ import annotations
@@ -39,8 +43,9 @@ import random
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, NamedTuple, Optional, Sequence
+from itertools import chain, compress, count
+from operator import eq, ne
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     DomainError,
@@ -99,16 +104,6 @@ class Stage:
         return range(lo, lo + self.block_size)
 
 
-class TransversalEdge(NamedTuple):
-    """Tag locating one transversal edge: which stage, block and which edge
-    of the embedded copy it is."""
-
-    edge: int
-    stage: int
-    block: int
-    copy_edge: int
-
-
 class _StageSequence(_LazySequence):
     """Stages derived on demand from per-level metadata."""
 
@@ -140,33 +135,8 @@ class _StageSequence(_LazySequence):
         )
 
 
-class _TransversalTags(_LazySequence):
-    """Lazy (edge, stage, block, copy_edge) tags in global transversal order."""
-
-    def __init__(self, owner: "StagedHypergraph"):
-        self._o = owner
-
-    def __len__(self) -> int:
-        return len(self._o.base.edges) - len(self._o.path_edges)
-
-    def _item(self, t: int) -> TransversalEdge:
-        o = self._o
-        per_copy = o.edges_per_copy
-        block_index, copy_edge = divmod(t, per_copy)
-        # locate the level holding this global block index
-        li = o.levels[bisect_right(o._cum_blocks, block_index) - 1]
-        within = block_index - o._cum_blocks[li.level]
-        stage_pos, block = divmod(within, li.blocks_per_stage)
-        return TransversalEdge(
-            edge=len(o.path_edges) + t,
-            stage=li.first_stage + stage_pos,
-            block=block,
-            copy_edge=copy_edge,
-        )
-
-
 class _StagedEdges(_LazySequence):
-    """The edges of a built instance, computed from its parent array rather
+    """The edges of a staged instance, computed from its parent array rather
     than stored.
 
     Path edges come first, one per leaf ``first_leaf..n-1``: path edge i is
@@ -244,11 +214,13 @@ class _StagedEdges(_LazySequence):
 
 
 class StagedHypergraph:
-    """A built instance plus all its stage metadata.
+    """A staged instance plus all its stage metadata.
 
     ``kind`` is ``"hkc"`` for the staged k-uniform family and ``"gcg"`` for
     the large-girth graphs (whose level-1 stages hang off auxiliary-edge
     parents rather than f_m subsets, and whose level-0 stage has no blocks).
+    Both builders and :meth:`from_json_dict` end in :func:`_staged`, so a
+    built instance and its loaded file hold the same fields.
     """
 
     __slots__ = (
@@ -262,9 +234,7 @@ class StagedHypergraph:
         "levels",
         "stages",
         "path_edges",
-        "transversal_edges",
         "copy_template",
-        "auxiliary",
         "_cum_blocks",
         "_level_vertex_starts",
         "_level_stage_starts",
@@ -282,7 +252,6 @@ class StagedHypergraph:
         levels: Sequence[LevelInfo],
         n_path_edges: int,
         copy_template: Optional["StagedHypergraph"],
-        auxiliary=None,
     ):
         self.kind = kind
         self.base = base
@@ -295,14 +264,12 @@ class StagedHypergraph:
         self.stages = _StageSequence(self.levels)
         self.path_edges = range(n_path_edges)
         self.copy_template = copy_template
-        self.auxiliary = auxiliary
         cum = [0]
         for li in self.levels:
             cum.append(cum[-1] + li.n_stages * li.blocks_per_stage)
         self._cum_blocks = cum
         self._level_vertex_starts = [li.first_vertex for li in self.levels]
         self._level_stage_starts = [li.first_stage for li in self.levels]
-        self.transversal_edges = _TransversalTags(self)
 
     # -- navigation ---------------------------------------------------------
 
@@ -350,26 +317,10 @@ class StagedHypergraph:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        """Full JSON form.  Materializes every stage record: fine at desk
-        scale, deliberately avoided by in-process pipelines for the
-        multi-million-vertex instances."""
+        """JSON form: the header, the edges and the parent array.  The level
+        layout follows from the header and the parents, so it is not written."""
         d = self.base.to_json_dict()
         d["parents"] = [None if p < 0 else p for p in self.parent]
-        d["stages"] = [
-            {
-                "id": s.id,
-                "level": s.level,
-                "vertices": list(s.vertices),
-                "block_size": s.block_size,
-                "blocks": s.blocks,
-            }
-            for s in self.stages
-        ]
-        d["path_edges"] = list(self.path_edges)
-        d["transversal_edges"] = [
-            {"edge": t.edge, "stage": t.stage, "block": t.block, "copy_edge": t.copy_edge}
-            for t in self.transversal_edges
-        ]
         d["kind"] = self.kind
         d["k"] = self.k
         d["c"] = self.c
@@ -381,34 +332,74 @@ class StagedHypergraph:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "StagedHypergraph":
+        """Parse a staged file.  The header must name an instance the
+        builders can make, the parents must fit its level layout, and
+        ``edges`` must be exactly the edges those parents define.  Other
+        keys are ignored."""
         try:
-            base = OrderedHypergraph.from_json_dict(d)
-            kind = d["kind"]
-            k, c, m = d["k"], d["c"], d["m"]
-            parents = d["parents"]
-            stage_records = d["stages"]
-            n_path = len(d["path_edges"])
-            template = (
-                cls.from_json_dict(d["copy_template"]) if d.get("copy_template") else None
-            )
+            kind, k, c, m, n = d["kind"], d["k"], d["c"], d["m"], d["n"]
+            parents, edges, sub = d["parents"], d["edges"], d["copy_template"]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed staged-hypergraph JSON: {exc}")
-        levels = _levels_from_stage_records(stage_records, base.n)
-        parent = _parents_from_json(parents, levels, base.n)
-        root = array("l", [0]) * base.n
-        for v in range(base.n):
+        if kind not in ("hkc", "gcg"):
+            raise DomainError("staged kind must be hkc or gcg", kind=kind)
+        if any(type(x) is not int or x < 1 for x in (k, c, m, n)):
+            raise DomainError("k, c, m and n must be ints >= 1", k=k, c=c, m=m, n=n)
+        if (sub is None) != (c == 1):
+            raise DomainError("copy_template must be null exactly when c == 1", c=c)
+        template = None
+        if c == 1:
+            if not k == m == n:
+                raise DomainError("a c = 1 instance has k = m = n", k=k, m=m, n=n)
+        else:
+            template = cls.from_json_dict(sub)
+            if (template.kind, template.k, template.c, template.n) != (kind, k, c - 1, m):
+                raise DomainError(
+                    "copy_template must be the c - 1 instance of the same kind "
+                    "and k, on m vertices",
+                    kind=kind,
+                    k=k,
+                    c=c,
+                    m=m,
+                )
+        # checked before any level is derived: a false hkc header could ask
+        # for double-exponentially many stages
+        if kind == "hkc" and _vertices_capped(k, c, n) != n:
+            raise DomainError("n is not the vertex count of H(k, c)", k=k, c=c, n=n)
+        if kind == "gcg" and k != 2:
+            raise DomainError("gcg instances are 2-uniform", k=k)
+        if c == 1:
+            levels = _base_levels(n)
+        elif kind == "hkc":
+            levels = _hkc_levels(k, m)
+        else:
+            n_h = parents.count(None) if isinstance(parents, list) else 0
+            if (n - n_h) % m:
+                raise DomainError(
+                    "the vertices below level 0 must fill stages of m", n=n, m=m, level_0=n_h
+                )
+            levels = _gcg_levels(n_h, m, (n - n_h) // m)
+        parent = _parents_from_json(parents, levels, n)
+        root = array("l", [0]) * n
+        for v in range(n):
             p = parent[v]
             root[v] = v if p < 0 else root[p]
-        out = cls(kind, base, k, c, m, parent, root, levels, n_path, template)
-        if list(out.path_edges) != list(d["path_edges"]):
-            raise DomainError("path_edges must be the initial run of edge indices")
-        if len(out.transversal_edges) != len(d.get("transversal_edges", ())):
+        S = _staged(kind, k, c, m, parent, root, levels, template)
+        computed = S.base.edges
+        if (
+            not isinstance(edges, list)
+            or len(edges) != len(computed)
+            or not set(map(type, edges)) <= {list}
+            or not set(map(type, chain.from_iterable(edges))) <= {int}
+        ):
             raise DomainError(
-                "transversal edge count disagrees with the stage layout",
-                expected=len(out.transversal_edges),
-                got=len(d.get("transversal_edges", ())),
+                "edges must be a list of int lists, one per edge of the instance",
+                expected=len(computed),
             )
-        return out
+        if not all(map(eq, map(tuple, edges), computed)):
+            bad = next(compress(count(), map(ne, map(tuple, edges), computed)))
+            raise DomainError("edges disagree with the edges the parents define", edge=bad)
+        return S
 
 
 def _parents_from_json(parents, levels, n) -> array:
@@ -434,84 +425,35 @@ def _parents_from_json(parents, levels, n) -> array:
     return parent
 
 
-def _levels_from_stage_records(records, n) -> list:
-    """Recover per-level metadata, enforcing the level-homogeneous layout."""
-    if not isinstance(records, list) or not records:
-        raise DomainError("staged hypergraph needs a list of at least one stage")
-    # one type set per field across all records (H(3,2) has 551,125), not
-    # a check per record, which costs about three times as much
-    if not set(map(type, records)) <= {dict}:
-        raise DomainError("stage records must be objects")
-    for key in ("level", "block_size", "blocks"):
-        if not {type(rec.get(key, 0)) for rec in records} <= {int}:
-            raise DomainError(f"stage {key} must be an int")
-    vertex_lists = [rec.get("vertices") for rec in records]
-    if not set(map(type, vertex_lists)) <= {list} or not set(
-        map(type, chain.from_iterable(vertex_lists))
-    ) <= {int}:
-        raise DomainError("stage vertices must be lists of ints")
-    levels = []
-    seen_vertices = 0
-    seen_stages = 0
-    i = 0
-    while i < len(records):
-        j = records[i].get("level")
-        group = []
-        while i < len(records) and records[i].get("level") == j:
-            group.append(records[i])
-            i += 1
-        size = len(group[0]["vertices"])
-        bs = group[0].get("block_size", size)
-        blocks = group[0].get("blocks", 0 if bs == 0 else size // bs)
-        for pos, rec in enumerate(group):
-            vs = rec["vertices"]
-            if (
-                len(vs) != size
-                or rec.get("block_size", size) != bs
-                or rec.get("blocks", blocks) != blocks
-            ):
-                raise DomainError("stage layout not level-homogeneous", level=j)
-            expect = list(range(seen_vertices + pos * size, seen_vertices + (pos + 1) * size))
-            if list(vs) != expect:
-                raise DomainError("stage vertices must be contiguous ranges", level=j)
-        levels.append(
-            LevelInfo(
-                level=len(levels),
-                first_stage=seen_stages,
-                n_stages=len(group),
-                first_vertex=seen_vertices,
-                stage_size=size,
-                block_size=bs,
-                blocks_per_stage=blocks,
-                children_per_stage=0,  # patched below
-            )
-        )
-        seen_stages += len(group)
-        seen_vertices += len(group) * size
-    if seen_vertices != n:
-        raise DomainError("stages do not cover the vertex set exactly")
-    # children counts follow from consecutive-level stage counts
-    patched = []
-    for idx, li in enumerate(levels):
-        kids = 0
-        if idx + 1 < len(levels):
-            nxt = levels[idx + 1]
-            if nxt.n_stages % li.n_stages:
-                raise DomainError("stage counts not level-homogeneous")
-            kids = nxt.n_stages // li.n_stages
-        patched.append(
-            LevelInfo(
-                li.level,
-                li.first_stage,
-                li.n_stages,
-                li.first_vertex,
-                li.stage_size,
-                li.block_size,
-                li.blocks_per_stage,
-                kids,
-            )
-        )
-    return patched
+def _staged(kind, k, c, m, parent, root, levels, template) -> StagedHypergraph:
+    """The instance on ``parent`` and ``levels``, with its edges computed
+    (:class:`_StagedEdges`).  A c = 1 instance is a single edge on all its
+    vertices; it counts as the embedded copy of itself, which keeps the
+    recursion uniform.  Otherwise the path edges run from the first
+    last-level vertex, and the template's edges repeat in every block of
+    m vertices: from vertex 0 for hkc, from the first level-1 vertex for
+    gcg, whose level 0 has no blocks."""
+    n = len(parent)
+    if c == 1:
+        first_leaf, origin, copy = n, 0, [tuple(range(n))]
+    else:
+        first_leaf = levels[-1].first_vertex
+        origin = first_leaf if kind == "gcg" else 0
+        copy = template.base.edges
+    edges = _StagedEdges(k, parent, root, first_leaf, copy, origin, m)
+    base = OrderedHypergraph._from_sorted(n, edges)
+    return StagedHypergraph(kind, base, k, c, m, parent, root, levels, n - first_leaf, template)
+
+
+def _base_levels(n: int) -> list:
+    """Level layout of a c = 1 instance: one stage holding one block."""
+    return [LevelInfo(0, 0, 1, 0, n, n, 1, 0)]
+
+
+def _base_instance(kind: str, k: int) -> StagedHypergraph:
+    """The c = 1 instance: one edge on k vertices, each its own root."""
+    parent = array("l", [-1]) * k
+    return _staged(kind, k, 1, k, parent, array("l", range(k)), _base_levels(k), None)
 
 
 @dataclass(frozen=True)
@@ -589,6 +531,27 @@ def predict_hkc_counts(k: int, c: int) -> tuple:
     return vertices, leaves + transversal_blocks * template_edges
 
 
+def _hkc_levels(k: int, m: int) -> list:
+    """Level layout of H(k, c) for c > 1, where m is the vertex count of
+    H(k, c - 1): a level-j stage holds m**(k-j) vertices in blocks of m,
+    and each stage of a non-last level has m**blocks child stages."""
+    levels = []
+    first_stage = 0
+    first_vertex = 0
+    n_stages = 1
+    for j in range(k):
+        size = m ** (k - j)
+        blocks = m ** (k - j - 1)
+        children = m**blocks if j < k - 1 else 0
+        levels.append(
+            LevelInfo(j, first_stage, n_stages, first_vertex, size, m, blocks, children)
+        )
+        first_stage += n_stages
+        first_vertex += n_stages * size
+        n_stages *= children if children else 1
+    return levels
+
+
 def build_Hkc(
     k: int, c: int, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> StagedHypergraph:
@@ -607,34 +570,12 @@ def build_Hkc(
         )
 
     if c == 1:
-        parent = array("l", [-1]) * k
-        root = array("l", range(k))
-        edges = _StagedEdges(k, parent, root, k, [tuple(range(k))], 0, k)
-        base = OrderedHypergraph._from_sorted(k, edges)
-        levels = [LevelInfo(0, 0, 1, 0, k, k, 1, 0)]
-        # The single full edge is the embedded "copy" of the base instance
-        # itself; classifying it as transversal keeps the recursion uniform.
-        return StagedHypergraph("hkc", base, k, 1, k, parent, root, levels, 0, None)
+        return _base_instance("hkc", k)
 
     template = build_Hkc(k, c - 1, max_vertices)
     m = template.n
-
-    # level metadata
-    levels = []
-    first_stage = 0
-    first_vertex = 0
-    n_stages = 1
-    for j in range(k):
-        size = m ** (k - j)
-        blocks = m ** (k - j - 1)
-        children = m**blocks if j < k - 1 else 0
-        levels.append(
-            LevelInfo(j, first_stage, n_stages, first_vertex, size, m, blocks, children)
-        )
-        first_stage += n_stages
-        first_vertex += n_stages * size
-        n_stages *= children if children else 1
-    n = first_vertex
+    levels = _hkc_levels(k, m)
+    n = levels[-1].first_vertex + levels[-1].n_stages * levels[-1].stage_size
 
     parent = array("l", [-1]) * n
     root = array("l", [0]) * n
@@ -664,13 +605,7 @@ def build_Hkc(
                 if d >= 0:
                     choice[d] += 1
 
-    # Edges: paths first (by leaf vertex), then transversal copies (by
-    # stage, block, then template edge order), computed on demand.
-    first_leaf = levels[-1].first_vertex
-    edges = _StagedEdges(k, parent, root, first_leaf, template.base.edges, 0, m)
-    base = OrderedHypergraph._from_sorted(n, edges)
-    n_path = n - first_leaf
-    return StagedHypergraph("hkc", base, k, c, m, parent, root, levels, n_path, template)
+    return _staged("hkc", k, c, m, parent, root, levels, template)
 
 
 # ---------------------------------------------------------------------------
@@ -832,6 +767,16 @@ def make_random_provider(budget: int, seed: int = 0) -> Callable:
     return supply
 
 
+def _gcg_levels(n_h: int, m: int, n_edges_h: int) -> list:
+    """Level layout of G(c, g) for c > 1 around an auxiliary hypergraph of
+    n_h vertices and n_edges_h edges of size m: a blockless level-0 stage,
+    then one m-vertex stage per auxiliary edge."""
+    return [
+        LevelInfo(0, 0, 1, 0, n_h, m, 0, n_edges_h),
+        LevelInfo(1, 1, n_edges_h, n_h, m, m, 1, 0),
+    ]
+
+
 def build_Gcg(
     c: int,
     g: int,
@@ -850,12 +795,7 @@ def build_Gcg(
     if c < 1 or g < 2:
         raise DomainError("need c >= 1 and g >= 2", c=c, g=g)
     if c == 1:
-        parent = array("l", [-1, -1])
-        root = array("l", [0, 1])
-        edges = _StagedEdges(2, parent, root, 2, [(0, 1)], 0, 2)
-        base = OrderedHypergraph._from_sorted(2, edges)
-        levels = [LevelInfo(0, 0, 1, 0, 2, 2, 1, 0)]
-        return StagedHypergraph("gcg", base, 2, 1, 2, parent, root, levels, 0, None)
+        return _base_instance("gcg", 2)
 
     template = build_Gcg(c - 1, g, provider, max_vertices)
     m = template.n
@@ -876,10 +816,7 @@ def build_Gcg(
             predicted_vertices=n,
             max_vertices=max_vertices,
         )
-    levels = [
-        LevelInfo(0, 0, 1, 0, n_h, m, 0, n_edges_h),
-        LevelInfo(1, 1, n_edges_h, n_h, m, m, 1, 0),
-    ]
+    levels = _gcg_levels(n_h, m, n_edges_h)
     parent = array("l", [-1]) * n
     root = array("l", [0]) * n
     for v in range(n_h):
@@ -890,10 +827,4 @@ def build_Gcg(
             parent[v] = pv
             root[v] = pv
             v += 1
-
-    edges = _StagedEdges(2, parent, root, n_h, template.base.edges, n_h, m)
-    base = OrderedHypergraph._from_sorted(n, edges)
-    n_path = n - n_h
-    return StagedHypergraph(
-        "gcg", base, 2, c, m, parent, root, levels, n_path, template, auxiliary=aux
-    )
+    return _staged("gcg", 2, c, m, parent, root, levels, template)

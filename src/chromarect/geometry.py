@@ -47,10 +47,10 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isfinite, isqrt
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
-from .construction import StagedHypergraph, _StagedEdges
+from .construction import StagedHypergraph
 from .errors import DomainError, VerificationError
 from .hypergraph import Coloring, OrderedHypergraph, _LazySequence
 
@@ -133,7 +133,8 @@ class _RankPoints(_LazySequence):
 
 
 class _RankRects(_LazySequence):
-    """One rectangle per edge, computed on demand: the rank window of the
+    """One rectangle per edge of a staged instance (``edges`` is its
+    computed edge sequence), computed on demand: the rank window of the
     edge's members with each side one unit outside the extreme members.
 
     ``leaf_stages`` (the nested variant) is (path edge count, first leaf
@@ -167,19 +168,14 @@ class _RankRects(_LazySequence):
         two arrays and without building the rectangles.  A path rectangle
         of the nested variant takes its leaf stage's lowest point; any
         other rectangle takes its members' y-ranks, read from the edge
-        columns at C level when the edges are a built instance's."""
+        columns at C level."""
         yr, n_path, size = self._yr, self._n_path, self._leaf_size
         lows = array("l")
         for lo in range(self._first_leaf, self._first_leaf + n_path, size):
             lows.extend(array("l", [4 * min(yr[lo : lo + size]) - 2]) * size)
         highs = array("l", [4 * len(yr) - 3]) * n_path
-        edges = self._edges
-        if isinstance(edges, _StagedEdges):
-            cols = [array("l", map(yr.__getitem__, col[n_path:])) for col in edges.columns()]
-            y_min, y_max = map(min, zip(*cols)), map(max, zip(*cols))
-        else:
-            ys = [[yr[u] for u in e] for e in edges[n_path:]]
-            y_min, y_max = map(min, ys), map(max, ys)
+        cols = [array("l", map(yr.__getitem__, col[n_path:])) for col in self._edges.columns()]
+        y_min, y_max = map(min, zip(*cols)), map(max, zip(*cols))
         lows.extend(4 * y - 1 for y in y_min)
         highs.extend(4 * y + 1 for y in y_max)
         return lows, highs
@@ -803,6 +799,12 @@ class SvgStyle:
 def emit_svg(R: Realization, style: SvgStyle = SvgStyle()) -> bytes:
     """Deterministic SVG: circles for points, hollow strokes for
     rectangles, viewport fitted to the drawing's bounds."""
+    if not (isfinite(style.width) and style.width > 2 * style.margin):
+        raise DomainError(
+            "SVG width must be finite and above twice the margin",
+            width=str(style.width),
+            margin=str(style.margin),
+        )
     if not R.points:
         raise DomainError("cannot draw an empty realization")
     rects = list(R.rects)

@@ -52,8 +52,9 @@ class OrderedHypergraph:
     Edges are strictly increasing tuples of vertex indices, duplicate-free
     within each edge; the edge sequence may contain repeats (multiset
     semantics).  A hand-made or parsed hypergraph holds them in a list; a
-    built staged instance holds a read-only sequence that computes each
-    edge from the builder's parent array (``construction._StagedEdges``).
+    staged instance, built or loaded, holds a read-only sequence that
+    computes each edge from its parent array
+    (``construction._StagedEdges``).
     """
 
     __slots__ = ("n", "edges")

@@ -7,6 +7,7 @@ artifact bytes can be asserted without subprocesses.
 import hashlib
 import io
 import json
+import time
 
 import pytest
 
@@ -318,6 +319,13 @@ class TestSmallCommands:
                               "--coloring", str(col), "--k", "12"))
         assert d["path"] is None
 
+    @pytest.mark.parametrize("width", ["-5", "nan", "inf", "0", "80"])
+    def test_svg_width_must_exceed_margins(self, width, r22n_file, capsys):
+        # each but 0 exited 0 with a negative or nan size; 0 meant 900
+        code, out = cli("svg", "--input", str(r22n_file), "--width", width)
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "domain-error"
+
     def test_svg_command(self, r22n_file):
         out = cli_ok("svg", "--input", str(r22n_file), "--width", "500")
         assert out.startswith(b"<svg ")
@@ -333,6 +341,28 @@ class TestSmallCommands:
 
 # ---------------------------------------------------------------------------
 # error contract
+
+
+# (key path into the H(2,2) file, value put there)
+_HEADER_CASES = [
+    (["k"], "2"),
+    (["k"], True),
+    (["k"], 2.0),
+    (["c"], "2"),
+    (["c"], True),
+    (["c"], 2.0),
+    (["m"], "2"),
+    (["m"], True),
+    (["m"], 2.0),
+    (["kind"], "hkd"),
+    (["kind"], None),
+    (["copy_template", "kind"], "gcg"),  # G(1, g) has the same single edge as H(2, 1)
+    (["copy_template", "c"], 2),
+    (["copy_template", "k"], 3),
+    (["copy_template", "n"], 3),
+    (["copy_template"], None),
+    (["edges", 4, 0], True),  # True == 1, the vertex it replaces
+]
 
 
 class TestErrorContract:
@@ -469,46 +499,53 @@ class TestErrorContract:
         assert (code, out) == (1, b"")
         assert one_error(capsys)["error"] == "domain-error"
 
+    @pytest.mark.parametrize("edge", [[0, 1, 2], []])  # exit 0; a ValueError traceback
     @pytest.mark.parametrize(
-        "stages",
-        [
-            [1],  # was an AttributeError traceback
-            {"0": {}},
-            [],
-        ],
+        "argv", [["realize"], ["realize", "--nested"], ["find-mono"]], ids=" ".join
     )
-    def test_staged_bad_stage_list_rejected(self, stages, h22_file, tmp_path, capsys):
+    def test_staged_edges_must_match_parents(self, edge, argv, h22_file, tmp_path, capsys):
         staged = json.loads(h22_file.read_bytes())
-        staged["stages"] = stages
+        staged["edges"][9] = edge
+        bad = tmp_path / "staged.json"
+        bad.write_text(json.dumps(staged))
+        col = tmp_path / "col.json"
+        col.write_text(json.dumps({"c": 2, "colors": [0, 1] * 6}))
+        if argv == ["find-mono"]:
+            argv = argv + ["--coloring", str(col)]
+        code, out = cli(*argv, "--input", str(bad))
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "domain-error"
+
+    @pytest.mark.parametrize(
+        "path,value",
+        _HEADER_CASES,
+        ids=["/".join(map(str, path)) + "=" + repr(value) for path, value in _HEADER_CASES],
+    )
+    def test_staged_bad_header_rejected(self, path, value, h22_file, tmp_path, capsys):
+        staged = json.loads(h22_file.read_bytes())
+        target = staged
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
         bad = tmp_path / "staged.json"
         bad.write_text(json.dumps(staged))
         code, out = cli("realize", "--input", str(bad))
         assert (code, out) == (1, b"")
         assert one_error(capsys)["error"] == "domain-error"
 
-    @pytest.mark.parametrize(
-        "key,value",
-        [
-            ("block_size", "2"),  # was a TypeError traceback
-            ("block_size", 2.0),
-            ("block_size", True),
-            ("blocks", "2"),
-            ("blocks", 2.0),
-            ("blocks", False),
-            ("level", "0"),
-            ("level", 0.0),
-            ("level", False),
-            ("vertices", [0.0, 1, 2, 3]),  # was accepted silently
-            ("vertices", [True, 1, 2, 3]),
-            ("vertices", "0123"),
-        ],
-    )
-    def test_staged_bad_stage_record_rejected(self, key, value, h22_file, tmp_path, capsys):
-        staged = json.loads(h22_file.read_bytes())
-        staged["stages"][0][key] = value
+    def test_staged_false_vertex_count_rejected_fast(self, tmp_path, capsys):
+        # a genuine H(1000, 1) under a 5-vertex H(1000, 2) header: deriving
+        # that header's levels would take m ** blocks = 1000 ** (1000 ** 999)
+        template = json.loads(cli_ok("construct", "hkc", "--k", "1000", "--c", "1"))
+        staged = {
+            "kind": "hkc", "k": 1000, "c": 2, "m": 1000, "n": 5,
+            "parents": [None] * 5, "edges": [], "copy_template": template,
+        }
         bad = tmp_path / "staged.json"
         bad.write_text(json.dumps(staged))
+        start = time.perf_counter()
         code, out = cli("realize", "--input", str(bad))
+        assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, b"")
         assert one_error(capsys)["error"] == "domain-error"
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import time
 from array import array
 
@@ -91,8 +92,8 @@ def test_h22_stage_layout(h22):
 
 
 def test_h22_transversal_tags(h22):
-    tags = [(t.edge, t.stage, t.block, t.copy_edge) for t in h22.transversal_edges]
-    assert tags == [
+    # (edge, stage, block, copy_edge) of every transversal edge
+    table = [
         (8, 0, 0, 0),
         (9, 0, 1, 0),
         (10, 1, 0, 0),
@@ -100,8 +101,8 @@ def test_h22_transversal_tags(h22):
         (12, 3, 0, 0),
         (13, 4, 0, 0),
     ]
-    for t in h22.transversal_edges:
-        assert h22.transversal_edge_index(t.stage, t.block, t.copy_edge) == t.edge
+    for edge, stage, block, copy_edge in table:
+        assert h22.transversal_edge_index(stage, block, copy_edge) == edge
 
 
 def test_h22_each_stage_meets_each_tree_at_most_once(h22):
@@ -137,8 +138,7 @@ def test_hkc_base_case_is_one_full_edge():
     H = build_Hkc(3, 1)
     assert H.n == 3 and H.base.edges == [(0, 1, 2)]
     assert len(H.path_edges) == 0
-    t = H.transversal_edges[0]
-    assert (t.edge, t.stage, t.block, t.copy_edge) == (0, 0, 0, 0)
+    assert H.transversal_edge_index(0, 0, 0) == 0
     assert H.stages[0].blocks == 1
 
 
@@ -189,15 +189,54 @@ def test_hkc_size_limit_fires_fast_on_astronomical_instances():
 
 def test_hkc_json_round_trip(h22):
     d = h22.to_json_dict()
+    assert sorted(d) == ["c", "copy_template", "edges", "k", "kind", "m", "n", "parents"]
     back = StagedHypergraph.from_json_dict(d)
-    assert back.base == h22.base
-    assert list(back.parent) == list(h22.parent)
-    assert back.levels == h22.levels
     assert (back.k, back.c, back.m, back.kind) == (2, 2, 2, "hkc")
-    assert [tuple(t) for t in back.transversal_edges] == [
-        tuple(t) for t in h22.transversal_edges
-    ]
-    assert back.copy_template.base == h22.copy_template.base
+    assert_same_instance(back, h22)
+
+
+def assert_same_instance(loaded, built):
+    """Every slot equal: the copy templates recursively, the computed edge
+    sequences also by the fields that define them."""
+    assert type(loaded) is StagedHypergraph
+    for slot in StagedHypergraph.__slots__:
+        a, b = getattr(loaded, slot), getattr(built, slot)
+        if slot == "copy_template":
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert_same_instance(a, b)
+        elif slot == "base":
+            assert type(a.edges) is type(b.edges)
+            assert vars(a.edges) == vars(b.edges)
+            assert a == b
+        else:
+            assert a == b, slot
+
+
+# H(2,2) as files were written before the level layout was derived on load:
+# with "stages", "path_edges" and "transversal_edges", which are now ignored
+H22_WITH_STAGE_RECORDS = (
+    '{"c":2,"copy_template":{"c":1,"copy_template":null,"edges":[[0,1]],"k":2'
+    ',"kind":"hkc","m":2,"n":2,"parents":[null,null],"path_edges":[],"stages"'
+    ':[{"block_size":2,"blocks":1,"id":0,"level":0,"vertices":[0,1]}],"transv'
+    'ersal_edges":[{"block":0,"copy_edge":0,"edge":0,"stage":0}]},"edges":[[0'
+    ',4],[2,5],[0,6],[3,7],[1,8],[2,9],[1,10],[3,11],[0,1],[2,3],[4,5],[6,7],'
+    '[8,9],[10,11]],"k":2,"kind":"hkc","m":2,"n":12,"parents":[null,null,null'
+    ',null,0,2,0,3,1,2,1,3],"path_edges":[0,1,2,3,4,5,6,7],"stages":[{"block_'
+    'size":2,"blocks":2,"id":0,"level":0,"vertices":[0,1,2,3]},{"block_size":'
+    '2,"blocks":1,"id":1,"level":1,"vertices":[4,5]},{"block_size":2,"blocks"'
+    ':1,"id":2,"level":1,"vertices":[6,7]},{"block_size":2,"blocks":1,"id":3,'
+    '"level":1,"vertices":[8,9]},{"block_size":2,"blocks":1,"id":4,"level":1,'
+    '"vertices":[10,11]}],"transversal_edges":[{"block":0,"copy_edge":0,"edge'
+    '":8,"stage":0},{"block":1,"copy_edge":0,"edge":9,"stage":0},{"block":0,"'
+    'copy_edge":0,"edge":10,"stage":1},{"block":0,"copy_edge":0,"edge":11,"st'
+    'age":2},{"block":0,"copy_edge":0,"edge":12,"stage":3},{"block":0,"copy_e'
+    'dge":0,"edge":13,"stage":4}]}'
+)
+
+
+def test_file_with_stage_records_loads(h22):
+    assert_same_instance(StagedHypergraph.from_json_dict(json.loads(H22_WITH_STAGE_RECORDS)), h22)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +376,7 @@ def test_g25_stage_layout():
     for i, s in enumerate(G.stages[1:], start=1):
         assert (s.level, s.size, s.blocks) == (1, 2, 1)
     assert [G.parent_of(v) for v in range(5, 15)] == [0, 1, 1, 2, 2, 3, 3, 4, 0, 4]
-    assert G.auxiliary.base.n == 5
+    assert G.levels[0].stage_size == 5
 
 
 @pytest.mark.parametrize("g,cyc", [(7, 21), (9, 27)])
@@ -351,11 +390,8 @@ def test_g2_larger_girths(g, cyc):
 def test_gcg_json_round_trip_preserves_blockless_level():
     G = build_Gcg(2, 5)
     back = StagedHypergraph.from_json_dict(G.to_json_dict())
-    assert back.base == G.base
     assert back.levels[0].blocks_per_stage == 0
-    assert [tuple(t) for t in back.transversal_edges] == [
-        tuple(t) for t in G.transversal_edges
-    ]
+    assert_same_instance(back, G)
 
 
 def test_gcg_rejects_wrong_uniformity_provider():
@@ -454,6 +490,13 @@ def test_edges_equal_materialized_reference(kind, a, b):
     step = max(1, len(expected) // 997)  # every item when small, a spread sample when not
     for i in range(0, len(expected), step):
         assert edges[i] == expected[i] and edges[i - len(expected)] == expected[i]
+
+
+@pytest.mark.parametrize("kind,a,b", [i for i in EDGE_INSTANCES if i != ("hkc", 3, 2)])
+def test_loaded_instance_equals_built(kind, a, b):
+    S = _edge_instance(kind, a, b)
+    loaded = StagedHypergraph.from_json_dict(json.loads(json.dumps(S.to_json_dict())))
+    assert_same_instance(loaded, S)
 
 
 @pytest.mark.parametrize("kind,a,b", [("hkc", 2, 2), ("gcg", 2, 7), ("hkc", 1, 3)])

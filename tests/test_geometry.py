@@ -12,7 +12,13 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from chromarect import geometry
-from chromarect.construction import StagedHypergraph, build_Gcg, build_Hkc, make_random_provider
+from chromarect.construction import (
+    StagedHypergraph,
+    _StagedEdges,
+    build_Gcg,
+    build_Hkc,
+    make_random_provider,
+)
 from chromarect.errors import DomainError, VerificationError
 from chromarect.geometry import (
     BoxIndex,
@@ -262,10 +268,10 @@ class TestBulkYWindows:
         assert got == want
 
     def test_loaded_edge_list_matches_computed_edges(self):
-        # a parsed staged instance keeps its edges in a plain list
+        # a parsed staged instance computes its edges, as a built one does
         S = _h22()
         loaded = StagedHypergraph.from_json_dict(S.to_json_dict())
-        assert type(loaded.base.edges) is list
+        assert type(loaded.base.edges) is _StagedEdges
         assert realize_Hkc_nested(loaded).rects.y_windows() == _r22_nested().rects.y_windows()
 
     def test_equal_rect_views_on_seeded_h32_sample(self):
