@@ -42,6 +42,7 @@ from .arithmetic import (
 )
 from .construction import build_Gcg, build_Hkc, find_monochromatic_edge
 from .geometry import (
+    _SAMPLE_SEED,
     Point2,
     extend_to_perfect_nested,
     incidence_hypergraph,
@@ -179,11 +180,14 @@ def _c3() -> str:
             assert len(path_tops) == 1
     small = perf_counter() - t0
     assert small < 1.0, f"small-instance checks took {small:.2f}s (budget 1s)"
+    # the builders already checked the sample drawn with _SAMPLE_SEED; this
+    # criterion checks another one
+    seed = _SAMPLE_SEED + 1
     R3 = realize_Hkc(_h32())
-    verify_realization(R3, sample_count=1000, seed=17)
+    verify_realization(R3, sample_count=1000, seed=seed)
     del R3
     R3n = realize_Hkc_nested(_h32())
-    verify_realization(R3n, sample_count=1000, seed=17)
+    verify_realization(R3n, sample_count=1000, seed=seed)
     assert is_nested(y_projections(R3n))
     return (
         f"both 12-point variants match the abstract edges, pair members "

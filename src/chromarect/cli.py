@@ -7,7 +7,8 @@ identical argv + seed always produce byte-identical files.
 
 Exit codes: 0 success, 1 domain/verification error (a machine-readable
 JSON object describing the error is printed to stderr), 2 resource-limit
-error.  Argument errors count as domain errors so that exit code 2 stays
+error, including a palette too deep for the interpreter's recursion limit.
+Argument errors count as domain errors so that exit code 2 stays
 unambiguous.
 
 Every command verifies the artifact it is about to emit; nothing is
@@ -41,7 +42,13 @@ from .construction import (
     make_random_provider,
     odd_cycle_supply,
 )
-from .errors import ChromarectError, DomainError, ResourceLimitError, VerificationError
+from .errors import (
+    ChromarectError,
+    DomainError,
+    ResourceLimitError,
+    SizeLimitExceeded,
+    VerificationError,
+)
 from .geometry import (
     FULL_VERIFY_EDGE_LIMIT,
     SAMPLE_VERIFY_COUNT,
@@ -159,11 +166,22 @@ def _sample_policy(requested: Optional[int], R: Realization) -> Optional[int]:
     return None
 
 
+def _header_chain(S: Optional[StagedHypergraph]) -> list:
+    """The header and parent array of S and of each copy template below it."""
+    chain = []
+    while S is not None:
+        chain.append((S.kind, S.k, S.c, S.m, S.n, S.parent))
+        S = S.copy_template
+    return chain
+
+
 def _emit_staged(S: StagedHypergraph, out: Optional[str], stdout) -> int:
     payload = S.to_json_dict()
-    # Re-verify the artifact round-trips to the same instance before emitting.
-    S2 = StagedHypergraph.from_json_dict(payload)
-    if S2.base != S.base or list(S2.parent) != list(S.parent):
+    # Re-verify the artifact round-trips to the same instance before
+    # emitting.  The loader has already checked the payload's edges against
+    # the edges its parents define, so equal headers and parent arrays down
+    # the copy-template chain mean equal instances.
+    if _header_chain(StagedHypergraph.from_json_dict(payload)) != _header_chain(S):
         raise VerificationError("serialized instance does not round-trip")
     _write_artifact(out, _canonical_json(payload), stdout)
     return 0
@@ -276,8 +294,17 @@ def _cmd_ap_capture(args, stdout) -> int:
     return 0
 
 
-def _cmd_chromatic(args, stdout) -> int:
+def _load_hypergraph(args) -> OrderedHypergraph:
+    """The --input hypergraph, refused above --max-vertices before any
+    per-vertex allocation."""
     H = OrderedHypergraph.from_json_dict(_load_json(args.input))
+    if H.n > args.max_vertices:
+        raise SizeLimitExceeded("too many vertices", n=H.n, max_vertices=args.max_vertices)
+    return H
+
+
+def _cmd_chromatic(args, stdout) -> int:
+    H = _load_hypergraph(args)
     k = chromatic_number(H, node_budget=args.node_budget)
     col = is_c_colorable(H, k, node_budget=args.node_budget)
     if col is None or not is_proper_coloring(H, col):
@@ -321,7 +348,7 @@ def _verify_girth_report(H: OrderedHypergraph, report) -> None:
 def _cmd_girth(args, stdout) -> int:
     from .hypergraph import hypergraph_girth
 
-    H = OrderedHypergraph.from_json_dict(_load_json(args.input))
+    H = _load_hypergraph(args)
     report = hypergraph_girth(H)
     _verify_girth_report(H, report)
     _write_artifact(args.out, _canonical_json(report.to_json_dict()), stdout)
@@ -589,12 +616,15 @@ def run(argv: Sequence[str], stdout=None) -> int:
         if args.max_vertices <= 0 or args.node_budget <= 0:
             raise DomainError("limits must be positive")
         return args.handler(args, stdout)
-    except ResourceLimitError as exc:
-        sys.stderr.write(json.dumps(exc.to_json_dict(), sort_keys=True) + "\n")
-        return 2
+    except RecursionError:
+        # the builders and the staged loader recurse once per palette color
+        err = ResourceLimitError(
+            "recursion depth exceeded", recursion_limit=sys.getrecursionlimit()
+        )
     except ChromarectError as exc:
-        sys.stderr.write(json.dumps(exc.to_json_dict(), sort_keys=True) + "\n")
-        return 1
+        err = exc
+    sys.stderr.write(json.dumps(err.to_json_dict(), sort_keys=True) + "\n")
+    return 2 if isinstance(err, ResourceLimitError) else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

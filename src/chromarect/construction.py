@@ -16,9 +16,11 @@ Two families are built here:
 
 Both produce a :class:`StagedHypergraph`, whose stage layout is
 level-homogeneous: every stage of a level has the same size, block shape
-and child count.  That makes stage metadata O(levels) instead of O(stages),
-keeps vertex ids contiguous per stage, and gives the finder arithmetic
-O(1) navigation — the multi-million-vertex instances depend on it.
+and child count.  A stage is therefore its level's :class:`LevelInfo`
+record plus its position within the level; nothing per stage is stored.
+That keeps stage metadata O(levels) instead of O(stages), keeps vertex ids
+contiguous per stage, and lets the finder walk the stages by arithmetic —
+the multi-million-vertex instances depend on it.
 
 Vertex global order is creation order: stages level by level, stages of a
 level in lexicographic parent order, vertices within a stage in stage
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import random
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress, count
 from operator import eq, ne
@@ -68,71 +69,17 @@ CERT_VERIFIED = "verified_exhaustively"
 
 @dataclass(frozen=True)
 class LevelInfo:
-    """Shape shared by all stages of one level."""
+    """Shape shared by all stages of one level.  Stage ``pos`` of the level
+    holds vertices ``first_vertex + pos * stage_size`` onwards; its child
+    stages are positions ``pos * children_per_stage`` onwards on the next
+    level."""
 
-    level: int
-    first_stage: int
     n_stages: int
     first_vertex: int
     stage_size: int
     block_size: int
     blocks_per_stage: int
     children_per_stage: int
-
-
-@dataclass(frozen=True)
-class Stage:
-    """One stage: a contiguous run of vertices on a (future) common line."""
-
-    id: int
-    level: int
-    start: int
-    size: int
-    block_size: int
-    blocks: int
-    first_child: Optional[int]
-    n_children: int
-
-    @property
-    def vertices(self) -> range:
-        return range(self.start, self.start + self.size)
-
-    def block_range(self, b: int) -> range:
-        if not 0 <= b < self.blocks:
-            raise DomainError("block index out of range", stage=self.id, block=b)
-        lo = self.start + b * self.block_size
-        return range(lo, lo + self.block_size)
-
-
-class _StageSequence(_LazySequence):
-    """Stages derived on demand from per-level metadata."""
-
-    def __init__(self, levels: Sequence[LevelInfo]):
-        self._levels = levels
-        self._starts = [li.first_stage for li in levels]
-        self._total = levels[-1].first_stage + levels[-1].n_stages if levels else 0
-
-    def __len__(self) -> int:
-        return self._total
-
-    def _item(self, i: int) -> Stage:
-        li = self._levels[bisect_right(self._starts, i) - 1]
-        pos = i - li.first_stage
-        if li.children_per_stage:
-            nxt = self._levels[li.level + 1]
-            first_child = nxt.first_stage + pos * li.children_per_stage
-        else:
-            first_child = None
-        return Stage(
-            id=i,
-            level=li.level,
-            start=li.first_vertex + pos * li.stage_size,
-            size=li.stage_size,
-            block_size=li.block_size,
-            blocks=li.blocks_per_stage,
-            first_child=first_child,
-            n_children=li.children_per_stage,
-        )
 
 
 class _StagedEdges(_LazySequence):
@@ -214,7 +161,9 @@ class _StagedEdges(_LazySequence):
 
 
 class StagedHypergraph:
-    """A staged instance plus all its stage metadata.
+    """A staged instance plus all its stage metadata: ``levels`` holds one
+    :class:`LevelInfo` per level, and a stage is a level record plus a
+    position within that level.
 
     ``kind`` is ``"hkc"`` for the staged k-uniform family and ``"gcg"`` for
     the large-girth graphs (whose level-1 stages hang off auxiliary-edge
@@ -232,12 +181,8 @@ class StagedHypergraph:
         "parent",
         "root",
         "levels",
-        "stages",
         "path_edges",
         "copy_template",
-        "_cum_blocks",
-        "_level_vertex_starts",
-        "_level_stage_starts",
     )
 
     def __init__(
@@ -261,58 +206,12 @@ class StagedHypergraph:
         self.parent = parent
         self.root = root
         self.levels = tuple(levels)
-        self.stages = _StageSequence(self.levels)
         self.path_edges = range(n_path_edges)
         self.copy_template = copy_template
-        cum = [0]
-        for li in self.levels:
-            cum.append(cum[-1] + li.n_stages * li.blocks_per_stage)
-        self._cum_blocks = cum
-        self._level_vertex_starts = [li.first_vertex for li in self.levels]
-        self._level_stage_starts = [li.first_stage for li in self.levels]
-
-    # -- navigation ---------------------------------------------------------
 
     @property
     def n(self) -> int:
         return self.base.n
-
-    @property
-    def edges_per_copy(self) -> int:
-        """Edges contributed by one block's embedded copy."""
-        return len(self.copy_template.base.edges) if self.copy_template else 1
-
-    def parent_of(self, v: int) -> Optional[int]:
-        p = self.parent[v]
-        return None if p < 0 else p
-
-    def root_of(self, v: int) -> int:
-        return self.root[v]
-
-    def level_of_vertex(self, v: int) -> LevelInfo:
-        if not 0 <= v < self.n:
-            raise DomainError("vertex out of range", v=v)
-        return self.levels[bisect_right(self._level_vertex_starts, v) - 1]
-
-    def stage_of_vertex(self, v: int) -> Stage:
-        li = self.level_of_vertex(v)
-        return self.stages[li.first_stage + (v - li.first_vertex) // li.stage_size]
-
-    def path_edge_index(self, v: int) -> int:
-        """Edge index of path(v) for a last-level vertex v."""
-        last = self.levels[-1]
-        if v < last.first_vertex or v >= self.n:
-            raise DomainError("not a last-level vertex", v=v)
-        return v - last.first_vertex
-
-    def transversal_edge_index(self, stage_id: int, block: int, copy_edge: int) -> int:
-        li = self.levels[bisect_right(self._level_stage_starts, stage_id) - 1]
-        global_block = (
-            self._cum_blocks[li.level]
-            + (stage_id - li.first_stage) * li.blocks_per_stage
-            + block
-        )
-        return len(self.path_edges) + global_block * self.edges_per_copy + copy_edge
 
     # -- serialization ------------------------------------------------------
 
@@ -410,7 +309,7 @@ def _parents_from_json(parents, levels, n) -> array:
     top = levels[0]
     if any(p is not None for p in parents[: top.n_stages * top.stage_size]):
         raise DomainError("level-0 vertices must have no parent")
-    for prev, li in zip(levels, levels[1:]):
+    for j, (prev, li) in enumerate(zip(levels, levels[1:]), start=1):
         lo, hi = prev.first_vertex, li.first_vertex
         for v in range(hi, hi + li.n_stages * li.stage_size):
             p = parents[v]
@@ -419,7 +318,7 @@ def _parents_from_json(parents, levels, n) -> array:
                     "parent must be a vertex of the previous level",
                     vertex=v,
                     parent=p,
-                    level=li.level,
+                    level=j,
                 )
             parent[v] = p
     return parent
@@ -447,7 +346,7 @@ def _staged(kind, k, c, m, parent, root, levels, template) -> StagedHypergraph:
 
 def _base_levels(n: int) -> list:
     """Level layout of a c = 1 instance: one stage holding one block."""
-    return [LevelInfo(0, 0, 1, 0, n, n, 1, 0)]
+    return [LevelInfo(1, 0, n, n, 1, 0)]
 
 
 def _base_instance(kind: str, k: int) -> StagedHypergraph:
@@ -536,17 +435,13 @@ def _hkc_levels(k: int, m: int) -> list:
     H(k, c - 1): a level-j stage holds m**(k-j) vertices in blocks of m,
     and each stage of a non-last level has m**blocks child stages."""
     levels = []
-    first_stage = 0
     first_vertex = 0
     n_stages = 1
     for j in range(k):
         size = m ** (k - j)
         blocks = m ** (k - j - 1)
         children = m**blocks if j < k - 1 else 0
-        levels.append(
-            LevelInfo(j, first_stage, n_stages, first_vertex, size, m, blocks, children)
-        )
-        first_stage += n_stages
+        levels.append(LevelInfo(n_stages, first_vertex, size, m, blocks, children))
         first_vertex += n_stages * size
         n_stages *= children if children else 1
     return levels
@@ -615,46 +510,44 @@ def build_Hkc(
 def _find_mono(S: StagedHypergraph, colors, voffset: int, palette: tuple) -> int:
     """Locate a monochromatic edge of the copy of S living at vertex offset
     ``voffset``, assuming the copy is colored only with ``palette`` colors.
-    Returns a local edge index of S.  Cost is polynomial in the number of
-    levels and block shapes — no edge scan."""
+    Returns a local edge index of S.  The walk visits one stage per level,
+    as a (level record, position) pair; cost is polynomial in the number
+    of levels and block shapes — no edge scan."""
     if S.c == 1 or len(palette) == 1:
         # Either the base instance (whose single edge is monochromatic under
         # any 1-coloring), or a single-color palette: the first path edge's
-        # members all carry palette[0] if the precondition held.  Return the
-        # structurally guaranteed edge; the top-level verification checks it.
-        if S.c == 1:
-            return 0
-        v = S.levels[-1].first_vertex  # first leaf: its whole path is forced
-        return S.path_edge_index(v)
+        # members all carry palette[0] if the precondition held.  Path edges
+        # come first, so either way the guaranteed edge is edge 0; the
+        # top-level verification checks it.
+        return 0
     tracked = palette[0]
     m = S.m
-    stage = S.stages[0]
-    while True:
-        picks = []
-        for b in range(stage.blocks):
-            lo = stage.start + b * m
-            pick = -1
+    pos = 0
+    blocks_before = 0  # transversal blocks on the levels above
+    for li in S.levels:
+        start = li.first_vertex + pos * li.stage_size
+        rank = 0
+        for b in range(li.blocks_per_stage):
+            lo = start + b * m
             for u in range(lo, lo + m):
                 if colors[voffset + u] == tracked:
-                    pick = u
+                    rank = rank * m + (u - lo)  # choice digit within the block
                     break
-            if pick < 0:
+            else:
                 # Block omits the tracked color entirely: its embedded copy
                 # is colored with the remaining palette and must contain a
                 # monochromatic edge of its own.
                 sub = _find_mono(S.copy_template, colors, voffset + lo, palette[1:])
-                return S.transversal_edge_index(stage.id, b, sub)
-            picks.append(pick - lo)  # choice digit within the block
-        if stage.level == S.k - 1:
-            # Single block, tracked color present: that vertex's whole path
-            # was built through tracked picks, so its path edge is forced.
-            v = stage.start + picks[0]
-            return S.path_edge_index(v)
+                block = blocks_before + pos * li.blocks_per_stage + b
+                return len(S.path_edges) + block * len(S.copy_template.base.edges) + sub
+        if not li.children_per_stage:
+            # Last level, a single block with the tracked color present: that
+            # leaf's whole path was built through tracked picks, so its path
+            # edge is forced.
+            return start + rank - li.first_vertex
         # Descend into the child stage selected by the tracked picks.
-        rank = 0
-        for d in picks:
-            rank = rank * m + d
-        stage = S.stages[stage.first_child + rank]
+        blocks_before += li.n_stages * li.blocks_per_stage
+        pos = pos * li.children_per_stage + rank
 
 
 def find_monochromatic_edge(
@@ -772,8 +665,8 @@ def _gcg_levels(n_h: int, m: int, n_edges_h: int) -> list:
     n_h vertices and n_edges_h edges of size m: a blockless level-0 stage,
     then one m-vertex stage per auxiliary edge."""
     return [
-        LevelInfo(0, 0, 1, 0, n_h, m, 0, n_edges_h),
-        LevelInfo(1, 1, n_edges_h, n_h, m, m, 1, 0),
+        LevelInfo(1, 0, n_h, m, 0, n_edges_h),
+        LevelInfo(n_edges_h, n_h, m, m, 1, 0),
     ]
 
 

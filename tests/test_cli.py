@@ -13,6 +13,7 @@ import pytest
 
 from chromarect import cli as cli_module
 from chromarect.cli import run
+from chromarect.construction import StagedHypergraph, build_Gcg
 from chromarect.geometry import Realization, Rect, realize_Hkc
 from chromarect import hypergraph
 from chromarect.hypergraph import CyclesReport, Infinite, OrderedHypergraph
@@ -651,6 +652,36 @@ class TestErrorContract:
         code, out = cli("girth", "--input", str(h))
         assert (code, out) == (1, b"")
         assert one_error(capsys)["error"] == "verification-failed"
+
+    def test_construct_recheck_rejects_another_instance(self, monkeypatch, capsys):
+        # a valid staged file, but of G(2,7) where G(2,5) was built
+        other = build_Gcg(2, 7).to_json_dict()
+        monkeypatch.setattr(StagedHypergraph, "to_json_dict", lambda self: other)
+        code, out = cli("construct", "gcg", "--c", "2", "--g", "5")
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "verification-failed"
+
+    @pytest.mark.parametrize("command", ["girth", "chromatic"])
+    def test_vertex_count_above_max_vertices_is_exit_2(self, command, h22_file, tmp_path, capsys):
+        huge = tmp_path / "huge.json"  # was a MemoryError traceback
+        huge.write_text(json.dumps({"n": 10**30, "edges": [[0, 1, 2]]}))
+        start = time.perf_counter()
+        code, out = cli(command, "--input", str(huge))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, b"")
+        assert one_error(capsys)["error"] == "size-limit-exceeded"
+        code, out = cli(command, "--input", str(h22_file), "--max-vertices", "11")
+        assert (code, out) == (2, b"")
+        assert one_error(capsys)["error"] == "size-limit-exceeded"
+        cli_ok(command, "--input", str(h22_file), "--max-vertices", "12")
+
+    def test_palette_too_deep_to_recurse_is_exit_2(self, capsys):
+        # H(1, c) has one vertex, so no size limit stops the recursion of
+        # its builder, one frame per color; this was a RecursionError traceback
+        code, out = cli("construct", "hkc", "--k", "1", "--c", "1500")
+        assert (code, out) == (2, b"")
+        assert one_error(capsys)["error"] == "resource-limit"
+        assert json.loads(cli_ok("construct", "hkc", "--k", "1", "--c", "300"))["c"] == 300
 
 
 # ---------------------------------------------------------------------------

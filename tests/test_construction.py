@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
 import time
 from array import array
 
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from chromarect.construction import (
     CERT_VERIFIED,
     AuxiliaryHypergraph,
+    LevelInfo,
     StagedHypergraph,
     build_Gcg,
     build_Hkc,
@@ -63,6 +65,16 @@ def h22():
     return build_Hkc(2, 2)
 
 
+def _stages(S):
+    """(level record, vertex range) of every stage, level by level: a stage
+    is its level's record plus a position within the level."""
+    return [
+        (li, range(lo, lo + li.stage_size))
+        for li in S.levels
+        for lo in range(li.first_vertex, li.first_vertex + li.n_stages * li.stage_size, li.stage_size)
+    ]
+
+
 def test_h22_counts_and_edges(h22):
     assert h22.n == 12
     assert h22.m == 2
@@ -73,50 +85,31 @@ def test_h22_counts_and_edges(h22):
 
 
 def test_h22_parents_and_roots(h22):
-    assert [h22.parent_of(v) for v in range(12)] == H22_PARENTS
-    assert [h22.root_of(v) for v in range(12)] == [0, 1, 2, 3, 0, 2, 0, 3, 1, 2, 1, 3]
+    assert [None if p < 0 else p for p in h22.parent] == H22_PARENTS
+    assert list(h22.root) == [0, 1, 2, 3, 0, 2, 0, 3, 1, 2, 1, 3]
 
 
 def test_h22_stage_layout(h22):
-    assert len(h22.stages) == 5
-    s0 = h22.stages[0]
-    assert (s0.level, s0.start, s0.size, s0.blocks) == (0, 0, 4, 2)
-    assert s0.first_child == 1 and s0.n_children == 4  # m ** blocks
-    for i, st_ in enumerate(h22.stages[1:], start=1):
-        assert st_.level == 1
-        assert list(st_.vertices) == [4 + 2 * (i - 1), 5 + 2 * (i - 1)]
-        assert st_.blocks == 1 and st_.first_child is None
-    assert h22.stage_of_vertex(0).id == 0
-    assert h22.stage_of_vertex(7).id == 2
-    assert h22.stage_of_vertex(11).id == 4
-
-
-def test_h22_transversal_tags(h22):
-    # (edge, stage, block, copy_edge) of every transversal edge
-    table = [
-        (8, 0, 0, 0),
-        (9, 0, 1, 0),
-        (10, 1, 0, 0),
-        (11, 2, 0, 0),
-        (12, 3, 0, 0),
-        (13, 4, 0, 0),
+    # one level-0 stage of two blocks with m ** blocks = 4 children, then
+    # four single-block leaf stages
+    assert h22.levels == (LevelInfo(1, 0, 4, 2, 2, 4), LevelInfo(4, 4, 2, 2, 1, 0))
+    assert [list(vs) for _, vs in _stages(h22)] == [
+        [0, 1, 2, 3], [4, 5], [6, 7], [8, 9], [10, 11]
     ]
-    for edge, stage, block, copy_edge in table:
-        assert h22.transversal_edge_index(stage, block, copy_edge) == edge
 
 
 def test_h22_each_stage_meets_each_tree_at_most_once(h22):
-    for s in h22.stages:
-        roots = [h22.root_of(v) for v in s.vertices]
+    for _, vs in _stages(h22):
+        roots = [h22.root[v] for v in vs]
         assert len(roots) == len(set(roots))
 
 
 def test_h22_blocks_carry_template_copies(h22):
     template = h22.copy_template
     assert template.c == 1 and template.n == 2
-    for s in h22.stages:
-        for b in range(s.blocks):
-            block = s.block_range(b)
+    for li, vs in _stages(h22):
+        for b in range(li.blocks_per_stage):
+            block = vs[b * li.block_size : (b + 1) * li.block_size]
             inside = [e for e in h22.base.edges if all(u in block for u in e)]
             sub = OrderedHypergraph(
                 template.n, [tuple(u - block[0] for u in e) for e in inside]
@@ -138,8 +131,7 @@ def test_hkc_base_case_is_one_full_edge():
     H = build_Hkc(3, 1)
     assert H.n == 3 and H.base.edges == [(0, 1, 2)]
     assert len(H.path_edges) == 0
-    assert H.transversal_edge_index(0, 0, 0) == 0
-    assert H.stages[0].blocks == 1
+    assert H.levels == (LevelInfo(1, 0, 3, 3, 1, 0),)
 
 
 def test_hkc_uniformity_small():
@@ -149,10 +141,8 @@ def test_hkc_uniformity_small():
         n_pred, e_pred = predict_hkc_counts(k, c)
         assert H.n == n_pred and len(H.base.edges) == e_pred
         for v in range(H.n):
-            p = H.parent_of(v)
-            assert p is None or p < v
-            r = H.root_of(v)
-            assert H.parent_of(r) is None
+            assert H.parent[v] < v  # -1 on level 0
+            assert H.parent[H.root[v]] == -1
 
 
 def test_hkc_predicted_counts_large():
@@ -248,18 +238,50 @@ def _mono_index_ok(S, colors, idx):
     return len({colors[u] for u in e}) == 1
 
 
+def _index_digest(indices):
+    return hashlib.sha256(",".join(map(str, indices)).encode()).hexdigest()
+
+
+# sha256 of the finder's edge indices, pinned from the stage-object finder
+# that the level-record walk replaced: both must return the same edges
+H22_FINDER_DIGESTS = {
+    0: "a6b51e6f1ed1b79476fd61e9fdb56e76a42fcddc91ed2da78ee84f461f731eb1",
+    1: "193a4b725fe0d98fc4fe6b51b0cd980a9349a090e0915280cda36821c377d810",
+}
+
+
 def test_finder_exhaustive_two_colorings(h22):
+    found = []
     for bits in itertools.product((0, 1), repeat=12):
         col = Coloring(2, bits)
         idx = find_monochromatic_edge(h22, col)
         assert _mono_index_ok(h22, bits, idx)
         assert naive_monochromatic_edge(h22.base, col) is not None
+        found.append(idx)
+    assert _index_digest(found) == H22_FINDER_DIGESTS[0]
 
 
 def test_finder_tracked_color_one(h22):
+    found = []
     for bits in itertools.product((0, 1), repeat=12):
         idx = find_monochromatic_edge(h22, Coloring(2, bits), tracked_color=1)
         assert _mono_index_ok(h22, bits, idx)
+        found.append(idx)
+    assert _index_digest(found) == H22_FINDER_DIGESTS[1]
+
+
+def test_finder_h32_indices_pinned():
+    # criterion 2's seeded colorings of H(3,2)
+    S = build_Hkc(3, 2)
+    tbl = bytes(b & 1 for b in range(256))
+    rng = random.Random(2)
+    found = []
+    for _ in range(100):
+        colors = rng.randbytes(S.n).translate(tbl)
+        found.append(find_monochromatic_edge(S, Coloring(2, colors)))
+    assert _index_digest(found) == (
+        "731ca9a3086d560e71901caff9ef3cb07ab4d7145116b91b9227b43e46eb8e57"
+    )
 
 
 def test_finder_proper_three_coloring_raises(h22):
@@ -340,7 +362,7 @@ def test_random_search_provider_budget_exceeded():
 def test_g1_is_single_edge():
     G = build_Gcg(1, 7)
     assert G.base.n == 2 and G.base.edges == [(0, 1)]
-    assert G.kind == "gcg" and len(G.stages) == 1
+    assert G.kind == "gcg" and G.levels == (LevelInfo(1, 0, 2, 2, 1, 0),)
 
 
 G25_PATH = [
@@ -370,13 +392,11 @@ def test_g25_is_fifteen_cycle():
 
 def test_g25_stage_layout():
     G = build_Gcg(2, 5)
-    assert len(G.stages) == 6
-    s0 = G.stages[0]
-    assert (s0.level, s0.size, s0.blocks, s0.first_child, s0.n_children) == (0, 5, 0, 1, 5)
-    for i, s in enumerate(G.stages[1:], start=1):
-        assert (s.level, s.size, s.blocks) == (1, 2, 1)
-    assert [G.parent_of(v) for v in range(5, 15)] == [0, 1, 1, 2, 2, 3, 3, 4, 0, 4]
-    assert G.levels[0].stage_size == 5
+    # a blockless level-0 stage with one child per auxiliary edge, then
+    # five single-block stages of two vertices
+    assert G.levels == (LevelInfo(1, 0, 5, 2, 0, 5), LevelInfo(5, 5, 2, 2, 1, 0))
+    assert len(_stages(G)) == 6
+    assert list(G.parent[5:]) == [0, 1, 1, 2, 2, 3, 3, 4, 0, 4]
 
 
 @pytest.mark.parametrize("g,cyc", [(7, 21), (9, 27)])

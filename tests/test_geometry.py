@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 from array import array
+from collections import namedtuple
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -332,6 +333,31 @@ class TestSmallInstances:
             assert all(type(v) is int for v in _all_coordinates(R))
 
 
+_Stage = namedtuple("_Stage", "id start size block_size blocks first_child n_children")
+
+
+def _stage_list(S):
+    """Every stage, level by level, with its children's first stage id;
+    a stage is its level's record plus a position within the level."""
+    stages = []
+    next_level = 0  # id of the next level's first stage
+    for li in S.levels:
+        next_level += li.n_stages
+        for pos in range(li.n_stages):
+            stages.append(
+                _Stage(
+                    len(stages),
+                    li.first_vertex + pos * li.stage_size,
+                    li.stage_size,
+                    li.block_size,
+                    li.blocks_per_stage,
+                    next_level + pos * li.children_per_stage,
+                    li.children_per_stage,
+                )
+            )
+    return stages
+
+
 def _placement_orders(S):
     """Frozen reference for the realizer's two orders: the left-to-right
     placement list, where each stage's child vertices are inserted just
@@ -339,15 +365,17 @@ def _placement_orders(S):
     stage's children get new lines between its line and the next one
     below.  (x_ids, y_ids) as plain lists."""
     n = S.n
+    stages = _stage_list(S)
     pred = array("l", [-2]) * n  # -2 = unplaced, -1 = leftmost
     succ = array("l", [-2]) * n
-    line_next = array("l", [-1]) * len(S.stages)
-    s0 = S.stages[0]
+    line_next = array("l", [-1]) * len(stages)
+    s0 = stages[0]
     head = s0.start
-    for i, v in enumerate(s0.vertices):
+    for i in range(s0.size):
+        v = s0.start + i
         pred[v] = v - 1 if i else -1
         succ[v] = v + 1 if i + 1 < s0.size else -1
-    for stage in S.stages:
+    for stage in stages:
         r = stage.n_children
         if r == 0:
             continue
@@ -357,10 +385,10 @@ def _placement_orders(S):
         line_next[first + r - 1] = line_next[stage.id]
         line_next[stage.id] = first
         by_parent = {}
-        lo = S.stages[first].start
-        for ch in range(lo, lo + r * S.stages[first].size):
+        lo = stages[first].start
+        for ch in range(lo, lo + r * stages[first].size):
             by_parent.setdefault(S.parent[ch], []).append(ch)
-        for v in stage.vertices:
+        for v in range(stage.start, stage.start + stage.size):
             prev = pred[v]
             for ch in by_parent.get(v, ()):
                 pred[ch] = prev
@@ -383,7 +411,7 @@ def _placement_orders(S):
         top_down.append(line_next[top_down[-1]])
     y_ids = []
     for sid in reversed(top_down):
-        stage = S.stages[sid]
+        stage = stages[sid]
         if stage.blocks:
             nblocks, bsize = stage.blocks, stage.block_size
             within = copy if copy is not None else range(bsize)
