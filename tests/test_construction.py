@@ -68,11 +68,12 @@ def h22():
 def _stages(S):
     """(level record, vertex range) of every stage, level by level: a stage
     is its level's record plus a position within the level."""
-    return [
-        (li, range(lo, lo + li.stage_size))
-        for li in S.levels
-        for lo in range(li.first_vertex, li.first_vertex + li.n_stages * li.stage_size, li.stage_size)
-    ]
+    stages = []
+    for li in S.levels:
+        for pos in range(li.n_stages):
+            lo = li.first_vertex + pos * li.stage_size
+            stages.append((li, range(lo, lo + li.stage_size)))
+    return stages
 
 
 def test_h22_counts_and_edges(h22):
