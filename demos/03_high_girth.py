@@ -27,6 +27,7 @@ for g in (5, 7, 9):
     print(f"      realized on {len(R.points)} curve points, "
           f"{len(R.rects)} rectangles, incidences verified")
 
-# A supply of fresh odd cycles is one provider; `make_random_provider`
+# A supply of fresh odd cycles is one provider; `random_search_provider`,
+# bound as `functools.partial(random_search_provider, budget=..., seed=...)`,
 # searches random graphs for the same girth/coloring profile under a
-# node budget, trading determinism-for-speed at larger g.
+# trial budget, trading determinism-for-speed at larger g.

@@ -7,12 +7,14 @@ identical argv + seed always produce byte-identical files.
 
 Exit codes: 0 success, 1 domain/verification error (a machine-readable
 JSON object describing the error is printed to stderr), 2 resource-limit
-error, including a palette too deep for the interpreter's recursion limit.
+error, including a palette too deep for the interpreter's recursion limit
+and a value too long for the interpreter's integer-string limit.
 Argument errors count as domain errors so that exit code 2 stays
 unambiguous.
 
-Every command verifies the artifact it is about to emit; nothing is
-written with exit 0 unless that check passed.
+Every artifact is checked exactly once before it is written, by the
+library code that makes it or here by an oracle independent of that
+code; nothing is written with exit 0 unless that check passed.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import List, Optional, Sequence
 
 from .arithmetic import (
@@ -31,7 +34,6 @@ from .arithmetic import (
     rects_to_D_aps,
     rects_to_pow2_aps,
     van_der_corput,
-    bit_reverse,
 )
 from .construction import (
     DEFAULT_MAX_VERTICES,
@@ -39,8 +41,8 @@ from .construction import (
     build_Gcg,
     build_Hkc,
     find_monochromatic_edge,
-    make_random_provider,
     odd_cycle_supply,
+    random_search_provider,
 )
 from .errors import (
     ChromarectError,
@@ -50,13 +52,12 @@ from .errors import (
     VerificationError,
 )
 from .geometry import (
-    FULL_VERIFY_EDGE_LIMIT,
-    SAMPLE_VERIFY_COUNT,
     BoxIndex,
     Point2,
     Realization,
     Rect,
     SvgStyle,
+    default_sample,
     dominance_hasse,
     emit_svg,
     monochromatic_increasing_path,
@@ -105,7 +106,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read input: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise DomainError(f"malformed JSON in {path}: {exc}")
     except RecursionError:
         raise DomainError(f"JSON in {path} is nested too deeply")
@@ -156,16 +157,6 @@ def _load_coloring(path: str) -> Coloring:
 # command handlers (each returns the process exit code)
 
 
-def _sample_policy(requested: Optional[int], R: Realization) -> Optional[int]:
-    """Explicit --sample wins; otherwise verify fully up to the module
-    ceiling and fall back to the standard sample size beyond it."""
-    if requested is not None:
-        return requested
-    if len(R.rects) > FULL_VERIFY_EDGE_LIMIT:
-        return SAMPLE_VERIFY_COUNT
-    return None
-
-
 def _header_chain(S: Optional[StagedHypergraph]) -> list:
     """The header and parent array of S and of each copy template below it."""
     chain = []
@@ -196,7 +187,7 @@ def _cmd_construct_gcg(args, stdout) -> int:
     if args.provider == "odd-cycle":
         provider = odd_cycle_supply
     else:
-        provider = make_random_provider(args.node_budget, seed=args.seed)
+        provider = partial(random_search_provider, budget=args.node_budget, seed=args.seed)
     S = build_Gcg(args.c, args.g, provider=provider, max_vertices=args.max_vertices)
     return _emit_staged(S, args.out, stdout)
 
@@ -213,11 +204,6 @@ def _cmd_realize(args, stdout) -> int:
         R = realize_Gcg(S)
     else:
         R = realize_Hkc_nested(S) if args.nested else realize_Hkc(S)
-    # The builders verify on construction, every rectangle up to the
-    # full-check ceiling.  Above it, or for an explicit --sample, check the
-    # drawing again with the requested sample and seed.
-    if args.sample is not None or len(R.rects) > FULL_VERIFY_EDGE_LIMIT:
-        verify_realization(R, sample_count=_sample_policy(args.sample, R), seed=args.seed)
     _write_artifact(args.out, _canonical_json(R.to_json_dict()), stdout)
     if args.svg:
         _write_artifact(args.svg, _checked_svg(R), stdout)
@@ -232,9 +218,9 @@ def _cmd_verify(args, stdout) -> int:
             "point count differs from vertex count", points=len(R.points), n=H.n
         )
     R.hypergraph = H
-    count = _sample_policy(args.sample, R)
-    verify_realization(R, sample_count=count, seed=args.seed)
-    mode = "sample" if (count is not None and count < len(R.rects)) else "full"
+    count = args.sample if args.sample is not None else default_sample(len(R.rects))
+    checked = verify_realization(R, sample_count=count, seed=args.seed)
+    mode = "sample" if checked < len(R.rects) else "full"
     _write_artifact(
         None,
         _canonical_json({"verified": True, "rects": len(R.rects), "mode": mode}),
@@ -360,10 +346,7 @@ def _cmd_find_mono(args, stdout) -> int:
     col = _load_coloring(args.coloring)
     e = find_monochromatic_edge(S, col)
     members = S.base.edges[e]
-    colors = {col.colors[v] for v in members}
-    if len(colors) != 1:
-        raise VerificationError("returned edge is not monochromatic", edge=e)
-    payload = {"edge": e, "vertices": list(members), "color": colors.pop()}
+    payload = {"edge": e, "vertices": list(members), "color": col.colors[members[0]]}
     _write_artifact(args.out, _canonical_json(payload), stdout)
     return 0
 
@@ -408,10 +391,15 @@ def _cmd_mono_path(args, stdout) -> int:
     return 0
 
 
+def _mirrored(n: int) -> Fraction:
+    """The n-th sequence term by definition: n's binary digits mirrored."""
+    digits = format(n, "b")
+    return Fraction(int(digits[::-1], 2), 1 << len(digits))
+
+
 def _cmd_vdc(args, stdout) -> int:
     a = van_der_corput(args.n)
-    w = max(args.n.bit_length(), 1)
-    if a != Fraction(bit_reverse(args.n, w), 1 << w):
+    if a != _mirrored(args.n):
         raise VerificationError("digit-mirror identity failed", n=args.n)
     stdout.write((str(a) + "\n").encode("ascii"))
     return 0
@@ -439,7 +427,7 @@ def _cmd_embed(args, stdout) -> int:
     vals = sorted(set(_parse_int_list(args.set)))
     emb = embed_integers(vals)
     for p in emb.points:
-        if p.y != van_der_corput(int(p.x)):
+        if p.y != _mirrored(int(p.x)):
             raise VerificationError("embedded height disagrees with the sequence")
     payload = {
         "offset": emb.offset,
@@ -512,18 +500,12 @@ def _build_parser() -> _Parser:
     r.add_argument("--nested", action="store_true", help="nested-rectangle variant")
     r.add_argument("--out", help="realization JSON path (default stdout)")
     r.add_argument("--svg", help="also render an SVG to this path")
-    r.add_argument(
-        "--sample",
-        type=int,
-        default=None,
-        help="verify only this many sampled rectangles (default: policy)",
-    )
     r.set_defaults(handler=_cmd_realize)
 
     v = sub.add_parser("verify", parents=[common], help="check a realization against a hypergraph")
     v.add_argument("--realization", required=True)
     v.add_argument("--hypergraph", required=True)
-    v.add_argument("--sample", type=int, default=None)
+    v.add_argument("--sample", type=int, default=None, help="check only N seeded rectangles")
     v.set_defaults(handler=_cmd_verify)
 
     t = sub.add_parser("to-aps", parents=[common], help="translate rectangles to integer progressions")
@@ -620,6 +602,13 @@ def run(argv: Sequence[str], stdout=None) -> int:
         # the builders and the staged loader recurse once per palette color
         err = ResourceLimitError(
             "recursion depth exceeded", recursion_limit=sys.getrecursionlimit()
+        )
+    except ValueError as exc:
+        # an output value with more digits than the interpreter will print
+        if "integer string conversion" not in str(exc):
+            raise
+        err = ResourceLimitError(
+            "integer too long to write", max_digits=sys.get_int_max_str_digits()
         )
     except ChromarectError as exc:
         err = exc

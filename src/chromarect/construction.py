@@ -44,7 +44,7 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, count
+from itertools import chain, compress, count, islice
 from operator import eq, ne
 from typing import Callable, Optional, Sequence
 
@@ -63,8 +63,6 @@ from .hypergraph import (
 )
 
 DEFAULT_MAX_VERTICES = 10**7
-
-CERT_VERIFIED = "verified_exhaustively"
 
 
 @dataclass(frozen=True)
@@ -355,16 +353,6 @@ def _base_instance(kind: str, k: int) -> StagedHypergraph:
     return _staged(kind, k, 1, k, parent, array("l", range(k)), _base_levels(k), None)
 
 
-@dataclass(frozen=True)
-class AuxiliaryHypergraph:
-    """A certified ingredient for the large-girth construction."""
-
-    base: OrderedHypergraph
-    claimed_girth: int
-    claimed_chromatic_lower_bound: int
-    certificate: str
-
-
 # ---------------------------------------------------------------------------
 # H_k^c
 
@@ -572,9 +560,9 @@ def find_monochromatic_edge(
             expected=S.n,
             got=len(col.colors),
         )
-    palette = (tracked_color,) + tuple(
-        x for x in range(col.c) if x != tracked_color
-    )
+    # the walk reads at most S.c palette entries, so a huge col.c costs nothing
+    others = (x for x in range(col.c) if x != tracked_color)
+    palette = tuple(islice(chain((tracked_color,), others), S.c))
     idx = _find_mono(S, col.colors, 0, palette)
     e = S.base.edges[idx]
     colors = col.colors
@@ -593,23 +581,10 @@ def find_monochromatic_edge(
 # auxiliary providers and G^c(g)
 
 
-def odd_cycle_provider(g: int) -> AuxiliaryHypergraph:
+def odd_cycle_supply(uniformity: int, g: int, c: int) -> OrderedHypergraph:
     """The cycle C_g' for the smallest odd g' >= max(g, 3), exhaustively
-    certified (girth computed, 2-colorability decided)."""
-    if g < 2:
-        raise DomainError("girth requirement must be >= 2", g=g)
-    gp = g if g % 2 else g + 1
-    gp = max(gp, 3)
-    edges = [(i, i + 1) for i in range(gp - 1)] + [(0, gp - 1)]
-    base = OrderedHypergraph(gp, edges)
-    assert hypergraph_girth(base).girth == gp
-    assert is_c_colorable(base, 2) is None
-    return AuxiliaryHypergraph(base, gp, 3, CERT_VERIFIED)
-
-
-def odd_cycle_supply(uniformity: int, g: int, c: int) -> AuxiliaryHypergraph:
-    """Provider adapter: odd cycles fit only 2-uniform, chromatic-bound-3
-    requests."""
+    checked (girth computed, 2-colorability decided).  Odd cycles fit only
+    2-uniform, chromatic-bound-3 requests."""
     if uniformity != 2 or c != 2:
         raise DomainError(
             "odd-cycle provider only supplies 2-uniform auxiliaries with "
@@ -617,12 +592,20 @@ def odd_cycle_supply(uniformity: int, g: int, c: int) -> AuxiliaryHypergraph:
             uniformity=uniformity,
             c=c,
         )
-    return odd_cycle_provider(g)
+    if g < 2:
+        raise DomainError("girth requirement must be >= 2", g=g)
+    gp = g if g % 2 else g + 1
+    gp = max(gp, 3)
+    edges = [(i, i + 1) for i in range(gp - 1)] + [(0, gp - 1)]
+    H = OrderedHypergraph(gp, edges)
+    assert hypergraph_girth(H).girth == gp
+    assert is_c_colorable(H, 2) is None
+    return H
 
 
 def random_search_provider(
     uniformity: int, g: int, c: int, budget: int, seed: int = 0
-) -> AuxiliaryHypergraph:
+) -> OrderedHypergraph:
     """Sample random uniform edge sets until one verifies (girth >= g and
     not properly c-colorable, both machine-checked), or the trial budget
     runs out."""
@@ -643,7 +626,7 @@ def random_search_provider(
             continue
         if is_c_colorable(H, c) is not None:
             continue
-        return AuxiliaryHypergraph(H, g, c + 1, CERT_VERIFIED)
+        return H
     raise SearchBudgetExceeded(
         "no certified auxiliary hypergraph found within the trial budget",
         budget=budget,
@@ -651,13 +634,6 @@ def random_search_provider(
         g=g,
         c=c,
     )
-
-
-def make_random_provider(budget: int, seed: int = 0) -> Callable:
-    def supply(uniformity: int, g: int, c: int) -> AuxiliaryHypergraph:
-        return random_search_provider(uniformity, g, c, budget, seed)
-
-    return supply
 
 
 def _gcg_levels(n_h: int, m: int, n_edges_h: int) -> list:
@@ -684,6 +660,8 @@ def build_Gcg(
     the auxiliary hypergraph's vertex set with NO internal edges; each
     auxiliary edge S spawns a level-1 stage holding one child per vertex of
     S (in S's order) plus an embedded copy of the (c-1)-instance.
+    ``provider(m, g, c)`` returns that auxiliary :class:`OrderedHypergraph`,
+    m-uniform with girth >= g and no proper c-coloring.
     """
     if c < 1 or g < 2:
         raise DomainError("need c >= 1 and g >= 2", c=c, g=g)
@@ -693,15 +671,15 @@ def build_Gcg(
     template = build_Gcg(c - 1, g, provider, max_vertices)
     m = template.n
     aux = provider(m, g, c)
-    for e in aux.base.edges:
+    for e in aux.edges:
         if len(e) != m:
             raise DomainError(
                 "auxiliary hypergraph has wrong uniformity",
                 expected=m,
                 got=len(e),
             )
-    n_h = aux.base.n
-    n_edges_h = len(aux.base.edges)
+    n_h = aux.n
+    n_edges_h = len(aux.edges)
     n = n_h + n_edges_h * m
     if n > max_vertices:
         raise SizeLimitExceeded(
@@ -715,7 +693,7 @@ def build_Gcg(
     for v in range(n_h):
         root[v] = v
     v = n_h
-    for e in aux.base.edges:
+    for e in aux.edges:
         for pv in e:
             parent[v] = pv
             root[v] = pv

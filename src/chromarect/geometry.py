@@ -23,9 +23,9 @@ A built realization keeps only the two rank arrays: vertex v is the point
 window with each side one unit outside the extreme members.  Every
 coordinate a builder emits is an integer; a loaded realization may still
 carry arbitrary ``fractions.Fraction`` values.  No floating point is
-involved anywhere except SVG output formatting.  The builder re-verifies
-its own incidence before returning (sampling on instances too large for a
-full pass).
+involved anywhere except SVG output formatting.  The builder verifies
+its own incidence before returning, with the sample :func:`default_sample`
+picks (every rectangle unless the instance is too large for a full pass).
 
 Every box-membership question goes through :class:`BoxIndex`: a box is
 the pair of its x- and y-rank windows.  Besides the two orders the index
@@ -42,6 +42,7 @@ most 1331 ranks, so neither kind pays for its wide side.
 from __future__ import annotations
 
 import random
+import re
 import warnings
 from array import array
 from bisect import bisect_left, bisect_right
@@ -63,6 +64,9 @@ FULL_VERIFY_EDGE_LIMIT = 100_000
 SAMPLE_VERIFY_COUNT = 1000
 _SAMPLE_SEED = 17
 
+# what a loaded coordinate may be: exactly what to_json_dict writes
+_COORD_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 class Point2(NamedTuple):
     x: Coord
@@ -83,12 +87,11 @@ class Rect(NamedTuple):
 
 def parse_coord(value) -> Fraction:
     """A coordinate read from JSON: an int (not a bool) or a rational
-    string such as ``"3/4"``, which ``Fraction`` parses or rejects."""
-    if type(value) is not int and type(value) is not str:
-        raise DomainError(
-            f"coordinate must be an int or a rational string, not {type(value).__name__}"
-        )
-    return Fraction(value)
+    string such as ``"-7/2"``.  Nothing else reaches ``Fraction``, which
+    would expand an exponent such as ``"1e100000000"`` digit by digit."""
+    if type(value) is int or type(value) is str and _COORD_TEXT.fullmatch(value):
+        return Fraction(value)
+    raise DomainError("coordinate must be an int or a string p or p/q of decimal digits")
 
 
 def make_rect(x_lo, x_hi, y_lo, y_hi) -> Rect:
@@ -337,11 +340,18 @@ def relabel_to_x_order(H: OrderedHypergraph, points: Sequence[Point2]) -> Ordere
     return OrderedHypergraph(H.n, [tuple(sorted(rank[u] for u in e)) for e in H.edges])
 
 
+def default_sample(n_rects: int) -> Optional[int]:
+    """The sample to check n_rects rectangles with when none is asked for:
+    None (all of them) up to FULL_VERIFY_EDGE_LIMIT, else SAMPLE_VERIFY_COUNT."""
+    return None if n_rects <= FULL_VERIFY_EDGE_LIMIT else SAMPLE_VERIFY_COUNT
+
+
 def verify_realization(
     R: Realization, sample_count: Optional[int] = None, seed: int = 0
-) -> None:
+) -> int:
     """Check rects[r] ∩ points == edge members for every rectangle (or a
-    seeded sample of them).  Raises VerificationError on any mismatch."""
+    seeded sample of them) and return how many rectangles were checked.
+    Raises VerificationError on any mismatch."""
     H = R.hypergraph
     if H is None:
         raise DomainError("realization carries no hypergraph to verify against")
@@ -368,6 +378,7 @@ def verify_realization(
                 expected=list(expect),
                 got=list(got),
             )
+    return len(indices)
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +462,7 @@ def _realize(S: StagedHypergraph, nested: bool) -> Realization:
         last = S.levels[-1]
         leaf_stages = (len(S.path_edges), last.first_vertex, last.stage_size)
     R = Realization(points, _RankRects(edges, points, leaf_stages), range(len(edges)), S.base)
-    if len(edges) <= FULL_VERIFY_EDGE_LIMIT:
-        verify_realization(R)
-    else:
-        verify_realization(R, sample_count=SAMPLE_VERIFY_COUNT, seed=_SAMPLE_SEED)
+    verify_realization(R, sample_count=default_sample(len(edges)), seed=_SAMPLE_SEED)
     return R
 
 
@@ -810,13 +818,18 @@ def emit_svg(R: Realization, style: SvgStyle = SvgStyle()) -> bytes:
     rects = list(R.rects)
     xs = [p.x for p in R.points] + [v for r in rects for v in (r.x_lo, r.x_hi)]
     ys = [p.y for p in R.points] + [v for r in rects for v in (r.y_lo, r.y_hi)]
-    x0, x1 = float(min(xs)), float(max(xs))
-    y0, y1 = float(min(ys)), float(max(ys))
+    try:
+        x0, x1 = float(min(xs)), float(max(xs))
+        y0, y1 = float(min(ys)), float(max(ys))
+    except OverflowError:
+        raise DomainError("cannot draw a coordinate that does not fit in a float")
     span_x = (x1 - x0) or 1.0
     span_y = (y1 - y0) or 1.0
     inner = style.width - 2 * style.margin
     scale = inner / span_x
     height = span_y * scale + 2 * style.margin
+    if not all(map(isfinite, (span_x, span_y, scale, height))):
+        raise DomainError("cannot draw a drawing whose extent or scale does not fit in a float")
 
     def fx(v: Fraction) -> str:
         return f"{style.margin + (float(v) - x0) * scale:.6f}"

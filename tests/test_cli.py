@@ -14,7 +14,6 @@ import pytest
 from chromarect import cli as cli_module
 from chromarect.cli import run
 from chromarect.construction import StagedHypergraph, build_Gcg
-from chromarect.geometry import Realization, Rect, realize_Hkc
 from chromarect import hypergraph
 from chromarect.hypergraph import CyclesReport, Infinite, OrderedHypergraph
 
@@ -44,6 +43,19 @@ def one_error(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     return json.loads(err[0])
+
+
+def _coord_argv(command, realization, hypergraph, tmp_path):
+    """Each command that reads coordinates, on one realization file."""
+    col = tmp_path / "col.json"
+    col.write_text(json.dumps({"c": 2, "colors": [0, 1] * 6}))
+    return {
+        "hasse": ["hasse", "--input", str(realization)],
+        "mono-path": ["mono-path", "--input", str(realization),
+                      "--coloring", str(col), "--k", "2"],
+        "verify": ["verify", "--realization", str(realization), "--hypergraph", str(hypergraph)],
+        "svg": ["svg", "--input", str(realization)],
+    }[command]
 
 
 def canonical(payload) -> bytes:
@@ -112,39 +124,12 @@ class TestRealize:
         assert text.count("<rect") == 14
 
     def test_sample_zero_rejected(self, h22_file, capsys):
-        code, out = cli("realize", "--input", str(h22_file), "--sample", "0")
-        assert (code, out) == (1, b"")
-        assert err_json(capsys)["error"] == "domain-error"
-
-    def test_sample_still_verifies(self, h22_file, monkeypatch, capsys):
-        # The builder checked every rectangle of this small drawing, so a
-        # plain realize does not check it again; --sample N does, with the
-        # requested size and seed, and catches a rectangle the builder
-        # never saw.
-        calls = []
-        verify = cli_module.verify_realization
-
-        def spy(R, sample_count=None, seed=0):
-            calls.append((sample_count, seed))
-            verify(R, sample_count=sample_count, seed=seed)
-
-        monkeypatch.setattr(cli_module, "verify_realization", spy)
-        cli_ok("realize", "--input", str(h22_file))
-        assert calls == []
-        cli_ok("realize", "--input", str(h22_file), "--sample", "5", "--seed", "3")
-        assert calls == [(5, 3)]
-
-        def corrupted(S):
-            R = realize_Hkc(S)
-            rects = list(R.rects)
-            r = rects[0]
-            rects[0] = Rect(r.x_lo, r.x_hi, r.y_lo, r.y_hi - 2)  # chops off vertex 0
-            return Realization(R.points, rects, list(R.edge_of_rect), R.hypergraph)
-
-        monkeypatch.setattr(cli_module, "realize_Hkc", corrupted)
-        code, out = cli("realize", "--input", str(h22_file), "--sample", "14")
-        assert (code, out) == (1, b"")
-        assert one_error(capsys)["error"] == "verification-failed"
+        # realize emits the drawing its builder verified and has no --sample;
+        # verify --sample checks an emitted file instead
+        for sample in ("0", "5"):
+            code, out = cli("realize", "--input", str(h22_file), "--sample", sample)
+            assert (code, out) == (1, b"")
+            assert one_error(capsys)["error"] == "domain-error"
 
     def test_nested_on_gcg_is_domain_error(self, tmp_path, capsys):
         g = tmp_path / "g.json"
@@ -178,6 +163,11 @@ class TestVerify:
         out = cli_ok("verify", "--realization", str(r22n_file),
                      "--hypergraph", str(h22_file), "--sample", "5")
         assert json.loads(out)["mode"] == "sample"
+
+    def test_sample_above_rect_count_is_full(self, h22_file, r22n_file):
+        out = cli_ok("verify", "--realization", str(r22n_file),
+                     "--hypergraph", str(h22_file), "--sample", "15", "--seed", "2")
+        assert json.loads(out) == {"verified": True, "rects": 14, "mode": "full"}
 
     @pytest.mark.parametrize("sample", ["0", "-1"])
     def test_sample_below_one_rejected(self, h22_file, r22n_file, sample, capsys):
@@ -246,6 +236,20 @@ class TestSmallCommands:
         code, _ = cli("vdc", "--n", "-1")
         assert code == 1
         err_json(capsys)
+
+    @pytest.mark.parametrize("argv", [("vdc", "--n", "6"), ("embed", "--set", "1,3,7")])
+    def test_sequence_check_is_independent(self, argv, monkeypatch, capsys):
+        # a wrong bit reversal must not pass the check, wherever it is read
+        from chromarect import arithmetic
+
+        def wrong(n, width=None):
+            return 0
+
+        monkeypatch.setattr(arithmetic, "bit_reverse", wrong)
+        monkeypatch.setattr(cli_module, "bit_reverse", wrong, raising=False)
+        code, out = cli(*argv)
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "verification-failed"
 
     def test_ap_capture_figure_instance(self):
         d = json.loads(cli_ok("ap-capture", "--set", "1,3,7,8,10,15",
@@ -580,9 +584,17 @@ class TestErrorContract:
             {"x": 1},
             "1/0",
             "one",
+            # Fraction expanded the exponent digit by digit: hasse was
+            # still running after 60 s
+            "1e100000000",
+            "1.5",
+            "+3",
+            " 3",
+            "3 ",
+            "\u0663",  # a non-ASCII digit
         ],
     )
-    @pytest.mark.parametrize("command", ["hasse", "mono-path", "verify"])
+    @pytest.mark.parametrize("command", ["hasse", "mono-path", "verify", "svg"])
     def test_non_rational_coordinate_rejected(
         self, command, coord, h22_file, r22n_file, tmp_path, capsys
     ):
@@ -590,16 +602,27 @@ class TestErrorContract:
         d["points"][0][0] = coord
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(d))
-        col = tmp_path / "col.json"
-        col.write_text(json.dumps({"c": 2, "colors": [0, 1] * 6}))
-        argv = {
-            "hasse": ["hasse", "--input", str(bad)],
-            "mono-path": ["mono-path", "--input", str(bad), "--coloring", str(col), "--k", "2"],
-            "verify": ["verify", "--realization", str(bad), "--hypergraph", str(h22_file)],
-        }[command]
-        code, out = cli(*argv)
+        start = time.perf_counter()
+        code, out = cli(*_coord_argv(command, bad, h22_file, tmp_path))
+        assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, b"")
         assert one_error(capsys)["error"] == "domain-error"
+
+    @pytest.mark.parametrize("command", ["hasse", "mono-path", "verify", "svg"])
+    def test_negative_rational_coordinate_loads(
+        self, command, h22_file, r22n_file, tmp_path
+    ):
+        # the x-rank-0 point moves to -7/2 and the boxes around it widen to -4
+        d = json.loads(r22n_file.read_bytes())
+        for p in d["points"]:
+            if p[0] == "0":
+                p[0] = "-7/2"
+        for r in d["rects"]:
+            if r[0] == "-1":
+                r[0] = "-4"
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(d))
+        cli_ok(*_coord_argv(command, good, h22_file, tmp_path))
 
     @pytest.mark.parametrize("coord", [0.5, False, 2.0])
     def test_non_rational_rect_bound_rejected(self, coord, h22_file, r22n_file, tmp_path, capsys):
@@ -674,6 +697,48 @@ class TestErrorContract:
         assert (code, out) == (2, b"")
         assert one_error(capsys)["error"] == "size-limit-exceeded"
         cli_ok(command, "--input", str(h22_file), "--max-vertices", "12")
+
+    def test_json_integer_past_digit_limit_is_domain_error(self, h22_file, tmp_path, capsys):
+        col = tmp_path / "col.json"  # was a ValueError traceback
+        col.write_text('{"c": 2, "colors": [' + "9" * 5000 + "]}")
+        code, out = cli("find-mono", "--input", str(h22_file), "--coloring", str(col))
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "domain-error"
+
+    @pytest.mark.parametrize("command,flag", [("vdc", "--n"), ("embed", "--set")])
+    def test_output_past_digit_limit_is_exit_2(self, command, flag, capsys):
+        # 4300 nines parse, but the term's denominator 2**14285 has 4301 digits
+        code, out = cli(command, flag, "9" * 4300)
+        assert (code, out) == (2, b"")
+        assert one_error(capsys)["error"] == "resource-limit"
+
+    @pytest.mark.parametrize("extent", ["huge", "tiny"])
+    def test_svg_coordinate_beyond_float_is_domain_error(
+        self, extent, r22n_file, tmp_path, capsys
+    ):
+        d = json.loads(r22n_file.read_bytes())
+        if extent == "huge":
+            d["points"][0][0] = 10**400  # was an OverflowError traceback
+        else:
+            # a spread of 10**-310 scaled to infinity: exit 0 with "nan" and "inf"
+            tiny = "1/1" + "0" * 310
+            d = {"points": [["0", "0"], [tiny, tiny]], "rects": [], "edge_of_rect": []}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(d))
+        code, out = cli("svg", "--input", str(bad))
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "domain-error"
+
+    def test_find_mono_huge_palette(self, h22_file, tmp_path):
+        # the finder built the whole palette: a MemoryError under a 1.5 GB cap
+        outs = []
+        for c in (2, 10**10):
+            col = tmp_path / f"col{c}.json"
+            col.write_text(json.dumps({"c": c, "colors": [0, 1] * 6}))
+            start = time.perf_counter()
+            outs.append(cli_ok("find-mono", "--input", str(h22_file), "--coloring", str(col)))
+            assert time.perf_counter() - start < 1.0
+        assert outs[0] == outs[1]
 
     def test_palette_too_deep_to_recurse_is_exit_2(self, capsys):
         # H(1, c) has one vertex, so no size limit stops the recursion of

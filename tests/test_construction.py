@@ -15,21 +15,18 @@ import json
 import random
 import time
 from array import array
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromarect.construction import (
-    CERT_VERIFIED,
-    AuxiliaryHypergraph,
     LevelInfo,
     StagedHypergraph,
     build_Gcg,
     build_Hkc,
     find_monochromatic_edge,
-    make_random_provider,
-    odd_cycle_provider,
     odd_cycle_supply,
     predict_hkc_counts,
     random_search_provider,
@@ -327,12 +324,12 @@ def test_finder_rejects_gcg():
 
 def test_odd_cycle_provider_rounds_up():
     for g, expect in [(2, 3), (3, 3), (5, 5), (6, 7), (9, 9)]:
-        aux = odd_cycle_provider(g)
-        assert aux.base.n == expect
-        assert aux.claimed_girth == expect
-        assert aux.claimed_chromatic_lower_bound == 3
-        assert aux.certificate == CERT_VERIFIED
-        assert hypergraph_girth(aux.base).girth == expect
+        aux = odd_cycle_supply(2, g, 2)
+        assert aux == OrderedHypergraph(
+            expect, [(i, i + 1) for i in range(expect - 1)] + [(0, expect - 1)]
+        )
+        assert hypergraph_girth(aux).girth == expect
+        assert is_c_colorable(aux, 2) is None
 
 
 def test_odd_cycle_supply_rejects_mismatch():
@@ -340,15 +337,18 @@ def test_odd_cycle_supply_rejects_mismatch():
         odd_cycle_supply(3, 5, 2)
     with pytest.raises(DomainError):
         odd_cycle_supply(2, 5, 3)
+    with pytest.raises(DomainError):
+        odd_cycle_supply(2, 1, 2)
 
 
 def test_random_search_provider_finds_small_graph():
     aux = random_search_provider(2, 4, 2, budget=20_000, seed=1)
-    assert aux.certificate == CERT_VERIFIED
-    assert hypergraph_girth(aux.base).girth >= 4
-    assert is_c_colorable(aux.base, 2) is None
+    assert isinstance(aux, OrderedHypergraph)
+    assert all(len(e) == 2 for e in aux.edges)
+    assert hypergraph_girth(aux).girth >= 4
+    assert is_c_colorable(aux, 2) is None
     again = random_search_provider(2, 4, 2, budget=20_000, seed=1)
-    assert again.base == aux.base  # seeded determinism
+    assert again == aux  # seeded determinism
 
 
 def test_random_search_provider_budget_exceeded():
@@ -417,9 +417,7 @@ def test_gcg_json_round_trip_preserves_blockless_level():
 
 def test_gcg_rejects_wrong_uniformity_provider():
     def bad(uniformity, g, c):
-        return AuxiliaryHypergraph(
-            OrderedHypergraph(4, [(0, 1, 2, 3)]), g, c + 1, "user_asserted"
-        )
+        return OrderedHypergraph(4, [(0, 1, 2, 3)])
 
     with pytest.raises(DomainError):
         build_Gcg(2, 5, provider=bad)
@@ -429,7 +427,7 @@ def test_gcg_c3_needs_unreachable_auxiliary():
     # uniformity-15 auxiliaries of girth >= 5 are far beyond a tiny random
     # budget; the failure must surface as the provider's budget error
     with pytest.raises(SearchBudgetExceeded):
-        build_Gcg(3, 5, provider=make_random_provider(3, seed=0))
+        build_Gcg(3, 5, provider=partial(random_search_provider, budget=3, seed=0))
 
 
 def test_gcg_bad_args():
@@ -497,7 +495,7 @@ def _edge_instance(kind, a, b):
         return build_Hkc(a, b)
     if kind == "gcg":
         return build_Gcg(a, b)
-    return build_Gcg(a, 4, provider=make_random_provider(200, b))
+    return build_Gcg(a, 4, provider=partial(random_search_provider, budget=200, seed=b))
 
 
 @pytest.mark.parametrize("kind,a,b", EDGE_INSTANCES)

@@ -7,7 +7,7 @@ import random
 from array import array
 from collections import namedtuple
 from fractions import Fraction as F
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -18,7 +18,7 @@ from chromarect.construction import (
     _StagedEdges,
     build_Gcg,
     build_Hkc,
-    make_random_provider,
+    random_search_provider,
 )
 from chromarect.errors import DomainError, VerificationError
 from chromarect.geometry import (
@@ -439,7 +439,7 @@ def _order_instance(kind, a, b):
         return build_Hkc(a, b)
     if kind == "gcg":
         return build_Gcg(a, b)
-    return build_Gcg(a, 4, provider=make_random_provider(200, b))
+    return build_Gcg(a, 4, provider=partial(random_search_provider, budget=200, seed=b))
 
 
 class TestOrders:
