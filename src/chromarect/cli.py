@@ -169,8 +169,9 @@ def _header_chain(S: Optional[StagedHypergraph]) -> list:
 def _emit_staged(S: StagedHypergraph, out: Optional[str], stdout) -> int:
     payload = S.to_json_dict()
     # Re-verify the artifact round-trips to the same instance before
-    # emitting.  The loader has already checked the payload's edges against
-    # the edges its parents define, so equal headers and parent arrays down
+    # emitting.  The loader assembles the instance each header names (a gcg
+    # one around the auxiliary edges its parents list) and rejects parents
+    # or edges that differ from it, so equal headers and parent arrays down
     # the copy-template chain mean equal instances.
     if _header_chain(StagedHypergraph.from_json_dict(payload)) != _header_chain(S):
         raise VerificationError("serialized instance does not round-trip")

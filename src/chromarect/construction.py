@@ -32,11 +32,15 @@ A staged instance, built or loaded, stores no edge list.  Its
 ``base.edges`` is a read-only sequence computed from the parent array: a
 path edge is a leaf and its ancestors, and a transversal edge is a
 template edge shifted into its block.  The H(3,2) instance (2,184,822
-edges) thus keeps three integer arrays instead of some 300 MB of tuples.
-A staged file holds the header (kind, k, c, m, n), the parents, the
-edges and the copy template; the loader derives the level layout from
-the header, rebuilds the instance through the builders' own assembly
-code, and rejects a file whose edges differ from the computed ones.
+edges) thus keeps one integer array instead of some 300 MB of tuples.
+
+Each builder is a size guard followed by an assembly step (:func:`_hkc`,
+:func:`_gcg`), and the assembly steps alone make parent arrays.  A staged
+file holds the header (kind, k, c, m, n), the parents, the edges and the
+copy template.  The loader assembles the instance the header names
+through those same steps (a gcg instance around the auxiliary edges its
+level-1 parents list) and rejects a file whose parents or edges differ
+from the assembled ones.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice
+from itertools import chain, compress, count, islice, product
 from operator import eq, ne
 from typing import Callable, Optional, Sequence
 
@@ -96,7 +100,6 @@ class _StagedEdges(_LazySequence):
         self,
         k: int,
         parent: array,
-        root: array,
         first_leaf: int,
         template: Sequence[tuple],
         origin: int,
@@ -104,7 +107,6 @@ class _StagedEdges(_LazySequence):
     ):
         self._k = k
         self._parent = parent
-        self._root = root
         self._first_leaf = first_leaf
         # one block's worth of edges, so holding them as tuples is cheap
         self._template = tuple(template)
@@ -134,18 +136,16 @@ class _StagedEdges(_LazySequence):
 
     def columns(self) -> list:
         """The k edge columns as ``array('l')``: column j holds member j
-        of every edge, in edge order.  Path columns are slices of the
-        parent and root arrays (a C-level parent lookup per extra level
-        when k > 3); transversal columns interleave one strided range per
-        template edge."""
+        of every edge, in edge order.  The leaf column is a range, the
+        next a slice of the parent array, and each further one a C-level
+        parent lookup on the one before; transversal columns interleave
+        one strided range per template edge."""
         lo, parent = self._first_leaf, self._parent
         cols = [array("l", range(lo, len(parent)))]
         if self._k > 1:
             cols.append(parent[lo:])
-        for _ in range(self._k - 3):
+        for _ in range(self._k - 2):
             cols.append(array("l", map(parent.__getitem__, cols[-1])))
-        if self._k > 2:
-            cols.append(self._root[lo:])
         cols.reverse()
         per_copy, stride = len(self._template), self._stride
         span = self._n_blocks * stride
@@ -166,8 +166,9 @@ class StagedHypergraph:
     ``kind`` is ``"hkc"`` for the staged k-uniform family and ``"gcg"`` for
     the large-girth graphs (whose level-1 stages hang off auxiliary-edge
     parents rather than f_m subsets, and whose level-0 stage has no blocks).
-    Both builders and :meth:`from_json_dict` end in :func:`_staged`, so a
-    built instance and its loaded file hold the same fields.
+    Both builders and :meth:`from_json_dict` assemble through
+    :func:`_base_instance`, :func:`_hkc` and :func:`_gcg`, so a built
+    instance and its loaded file hold the same fields.
     """
 
     __slots__ = (
@@ -177,7 +178,6 @@ class StagedHypergraph:
         "c",
         "m",
         "parent",
-        "root",
         "levels",
         "path_edges",
         "copy_template",
@@ -191,7 +191,6 @@ class StagedHypergraph:
         c: int,
         m: int,
         parent: array,
-        root: array,
         levels: Sequence[LevelInfo],
         n_path_edges: int,
         copy_template: Optional["StagedHypergraph"],
@@ -202,7 +201,6 @@ class StagedHypergraph:
         self.c = c
         self.m = m
         self.parent = parent
-        self.root = root
         self.levels = tuple(levels)
         self.path_edges = range(n_path_edges)
         self.copy_template = copy_template
@@ -230,9 +228,9 @@ class StagedHypergraph:
     @classmethod
     def from_json_dict(cls, d: dict) -> "StagedHypergraph":
         """Parse a staged file.  The header must name an instance the
-        builders can make, the parents must fit its level layout, and
-        ``edges`` must be exactly the edges those parents define.  Other
-        keys are ignored."""
+        builders can make; that instance is assembled, and ``parents`` and
+        ``edges`` must be exactly its parents and edges.  Other keys are
+        ignored."""
         try:
             kind, k, c, m, n = d["kind"], d["k"], d["c"], d["m"], d["n"]
             parents, edges, sub = d["parents"], d["edges"], d["copy_template"]
@@ -242,12 +240,21 @@ class StagedHypergraph:
             raise DomainError("staged kind must be hkc or gcg", kind=kind)
         if any(type(x) is not int or x < 1 for x in (k, c, m, n)):
             raise DomainError("k, c, m and n must be ints >= 1", k=k, c=c, m=m, n=n)
+        if kind == "gcg" and k != 2:
+            raise DomainError("gcg instances are 2-uniform", k=k)
         if (sub is None) != (c == 1):
             raise DomainError("copy_template must be null exactly when c == 1", c=c)
-        template = None
+        # n is the file's own parent count, which bounds the assembly below
+        if (
+            not isinstance(parents, list)
+            or len(parents) != n
+            or not set(map(type, parents)) <= {int, type(None)}
+        ):
+            raise DomainError("parents must hold one int or null per vertex", n=n)
         if c == 1:
             if not k == m == n:
                 raise DomainError("a c = 1 instance has k = m = n", k=k, m=m, n=n)
+            S = _base_instance(kind, k)
         else:
             template = cls.from_json_dict(sub)
             if (template.kind, template.k, template.c, template.n) != (kind, k, c - 1, m):
@@ -259,29 +266,29 @@ class StagedHypergraph:
                     c=c,
                     m=m,
                 )
-        # checked before any level is derived: a false hkc header could ask
-        # for double-exponentially many stages
-        if kind == "hkc" and _vertices_capped(k, c, n) != n:
-            raise DomainError("n is not the vertex count of H(k, c)", k=k, c=c, n=n)
-        if kind == "gcg" and k != 2:
-            raise DomainError("gcg instances are 2-uniform", k=k)
-        if c == 1:
-            levels = _base_levels(n)
-        elif kind == "hkc":
-            levels = _hkc_levels(k, m)
-        else:
-            n_h = parents.count(None) if isinstance(parents, list) else 0
-            if (n - n_h) % m:
-                raise DomainError(
-                    "the vertices below level 0 must fill stages of m", n=n, m=m, level_0=n_h
+            if kind == "hkc":
+                # capped at n: a false header could ask for
+                # double-exponentially many stages
+                levels = _hkc_levels(k, m, n)
+                if levels is None or _vertex_count(levels) != n:
+                    raise DomainError("n is not the vertex count of H(k, c)", k=k, c=c, n=n)
+                S = _hkc(k, c, template, levels)
+            else:
+                # level 0 is the leading run of null parents, the auxiliary
+                # vertices; each later run of m parents lists one auxiliary edge
+                n_h = next((v for v, p in enumerate(parents) if p is not None), n)
+                listed = parents[n_h:]
+                if None in listed:
+                    raise DomainError("null parents must come first, on level 0 only")
+                aux = OrderedHypergraph(
+                    n_h, [listed[i : i + m] for i in range(0, len(listed), m)]
                 )
-            levels = _gcg_levels(n_h, m, (n - n_h) // m)
-        parent = _parents_from_json(parents, levels, n)
-        root = array("l", [0]) * n
-        for v in range(n):
-            p = parent[v]
-            root[v] = v if p < 0 else root[p]
-        S = _staged(kind, k, c, m, parent, root, levels, template)
+                S = _gcg(c, template, aux)
+        n0 = S.levels[0].stage_size
+        if parents[:n0] != [None] * n0 or parents[n0:] != S.parent[n0:].tolist():
+            raise DomainError(
+                "parents differ from the parents of the instance the header names"
+            )
         computed = S.base.edges
         if (
             not isinstance(edges, list)
@@ -299,30 +306,7 @@ class StagedHypergraph:
         return S
 
 
-def _parents_from_json(parents, levels, n) -> array:
-    """The parent array: None (-1) on level 0, a previous-level vertex elsewhere."""
-    if not isinstance(parents, list) or len(parents) != n:
-        raise DomainError("parents must hold one entry per vertex", n=n)
-    parent = array("l", [-1]) * n
-    top = levels[0]
-    if any(p is not None for p in parents[: top.n_stages * top.stage_size]):
-        raise DomainError("level-0 vertices must have no parent")
-    for j, (prev, li) in enumerate(zip(levels, levels[1:]), start=1):
-        lo, hi = prev.first_vertex, li.first_vertex
-        for v in range(hi, hi + li.n_stages * li.stage_size):
-            p = parents[v]
-            if type(p) is not int or not lo <= p < hi:
-                raise DomainError(
-                    "parent must be a vertex of the previous level",
-                    vertex=v,
-                    parent=p,
-                    level=j,
-                )
-            parent[v] = p
-    return parent
-
-
-def _staged(kind, k, c, m, parent, root, levels, template) -> StagedHypergraph:
+def _staged(kind, k, c, m, parent, levels, template) -> StagedHypergraph:
     """The instance on ``parent`` and ``levels``, with its edges computed
     (:class:`_StagedEdges`).  A c = 1 instance is a single edge on all its
     vertices; it counts as the embedded copy of itself, which keeps the
@@ -337,20 +321,22 @@ def _staged(kind, k, c, m, parent, root, levels, template) -> StagedHypergraph:
         first_leaf = levels[-1].first_vertex
         origin = first_leaf if kind == "gcg" else 0
         copy = template.base.edges
-    edges = _StagedEdges(k, parent, root, first_leaf, copy, origin, m)
+    edges = _StagedEdges(k, parent, first_leaf, copy, origin, m)
     base = OrderedHypergraph._from_sorted(n, edges)
-    return StagedHypergraph(kind, base, k, c, m, parent, root, levels, n - first_leaf, template)
+    return StagedHypergraph(kind, base, k, c, m, parent, levels, n - first_leaf, template)
 
 
-def _base_levels(n: int) -> list:
-    """Level layout of a c = 1 instance: one stage holding one block."""
-    return [LevelInfo(1, 0, n, n, 1, 0)]
+def _vertex_count(levels: Sequence[LevelInfo]) -> int:
+    """The number of vertices up to the end of the last level."""
+    last = levels[-1]
+    return last.first_vertex + last.n_stages * last.stage_size
 
 
 def _base_instance(kind: str, k: int) -> StagedHypergraph:
-    """The c = 1 instance: one edge on k vertices, each its own root."""
+    """The c = 1 instance: one edge on k vertices, one stage holding one
+    block."""
     parent = array("l", [-1]) * k
-    return _staged(kind, k, 1, k, parent, array("l", range(k)), _base_levels(k), None)
+    return _staged(kind, k, 1, k, parent, [LevelInfo(1, 0, k, k, 1, 0)], None)
 
 
 # ---------------------------------------------------------------------------
@@ -374,65 +360,39 @@ def _capped_pow(base: int, exp: int, cap: int) -> int:
     return r
 
 
-def _vertices_capped(k: int, c: int, cap: int) -> int:
-    """Vertex count of the (k, c) instance, or cap + 1 once the total is
-    known to exceed cap.  Exact whenever the returned value is <= cap."""
-    if c == 1:
-        return k
-    m = _vertices_capped(k, c - 1, cap)
-    if m > cap:
-        return cap + 1
-    n = 0
-    stages = 1
-    for j in range(k):
-        n += stages * _capped_pow(m, k - j, cap)
-        if n > cap:
-            return cap + 1
-        if j < k - 1:
-            blocks = _capped_pow(m, k - j - 1, cap)
-            stages *= _capped_pow(m, blocks, cap)
-            if stages > cap:
-                return cap + 1
-    return n
-
-
-def predict_hkc_counts(k: int, c: int) -> tuple:
-    """(vertex count, edge count) of build_Hkc(k, c), by closed-form stage
-    counting — no construction involved.  Counts are double-exponential in
-    c: beyond desk scale the exact integers are too large to materialize,
-    so size guards use :func:`_vertices_capped` instead."""
-    if k < 1 or c < 1:
-        raise DomainError("k and c must be positive", k=k, c=c)
-    if c == 1:
-        return k, 1
-    m, template_edges = predict_hkc_counts(k, c - 1)
-    vertices = 0
-    transversal_blocks = 0
-    stages = 1
-    for j in range(k):
-        vertices += stages * m ** (k - j)
-        transversal_blocks += stages * m ** (k - j - 1)
-        if j < k - 1:
-            stages *= m ** (m ** (k - j - 1))
-    leaves = stages * m  # `stages` is now the last-level stage count
-    return vertices, leaves + transversal_blocks * template_edges
-
-
-def _hkc_levels(k: int, m: int) -> list:
+def _hkc_levels(k: int, m: int, cap: int) -> Optional[list]:
     """Level layout of H(k, c) for c > 1, where m is the vertex count of
     H(k, c - 1): a level-j stage holds m**(k-j) vertices in blocks of m,
-    and each stage of a non-last level has m**blocks child stages."""
+    and each stage of a non-last level has m**blocks child stages.  None
+    once the vertex count passes cap; no power past the cap is formed."""
     levels = []
     first_vertex = 0
     n_stages = 1
     for j in range(k):
-        size = m ** (k - j)
-        blocks = m ** (k - j - 1)
-        children = m**blocks if j < k - 1 else 0
+        size = _capped_pow(m, k - j, cap)
+        if first_vertex + n_stages * size > cap:
+            return None
+        blocks = size // m
+        children = _capped_pow(m, blocks, cap) if j < k - 1 else 0
         levels.append(LevelInfo(n_stages, first_vertex, size, m, blocks, children))
         first_vertex += n_stages * size
         n_stages *= children if children else 1
     return levels
+
+
+def _hkc_size(k: int, c: int, cap: int) -> Optional[tuple]:
+    """(vertex count, level records) of H(k, c) from c - 1 walks of
+    :func:`_hkc_levels`, or None once the count passes cap.  The records
+    are None when c = 1."""
+    n, levels = k, None
+    for _ in range(c - 1):
+        levels = _hkc_levels(k, n, cap)
+        if levels is None:
+            return None
+        if _vertex_count(levels) == n:
+            break  # k = 1: every H(1, c) has one vertex, so the walk is done
+        n = _vertex_count(levels)
+    return (n, levels) if n <= cap else None
 
 
 def build_Hkc(
@@ -442,53 +402,31 @@ def build_Hkc(
     if k < 1 or c < 1:
         raise DomainError("k and c must be positive", k=k, c=c)
     ceiling = max(max_vertices, _PREDICT_CEILING)
-    predicted = _vertices_capped(k, c, ceiling)
-    if predicted > max_vertices:
+    size = _hkc_size(k, c, ceiling)
+    if size is None or size[0] > max_vertices:
         raise SizeLimitExceeded(
             "predicted vertex count exceeds the limit",
-            predicted_vertices=(
-                predicted if predicted <= ceiling else f"> {ceiling}"
-            ),
+            predicted_vertices=f"> {ceiling}" if size is None else size[0],
             max_vertices=max_vertices,
         )
-
     if c == 1:
         return _base_instance("hkc", k)
+    return _hkc(k, c, build_Hkc(k, c - 1, max_vertices), size[1])
 
-    template = build_Hkc(k, c - 1, max_vertices)
+
+def _hkc(k: int, c: int, template: StagedHypergraph, levels: list) -> StagedHypergraph:
+    """H(k, c) on its level layout, around ``template`` = H(k, c - 1).  The
+    child stages of a stage take one vertex from each of its blocks, in
+    lexicographic order of the picks (the f_m choice tuples), and those
+    picks are the children's parents."""
     m = template.n
-    levels = _hkc_levels(k, m)
-    n = levels[-1].first_vertex + levels[-1].n_stages * levels[-1].stage_size
-
-    parent = array("l", [-1]) * n
-    root = array("l", [0]) * n
-    for v in range(levels[0].stage_size):
-        root[v] = v
-
-    # Fill parents level by level.  Child stages of a stage enumerate the
-    # f_m choice tuples in lexicographic order; an odometer over the choice
-    # digits avoids re-deriving each tuple from its rank.
-    for j in range(k - 1):
-        li, lj = levels[j], levels[j + 1]
-        child_size = lj.stage_size
-        v = lj.first_vertex
-        for p_pos in range(li.n_stages):
-            p_start = li.first_vertex + p_pos * li.stage_size
-            choice = [0] * li.blocks_per_stage
-            for _ in range(li.children_per_stage):
-                for b in range(child_size):
-                    pv = p_start + b * m + choice[b]
-                    parent[v] = pv
-                    root[v] = root[pv]
-                    v += 1
-                d = child_size - 1
-                while d >= 0 and choice[d] == m - 1:
-                    choice[d] = 0
-                    d -= 1
-                if d >= 0:
-                    choice[d] += 1
-
-    return _staged("hkc", k, c, m, parent, root, levels, template)
+    parent = array("l", [-1]) * levels[0].stage_size
+    for li in levels[:-1]:
+        end = li.first_vertex + li.n_stages * li.stage_size
+        for start in range(li.first_vertex, end, li.stage_size):
+            blocks = [range(b, b + m) for b in range(start, start + li.stage_size, m)]
+            parent.extend(chain.from_iterable(product(*blocks)))
+    return _staged("hkc", k, c, m, parent, levels, template)
 
 
 # ---------------------------------------------------------------------------
@@ -636,16 +574,6 @@ def random_search_provider(
     )
 
 
-def _gcg_levels(n_h: int, m: int, n_edges_h: int) -> list:
-    """Level layout of G(c, g) for c > 1 around an auxiliary hypergraph of
-    n_h vertices and n_edges_h edges of size m: a blockless level-0 stage,
-    then one m-vertex stage per auxiliary edge."""
-    return [
-        LevelInfo(1, 0, n_h, m, 0, n_edges_h),
-        LevelInfo(n_edges_h, n_h, m, m, 1, 0),
-    ]
-
-
 def build_Gcg(
     c: int,
     g: int,
@@ -669,8 +597,23 @@ def build_Gcg(
         return _base_instance("gcg", 2)
 
     template = build_Gcg(c - 1, g, provider, max_vertices)
+    aux = provider(template.n, g, c)
+    n = aux.n + len(aux.edges) * template.n
+    if n > max_vertices:
+        raise SizeLimitExceeded(
+            "predicted vertex count exceeds the limit",
+            predicted_vertices=n,
+            max_vertices=max_vertices,
+        )
+    return _gcg(c, template, aux)
+
+
+def _gcg(c: int, template: StagedHypergraph, aux: OrderedHypergraph) -> StagedHypergraph:
+    """G(c, g) around ``template`` = G(c - 1, g) and the auxiliary
+    hypergraph: a blockless level-0 stage of aux's vertices, then one
+    m-vertex stage per auxiliary edge, each vertex's parent the edge's
+    member at its position."""
     m = template.n
-    aux = provider(m, g, c)
     for e in aux.edges:
         if len(e) != m:
             raise DomainError(
@@ -678,24 +621,11 @@ def build_Gcg(
                 expected=m,
                 got=len(e),
             )
-    n_h = aux.n
-    n_edges_h = len(aux.edges)
-    n = n_h + n_edges_h * m
-    if n > max_vertices:
-        raise SizeLimitExceeded(
-            "predicted vertex count exceeds the limit",
-            predicted_vertices=n,
-            max_vertices=max_vertices,
-        )
-    levels = _gcg_levels(n_h, m, n_edges_h)
-    parent = array("l", [-1]) * n
-    root = array("l", [0]) * n
-    for v in range(n_h):
-        root[v] = v
-    v = n_h
-    for e in aux.edges:
-        for pv in e:
-            parent[v] = pv
-            root[v] = pv
-            v += 1
-    return _staged("gcg", 2, c, m, parent, root, levels, template)
+    n_h, n_edges_h = aux.n, len(aux.edges)
+    levels = [
+        LevelInfo(1, 0, n_h, m, 0, n_edges_h),
+        LevelInfo(n_edges_h, n_h, m, m, 1, 0),
+    ]
+    parent = array("l", [-1]) * n_h
+    parent.extend(chain.from_iterable(aux.edges))
+    return _staged("gcg", 2, c, m, parent, levels, template)

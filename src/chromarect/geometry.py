@@ -703,25 +703,6 @@ def _leaf_label(root: _Node, y: Fraction, depth: int) -> str:
     return node.label
 
 
-def is_perfect_nested(fam: PerfectNestedFamily) -> bool:
-    """Literal check of the defining equations."""
-    t = fam.depth
-    for s, iv in fam.interval_of.items():
-        if len(s) > t - 1 or any(ch not in "01" for ch in s):
-            return False
-    for s, iv in fam.interval_of.items():
-        if len(s) >= t - 1:
-            continue
-        a = fam.interval_of.get(s + "0")
-        b = fam.interval_of.get(s + "1")
-        if a is None or b is None:
-            return False
-        # union equality for adjacent half-open pieces
-        if not (a.lo == iv.lo and (a.hi == b.lo or b.lo == b.hi) and max(a.hi, b.hi) == iv.hi):
-            return False
-    return is_nested([iv for iv in fam.interval_of.values()])
-
-
 # ---------------------------------------------------------------------------
 # dominance posets
 

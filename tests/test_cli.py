@@ -70,6 +70,13 @@ def h22_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def g25_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("stage") / "g25.json"
+    cli_ok("construct", "gcg", "--c", "2", "--g", "5", "--out", str(path))
+    return path
+
+
+@pytest.fixture(scope="module")
 def r22n_file(tmp_path_factory, h22_file):
     path = tmp_path_factory.mktemp("real") / "r22n.json"
     cli_ok("realize", "--input", str(h22_file), "--nested", "--out", str(path))
@@ -370,6 +377,23 @@ _HEADER_CASES = [
 ]
 
 
+# (staged file, {vertex: parent put there})
+_BAD_PARENTS = [
+    ("h22", {5: 5.0}),  # was a TypeError traceback
+    ("h22", {5: "1"}),
+    ("h22", {5: 999}),
+    ("h22", {5: -3}),  # a negative index would wrap silently
+    ("h22", {5: 8}),  # a vertex of the same level
+    ("h22", {5: None}),
+    ("h22", {5: True}),
+    ("h22", {0: 1}),  # a level-0 vertex with a parent
+    ("g25", {7: None}),  # a null inside level 1
+    ("g25", {2: 0}),  # a level-0 vertex with a parent
+    ("g25", {7: 2, 8: 1}),  # one stage's two parents swapped; this loaded
+    ("g25", {9: 5}),  # a parent past the auxiliary vertices
+]
+
+
 class TestErrorContract:
     def test_unknown_subcommand(self, capsys):
         code, _ = cli("frobnicate")
@@ -474,24 +498,46 @@ class TestErrorContract:
         assert one_error(capsys)["error"] == "domain-error"
 
     @pytest.mark.parametrize(
-        "vertex,parent",
-        [
-            (5, 5.0),  # was a TypeError traceback
-            (5, "1"),
-            (5, 999),
-            (5, -3),  # a negative index would wrap silently
-            (5, 8),  # a vertex of the same level
-            (5, None),
-            (5, True),
-            (0, 1),  # a level-0 vertex with a parent
+        "source,edits",
+        _BAD_PARENTS,
+        ids=[
+            ("" if source == "h22" else source + "-")
+            + "-".join(f"{v}-{p}" for v, p in edits.items())
+            for source, edits in _BAD_PARENTS
         ],
     )
-    def test_staged_bad_parent_rejected(self, vertex, parent, h22_file, tmp_path, capsys):
-        staged = json.loads(h22_file.read_bytes())
-        staged["parents"][vertex] = parent
+    def test_staged_bad_parent_rejected(self, source, edits, h22_file, g25_file, tmp_path, capsys):
+        staged = json.loads({"h22": h22_file, "g25": g25_file}[source].read_bytes())
+        first_leaf = staged["parents"].count(None)
+        for v, p in edits.items():
+            staged["parents"][v] = p
+            if v >= first_leaf:  # the leaf's path edge, rewritten to match
+                staged["edges"][v - first_leaf] = [p, v]
         bad = tmp_path / "staged.json"
         bad.write_text(json.dumps(staged))
         code, out = cli("realize", "--input", str(bad))
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "domain-error"
+
+    @pytest.mark.parametrize(
+        "argv", [["realize"], ["realize", "--nested"], ["find-mono"]], ids=" ".join
+    )
+    def test_staged_relabelled_parents_rejected(self, argv, h22_file, tmp_path, capsys):
+        # H(2,2) with its level-1 parents relabelled 0 <-> 1 and 2 <-> 3 and
+        # the path edges rewritten to match: a consistent file, but not of
+        # H(2,2).  It was realized, and find-mono reported
+        # palette-exceeds-guarantee under [1, 0, ..., 0], although the
+        # edge (2, 3) is monochromatic there.
+        staged = json.loads(h22_file.read_bytes())
+        staged["parents"] = [None] * 4 + [1, 3, 1, 2, 0, 3, 0, 2]
+        staged["edges"][:8] = [[p, v] for v, p in enumerate(staged["parents"]) if p is not None]
+        bad = tmp_path / "staged.json"
+        bad.write_text(json.dumps(staged))
+        col = tmp_path / "col.json"
+        col.write_text(json.dumps({"c": 2, "colors": [1] + [0] * 11}))
+        if argv == ["find-mono"]:
+            argv = argv + ["--coloring", str(col)]
+        code, out = cli(*argv, "--input", str(bad))
         assert (code, out) == (1, b"")
         assert one_error(capsys)["error"] == "domain-error"
 

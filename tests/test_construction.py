@@ -2,9 +2,9 @@
 
 Expected structures for the small instances (the 12-vertex k=2/c=2 build,
 the 15/21/27-vertex girth graphs) were derived by hand from the stage
-discipline and are frozen here; the larger instance is checked through the
-closed-form counting function, and the finder is cross-validated
-exhaustively against the naive edge scan.
+discipline and are frozen here; the larger instances are checked through a
+closed-form counting function frozen below, and the finder is
+cross-validated exhaustively against the naive edge scan.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from hypothesis import strategies as st
 from chromarect.construction import (
     LevelInfo,
     StagedHypergraph,
+    _hkc_size,
     build_Gcg,
     build_Hkc,
     find_monochromatic_edge,
     odd_cycle_supply,
-    predict_hkc_counts,
     random_search_provider,
 )
 from chromarect.errors import (
@@ -62,6 +62,34 @@ def h22():
     return build_Hkc(2, 2)
 
 
+def _predict_hkc_counts(k, c):
+    """Frozen reference: (vertex count, edge count) of H(k, c) by the
+    closed-form stage count the builder's size guard once used.  Level j
+    has stages * m ** (k - j) vertices and stages * m ** (k - j - 1)
+    blocks, and each of its stages has m ** blocks child stages."""
+    if c == 1:
+        return k, 1
+    m, template_edges = _predict_hkc_counts(k, c - 1)
+    vertices = 0
+    transversal_blocks = 0
+    stages = 1
+    for j in range(k):
+        vertices += stages * m ** (k - j)
+        transversal_blocks += stages * m ** (k - j - 1)
+        if j < k - 1:
+            stages *= m ** (m ** (k - j - 1))
+    leaves = stages * m  # `stages` is now the last-level stage count
+    return vertices, leaves + transversal_blocks * template_edges
+
+
+def _root(S):
+    """Each vertex's level-0 ancestor, walked up the parent array."""
+    root = []
+    for v, p in enumerate(S.parent):
+        root.append(v if p < 0 else root[p])
+    return root
+
+
 def _stages(S):
     """(level record, vertex range) of every stage, level by level: a stage
     is its level's record plus a position within the level."""
@@ -84,7 +112,7 @@ def test_h22_counts_and_edges(h22):
 
 def test_h22_parents_and_roots(h22):
     assert [None if p < 0 else p for p in h22.parent] == H22_PARENTS
-    assert list(h22.root) == [0, 1, 2, 3, 0, 2, 0, 3, 1, 2, 1, 3]
+    assert _root(h22) == [0, 1, 2, 3, 0, 2, 0, 3, 1, 2, 1, 3]
 
 
 def test_h22_stage_layout(h22):
@@ -97,8 +125,9 @@ def test_h22_stage_layout(h22):
 
 
 def test_h22_each_stage_meets_each_tree_at_most_once(h22):
+    root = _root(h22)
     for _, vs in _stages(h22):
-        roots = [h22.root[v] for v in vs]
+        roots = [root[v] for v in vs]
         assert len(roots) == len(set(roots))
 
 
@@ -136,17 +165,34 @@ def test_hkc_uniformity_small():
     for k, c in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (4, 1)]:
         H = build_Hkc(k, c)
         assert all(len(e) == k for e in H.base.edges), (k, c)
-        n_pred, e_pred = predict_hkc_counts(k, c)
+        n_pred, e_pred = _predict_hkc_counts(k, c)
         assert H.n == n_pred and len(H.base.edges) == e_pred
+        root = _root(H)
         for v in range(H.n):
             assert H.parent[v] < v  # -1 on level 0
-            assert H.parent[H.root[v]] == -1
+            assert H.parent[root[v]] == -1
 
 
 def test_hkc_predicted_counts_large():
-    assert predict_hkc_counts(3, 2) == (1_771_497, 2_184_822)
+    assert _predict_hkc_counts(3, 2) == (1_771_497, 2_184_822)
     # 3^13 root-to-leaf paths plus one copy per block
-    assert predict_hkc_counts(3, 2)[1] == 3**13 + (9 + 3 * 19_683 + 531_441)
+    assert _predict_hkc_counts(3, 2)[1] == 3**13 + (9 + 3 * 19_683 + 531_441)
+
+
+@pytest.mark.parametrize(
+    "k,c",
+    [(1, c) for c in range(1, 5)]
+    + [(2, c) for c in range(1, 4)]
+    + [(3, 1), (3, 2), (4, 2), (5, 2)],
+)
+def test_hkc_size_guard_counts_exactly_to_its_cap(k, c):
+    # H(2,3) has 144 + 12**12 * 12 vertices and H(5,2) a 546-digit count;
+    # the guard counts them without building, up to a cap of exactly n
+    n = _predict_hkc_counts(k, c)[0]
+    counted, levels = _hkc_size(k, c, n)
+    assert counted == n
+    assert (levels is None) == (c == 1)
+    assert _hkc_size(k, c, n - 1) is None
 
 
 def test_hkc_size_limit_and_domain():
@@ -445,11 +491,11 @@ def test_gcg_bad_args():
 
 def _materialized_edges(S):
     """Frozen reference: the edge lists the builders stored before their
-    edges became a computed sequence, rebuilt here from the parent and
-    root arrays and the level records with the same loops."""
+    edges became a computed sequence, rebuilt here from the parent array,
+    its roots (:func:`_root`) and the level records with the same loops."""
     if S.c == 1:
         return [tuple(range(S.m))]
-    parent, root, n, m = S.parent, S.root, S.n, S.m
+    parent, root, n, m = S.parent, _root(S), S.n, S.m
     template_edges = _materialized_edges(S.copy_template)
     if S.kind == "gcg":
         n_h = S.levels[1].first_vertex

@@ -35,7 +35,6 @@ from chromarect.geometry import (
     incidence_hypergraph,
     is_ascending,
     is_nested,
-    is_perfect_nested,
     make_rect,
     monochromatic_increasing_path,
     realize_Gcg,
@@ -593,6 +592,25 @@ class TestPredicates:
         R = Realization(pts, rects, [0], H)
         with pytest.raises(VerificationError):
             y_projections(R)
+
+
+def is_perfect_nested(fam: PerfectNestedFamily) -> bool:
+    """Literal check of a perfect nested family's defining equations."""
+    t = fam.depth
+    for s, iv in fam.interval_of.items():
+        if len(s) > t - 1 or any(ch not in "01" for ch in s):
+            return False
+    for s, iv in fam.interval_of.items():
+        if len(s) >= t - 1:
+            continue
+        a = fam.interval_of.get(s + "0")
+        b = fam.interval_of.get(s + "1")
+        if a is None or b is None:
+            return False
+        # union equality for adjacent half-open pieces
+        if not (a.lo == iv.lo and (a.hi == b.lo or b.lo == b.hi) and max(a.hi, b.hi) == iv.hi):
+            return False
+    return is_nested([iv for iv in fam.interval_of.values()])
 
 
 def _check_prefix_membership(fam, ivs, points_y):
