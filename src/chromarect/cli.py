@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import List, Optional, Sequence
 
 from .arithmetic import (
@@ -283,10 +283,14 @@ def _cmd_ap_capture(args, stdout) -> int:
 
 def _load_hypergraph(args) -> OrderedHypergraph:
     """The --input hypergraph, refused above --max-vertices before any
-    per-vertex allocation."""
-    H = OrderedHypergraph.from_json_dict(_load_json(args.input))
+    per-vertex allocation.  A staged file (one with a ``kind``) must also
+    load as the staged instance its header names."""
+    d = _load_json(args.input)
+    H = OrderedHypergraph.from_json_dict(d)
     if H.n > args.max_vertices:
         raise SizeLimitExceeded("too many vertices", n=H.n, max_vertices=args.max_vertices)
+    if isinstance(d, dict) and "kind" in d:
+        StagedHypergraph.from_json_dict(d)
     return H
 
 
@@ -458,7 +462,11 @@ def _cmd_selftest(args, stdout) -> int:
 # parser
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process.  Each subcommand's
+    handler is bound here, when the parser is built, so a handler replaced
+    on the module afterwards is not the one ``run`` dispatches to."""
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
     common.add_argument(

@@ -230,7 +230,12 @@ class StagedHypergraph:
         """Parse a staged file.  The header must name an instance the
         builders can make; that instance is assembled, and ``parents`` and
         ``edges`` must be exactly its parents and edges.  Other keys are
-        ignored."""
+        ignored.
+
+        A ``gcg`` file's auxiliary hypergraph (the edges its level-1
+        parents list) must have no proper c-coloring, or the instance would
+        not need c + 1 colors.  Its girth is not checked: the header names
+        no g to check it against."""
         try:
             kind, k, c, m, n = d["kind"], d["k"], d["c"], d["m"], d["n"]
             parents, edges, sub = d["parents"], d["edges"], d["copy_template"]
@@ -283,6 +288,11 @@ class StagedHypergraph:
                 aux = OrderedHypergraph(
                     n_h, [listed[i : i + m] for i in range(0, len(listed), m)]
                 )
+                if is_c_colorable(aux, c) is not None:
+                    raise DomainError(
+                        "auxiliary hypergraph of a gcg file is properly c-colorable",
+                        c=c,
+                    )
                 S = _gcg(c, template, aux)
         n0 = S.levels[0].stage_size
         if parents[:n0] != [None] * n0 or parents[n0:] != S.parent[n0:].tolist():

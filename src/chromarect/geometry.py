@@ -571,7 +571,9 @@ def extend_to_perfect_nested(
 
     Gap children make every node's children a partition; leaves holding
     more than one distinct point value are split at value midpoints (only
-    as needed); sibling lists are left-binarized; leaves are padded with
+    as needed); each sibling list is binarized by the order-preserving
+    minimax merge, which repeatedly joins the adjacent pair whose deeper
+    side is shallowest (leftmost on ties); leaves are padded with
     left-chains (empty right siblings) to a uniform depth.  Each input
     interval keeps a node label; each point gets the label of its depth
     t−1 leaf, so input-interval membership becomes label-prefix testing.
@@ -616,8 +618,7 @@ def extend_to_perfect_nested(
         uniq[iv].inputs.append(i)
 
     pts = sorted(set(points_y))
-    _complete(root, pts)
-    depth = _max_depth(root)
+    depth = _complete(root, pts)
     _pad_uniform(root, depth)
     _assign_labels(root, "")
 
@@ -628,17 +629,17 @@ def extend_to_perfect_nested(
     return PerfectNestedFamily(depth + 1, interval_of, input_labels, point_labels)
 
 
-def _complete(node: _Node, pts: List[Fraction]) -> None:
-    """Gap children, point-splitting of leaves, then left-binarization."""
+def _complete(node: _Node, pts: List[Fraction]) -> int:
+    """Gap children, point-splitting of leaves, then the minimax merge of
+    each sibling list.  Returns the height of the completed subtree."""
     inside = [y for y in pts if node.lo <= y < node.hi]
     if not node.children:
         if len(inside) > 1:
             h = len(inside) // 2
             mid = Fraction(inside[h - 1] + inside[h], 2)
             node.children = [_Node(node.lo, mid), _Node(mid, node.hi)]
-            for ch in node.children:
-                _complete(ch, inside)
-        return
+            return 1 + max([_complete(ch, inside) for ch in node.children])
+        return 0
     node.children.sort(key=lambda c: c.lo)
     filled: List[_Node] = []
     cursor = node.lo
@@ -649,21 +650,18 @@ def _complete(node: _Node, pts: List[Fraction]) -> None:
         cursor = ch.hi
     if cursor < node.hi:
         filled.append(_Node(cursor, node.hi))
-    node.children = filled
-    for ch in node.children:
-        _complete(ch, inside)
-    while len(node.children) > 2:
-        a, b = node.children[0], node.children[1]
-        node.children[:2] = [_Node(a.lo, b.hi, children=[a, b])]
-    if len(node.children) == 1:
-        only = node.children[0]
-        node.children = [only, _Node(node.hi, node.hi)]
-
-
-def _max_depth(node: _Node) -> int:
-    if not node.children:
-        return 0
-    return 1 + max(_max_depth(c) for c in node.children)
+    # order-preserving minimax merge (Golumbic, "Combinatorial merging",
+    # IEEE Trans. Comput. C-25, 1976): join the adjacent pair whose deeper
+    # side is shallowest, leftmost on ties
+    kids = [(_complete(ch, inside), ch) for ch in filled]
+    while len(kids) > 2:
+        i = min(range(len(kids) - 1), key=lambda j: max(kids[j][0], kids[j + 1][0]))
+        (ha, a), (hb, b) = kids[i], kids[i + 1]
+        kids[i : i + 2] = [(max(ha, hb) + 1, _Node(a.lo, b.hi, children=[a, b]))]
+    if len(kids) == 1:
+        kids.append((0, _Node(node.hi, node.hi)))
+    node.children = [ch for _, ch in kids]
+    return 1 + max(h for h, _ in kids)
 
 
 def _pad_uniform(node: _Node, depth: int) -> None:

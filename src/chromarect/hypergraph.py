@@ -359,15 +359,14 @@ def hypergraph_girth(H: OrderedHypergraph) -> CyclesReport:
     best_len = None  # incidence-graph cycle length (= 2 * girth)
     best_witness = None
 
-    dist = [-1] * total
     parent = [-1] * total
-    stamp = [0] * total
+    stamp = [0] * total  # run in which the node was reached
+    done = [0] * total  # run in which the node was expanded
     run = 0
     for root in range(n):
         if not adj[root]:
             continue
         run += 1
-        dist[root] = 0
         parent[root] = -1
         stamp[root] = run
         frontier = [root]
@@ -377,20 +376,22 @@ def hypergraph_girth(H: OrderedHypergraph) -> CyclesReport:
                 break
             nxt = []
             for u in frontier:
-                du = dist[u]
+                done[u] = run
                 for w in adj[u]:
                     if stamp[w] != run:
                         stamp[w] = run
-                        dist[w] = du + 1
                         parent[w] = u
                         nxt.append(w)
-                    elif parent[u] != w and parent[w] != u:
+                    elif done[w] != run and parent[w] != u:
+                        # a closing edge, met from whichever end expands
+                        # first; the other end would trace the same cycle
                         cyc = _trace_cycle(parent, u, w)
                         clen = len(cyc)
                         if best_len is None or clen < best_len:
                             best_len = clen
                             best_witness = _canonical_witness(cyc, n)
-                        elif clen == best_len:
+                        elif clen == best_len and min(cyc) <= best_witness[0][0]:
+                            # a witness starts at its cycle's smallest vertex
                             cand = _canonical_witness(cyc, n)
                             if cand < best_witness:
                                 best_witness = cand

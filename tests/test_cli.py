@@ -350,6 +350,20 @@ class TestSmallCommands:
         assert "criterion  1 PASS" in text
         assert text.strip().endswith("1/1 criteria passed")
 
+    def test_one_parser_serves_every_call(self, capsys):
+        # the parser is built once per process; nothing one call parses may
+        # reach the next (--criterion appends to a list, for one)
+        assert cli("selftest", "--criterion", "one") == (1, b"")
+        assert one_error(capsys)["error"] == "domain-error"
+        for _ in range(2):
+            code, out = cli("selftest", "--criterion", "1")
+            assert code == 0
+            assert out.decode().count("criterion ") == 1
+            assert out.decode().strip().endswith("1/1 criteria passed")
+        assert cli("vdc", "--n", "6") == (0, b"3/8\n")
+        assert capsys.readouterr().err == ""
+        assert cli_module._build_parser() is cli_module._build_parser()
+
 
 # ---------------------------------------------------------------------------
 # error contract
@@ -539,6 +553,26 @@ class TestErrorContract:
             argv = argv + ["--coloring", str(col)]
         code, out = cli(*argv, "--input", str(bad))
         assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "domain-error"
+
+    @pytest.mark.parametrize(
+        "parents, edges",
+        [([None] * 5 + [0, 1], [[0, 5], [1, 6], [5, 6]]), ([None] * 5, [])],
+        ids=["one-aux-edge", "no-aux-edges"],
+    )
+    @pytest.mark.parametrize("command", ["realize", "chromatic"])
+    def test_staged_colorable_auxiliary_rejected(self, command, parents, edges, tmp_path, capsys):
+        # a c = 2 gcg file whose auxiliary graph is properly 2-colorable, so
+        # the instance it describes is too: realize exited 0, and chromatic
+        # reported 2 (1 for the edgeless auxiliary)
+        staged = {
+            "kind": "gcg", "k": 2, "c": 2, "m": 2, "n": len(parents),
+            "parents": parents, "edges": edges,
+            "copy_template": build_Gcg(1, 5).to_json_dict(),
+        }
+        bad = tmp_path / "staged.json"
+        bad.write_text(json.dumps(staged))
+        assert cli(command, "--input", str(bad)) == (1, b"")
         assert one_error(capsys)["error"] == "domain-error"
 
     def test_staged_short_parents_rejected(self, h22_file, tmp_path, capsys):

@@ -8,9 +8,10 @@ from array import array
 from collections import namedtuple
 from fractions import Fraction as F
 from functools import lru_cache, partial
+from unittest import mock
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from chromarect import geometry
 from chromarect.construction import (
@@ -627,6 +628,71 @@ def _check_prefix_membership(fam, ivs, points_y):
             assert member == prefixed, (i, j)
 
 
+def _left_comb_complete(node, pts):
+    """The former completion, frozen as the reference: gap children,
+    point-splitting of leaves, then each sibling list binarized as a left
+    comb, so a node with r children adds r − 1 levels.  Returns the height
+    of the completed subtree."""
+    inside = [y for y in pts if node.lo <= y < node.hi]
+    if not node.children:
+        if len(inside) > 1:
+            h = len(inside) // 2
+            mid = F(inside[h - 1] + inside[h], 2)
+            node.children = [geometry._Node(node.lo, mid), geometry._Node(mid, node.hi)]
+            for ch in node.children:
+                _left_comb_complete(ch, inside)
+        return _height(node)
+    node.children.sort(key=lambda c: c.lo)
+    filled = []
+    cursor = node.lo
+    for ch in node.children:
+        if cursor < ch.lo:
+            filled.append(geometry._Node(cursor, ch.lo))
+        filled.append(ch)
+        cursor = ch.hi
+    if cursor < node.hi:
+        filled.append(geometry._Node(cursor, node.hi))
+    node.children = filled
+    for ch in node.children:
+        _left_comb_complete(ch, inside)
+    while len(node.children) > 2:
+        a, b = node.children[0], node.children[1]
+        node.children[:2] = [geometry._Node(a.lo, b.hi, children=[a, b])]
+    if len(node.children) == 1:
+        only = node.children[0]
+        node.children = [only, geometry._Node(node.hi, node.hi)]
+    return _height(node)
+
+
+def _height(node):
+    return 1 + max(map(_height, node.children)) if node.children else 0
+
+
+def _left_comb_family(ivs, pts, strict_root=False):
+    with mock.patch.object(geometry, "_complete", _left_comb_complete):
+        return extend_to_perfect_nested(ivs, pts, strict_root=strict_root)
+
+
+@st.composite
+def _wide_families(draw):
+    """A random nested family on [0, 64): each interval is cut into up to
+    four pieces, and each piece is kept or left as a gap."""
+    ivs = []
+
+    def subdivide(lo, hi, depth):
+        if draw(st.booleans()):
+            ivs.append((F(lo), F(hi)))
+        if depth == 0 or hi - lo < 2:
+            return
+        cuts = sorted(draw(st.sets(st.integers(lo + 1, hi - 1), max_size=min(3, hi - lo - 1))))
+        for a, b in zip([lo] + cuts, cuts + [hi]):
+            subdivide(a, b, depth - 1)
+
+    subdivide(0, 64, 3)
+    pts = draw(st.lists(st.integers(-2, 70).map(F), max_size=8, unique=True))
+    return ivs, pts
+
+
 class TestPerfectNested:
     def test_hand_example(self):
         ivs = [(F(0), F(8)), (F(1), F(3)), (F(5), F(6))]
@@ -675,11 +741,42 @@ class TestPerfectNested:
         # depth bounds the progression differences the translation needs
         R = _r22_nested()
         pts = [p.y for p in R.points]
-        for strict, depth in ((False, 10), (True, 11)):
+        for strict, depth, comb_depth in ((False, 8, 10), (True, 9, 11)):
             fam = extend_to_perfect_nested(y_projections(R), pts, strict_root=strict)
             assert fam.depth == depth
+            assert _left_comb_family(y_projections(R), pts, strict).depth == comb_depth
             ends = [v for iv in fam.interval_of.values() for v in iv]
             assert all(type(v) in (int, F) for v in ends)
+
+    def test_minimax_merge_ties_go_left(self):
+        # three equal siblings: the leftmost pair joins first
+        fam = extend_to_perfect_nested([(F(i), F(i + 1)) for i in range(3)], [])
+        assert fam.input_labels == ["00", "01", "1"]
+        # four: the joined pair is now deeper, so the right pair joins next
+        fam = extend_to_perfect_nested([(F(i), F(i + 1)) for i in range(4)], [])
+        assert fam.input_labels == ["00", "01", "10", "11"]
+        assert _left_comb_family([(F(i), F(i + 1)) for i in range(4)], []).input_labels == [
+            "000",
+            "001",
+            "01",
+            "1",
+        ]
+
+    def test_disjoint_siblings_balance(self):
+        # 16 unit siblings: a balanced 4-level tree, not a 15-level comb
+        ivs = [(F(i), F(i + 1)) for i in range(16)]
+        fam = extend_to_perfect_nested(ivs, [])
+        assert fam.depth == 5 and _left_comb_family(ivs, []).depth == 16
+        _check_prefix_membership(fam, ivs, [])
+
+    @given(_wide_families(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_minimax_never_deeper_than_left_comb(self, family, strict):
+        ivs, pts = family
+        assume(ivs or pts)
+        fam = extend_to_perfect_nested(ivs, pts, strict_root=strict)
+        assert fam.depth <= _left_comb_family(ivs, pts, strict).depth
+        _check_prefix_membership(fam, ivs, pts)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

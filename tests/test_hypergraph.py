@@ -323,6 +323,82 @@ def test_linear_witness_matches_all_rotations_on_random_hypergraphs(nh):
         assert witness_is_valid(H, rep)
 
 
+def _girth_sweep_tracing_both_ends(H: OrderedHypergraph) -> CyclesReport:
+    """The former Itai–Rodeh sweep, frozen as the reference: it traces a
+    closing edge from each of its ends (the module's adjacency, tracing and
+    canonical-form helpers are shared)."""
+    n = H.n
+    adj = hypergraph._incidence_adjacency(H)
+    total = len(adj)
+    best_len = None
+    best_witness = None
+    dist = [-1] * total
+    parent = [-1] * total
+    stamp = [0] * total
+    run = 0
+    for root in range(n):
+        if not adj[root]:
+            continue
+        run += 1
+        dist[root] = 0
+        parent[root] = -1
+        stamp[root] = run
+        frontier = [root]
+        d = 0
+        while frontier:
+            if best_len is not None and 2 * d > best_len:
+                break
+            nxt = []
+            for u in frontier:
+                du = dist[u]
+                for w in adj[u]:
+                    if stamp[w] != run:
+                        stamp[w] = run
+                        dist[w] = du + 1
+                        parent[w] = u
+                        nxt.append(w)
+                    elif parent[u] != w and parent[w] != u:
+                        cyc = hypergraph._trace_cycle(parent, u, w)
+                        clen = len(cyc)
+                        if best_len is None or clen < best_len:
+                            best_len = clen
+                            best_witness = hypergraph._canonical_witness(cyc, n)
+                        elif clen == best_len:
+                            cand = hypergraph._canonical_witness(cyc, n)
+                            if cand < best_witness:
+                                best_witness = cand
+            frontier = nxt
+            d += 1
+    if best_len is None:
+        return CyclesReport(Infinite, None)
+    return CyclesReport(best_len // 2, best_witness)
+
+
+@st.composite
+def _uniform_hypergraphs(draw):
+    """1–14 vertices, uniformity 1–3, possibly no edges, possibly repeats."""
+    n = draw(st.integers(1, 14))
+    k = draw(st.integers(1, min(3, n)))
+    edges = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=k, max_size=k), max_size=20))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=4))
+    return OrderedHypergraph(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_uniform_hypergraphs())
+def test_girth_sweep_matches_frozen_sweep_on_random_hypergraphs(H):
+    rep, ref = hypergraph_girth(H), _girth_sweep_tracing_both_ends(H)
+    assert (rep.girth, rep.witness) == (ref.girth, ref.witness)
+
+
+@pytest.mark.parametrize("g", [5, 7, 9, 51, 71, 101])
+def test_girth_sweep_matches_frozen_sweep_on_girth_instances(g):
+    H = build_Gcg(2, g).base
+    rep, ref = hypergraph_girth(H), _girth_sweep_tracing_both_ends(H)
+    assert (rep.girth, rep.witness) == (ref.girth, ref.witness)
+
+
 # ---------------------------------------------------------------------------
 # property tests from the module contract
 
