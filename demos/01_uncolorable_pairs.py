@@ -18,8 +18,8 @@ from chromarect.hypergraph import chromatic_number, is_c_colorable, is_proper_co
 S = build_Hkc(2, 2)
 H = S.base
 print(f"instance: {H.n} vertices, {len(H.edges)} edges, all pairs")
-print(f"path edges:        {[H.edges[e] for e in S.path_edges]}")
-print(f"transversal edges: {H.edges[len(S.path_edges):]}")
+print(f"path edges:        {H.edges[:S.n_path_edges]}")
+print(f"transversal edges: {H.edges[S.n_path_edges:]}")
 
 # Exhaust all 2^12 colorings: every single one trips over some edge.
 proper = sum(

@@ -9,11 +9,10 @@ Run:  python3 demos/03_high_girth.py
 """
 
 from chromarect import build_Gcg, chromatic_number, hypergraph_girth
-from chromarect.construction import odd_cycle_supply
 from chromarect.geometry import realize_Gcg, verify_realization
 
 for g in (5, 7, 9):
-    S = build_Gcg(2, g, odd_cycle_supply)
+    S = build_Gcg(2, g)
     H = S.base
     report = hypergraph_girth(H)
     chi = chromatic_number(H)
@@ -26,8 +25,3 @@ for g in (5, 7, 9):
     verify_realization(R)  # raises if any rectangle misses its edge
     print(f"      realized on {len(R.points)} curve points, "
           f"{len(R.rects)} rectangles, incidences verified")
-
-# A supply of fresh odd cycles is one provider; `random_search_provider`,
-# bound as `functools.partial(random_search_provider, budget=..., seed=...)`,
-# searches random graphs for the same girth/coloring profile under a
-# trial budget, trading determinism-for-speed at larger g.

@@ -175,7 +175,7 @@ def _c3() -> str:
             path_tops = {
                 R.rects[r].y_hi
                 for r in range(len(R.rects))
-                if R.edge_of_rect[r] < len(S.path_edges)
+                if R.edge_of_rect[r] < S.n_path_edges
             }
             assert len(path_tops) == 1
     small = perf_counter() - t0
@@ -464,7 +464,7 @@ def _c10_artifacts(tmp: Path, seed: int) -> dict:
 
     def cli(*argv: str) -> bytes:
         buf = io.BytesIO()
-        code = run([*argv, "--seed", str(seed)], stdout=buf)
+        code = run(list(argv), stdout=buf)
         assert code == 0, f"exit {code} from {argv}"
         return buf.getvalue()
 
@@ -480,7 +480,7 @@ def _c10_artifacts(tmp: Path, seed: int) -> dict:
         "--out", path("r22n.json"))
     cli("realize", "--input", path("g25.json"), "--out", path("rg25.json"))
     out["verify"] = cli("verify", "--realization", path("r22.json"),
-                        "--hypergraph", path("h22.json"))
+                        "--hypergraph", path("h22.json"), "--seed", str(seed))
     cli("to-aps", "--input", path("r22n.json"), "--mode", "pow2",
         "--out", path("aps2.json"))
     cli("to-aps", "--input", path("r22n.json"), "--mode", "general",

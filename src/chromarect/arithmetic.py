@@ -28,6 +28,7 @@ from .geometry import (
     Point2,
     Realization,
     Rect,
+    _check_general_position,
     extend_to_perfect_nested,
     make_rect,
     y_projections,
@@ -476,11 +477,8 @@ class APRealization:
 def _windows_and_members(R: Realization):
     """x-order of the points and, per rectangle, its x-window rank span
     and the x-ranks of the points it holds."""
-    pts = R.points
-    n = len(pts)
-    if len({p.x for p in pts}) != n or len({p.y for p in pts}) != n:
-        raise DomainError("points must have pairwise distinct x and y coordinates")
-    index = BoxIndex(pts)
+    _check_general_position(R.points)
+    index = BoxIndex(R.points)
     windows = []
     members = []
     for rect in R.rects:

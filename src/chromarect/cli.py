@@ -3,7 +3,7 @@
 One invocation runs one logical pipeline: construct -> realize ->
 translate -> verify -> emit.  Artifacts are canonical JSON (sorted keys,
 compact separators, trailing newline) or SVG, written bytewise so that
-identical argv + seed always produce byte-identical files.
+identical argv always produce byte-identical files.
 
 Exit codes: 0 success, 1 domain/verification error (a machine-readable
 JSON object describing the error is printed to stderr), 2 resource-limit
@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import List, Optional, Sequence
 
 from .arithmetic import (
@@ -41,12 +41,11 @@ from .construction import (
     build_Gcg,
     build_Hkc,
     find_monochromatic_edge,
-    odd_cycle_supply,
-    random_search_provider,
 )
 from .errors import (
     ChromarectError,
     DomainError,
+    NodeBudgetExceeded,
     ResourceLimitError,
     SizeLimitExceeded,
     VerificationError,
@@ -185,11 +184,7 @@ def _cmd_construct_hkc(args, stdout) -> int:
 
 
 def _cmd_construct_gcg(args, stdout) -> int:
-    if args.provider == "odd-cycle":
-        provider = odd_cycle_supply
-    else:
-        provider = partial(random_search_provider, budget=args.node_budget, seed=args.seed)
-    S = build_Gcg(args.c, args.g, provider=provider, max_vertices=args.max_vertices)
+    S = build_Gcg(args.c, args.g, max_vertices=args.max_vertices)
     return _emit_staged(S, args.out, stdout)
 
 
@@ -340,6 +335,15 @@ def _cmd_girth(args, stdout) -> int:
     from .hypergraph import hypergraph_girth
 
     H = _load_hypergraph(args)
+    # the sweep's own step bound: one breadth-first search per vertex over
+    # the incidence graph of n + m nodes and sum |e| arcs
+    steps = H.n * (H.n + len(H.edges) + sum(map(len, H.edges)))
+    if steps > args.node_budget:
+        raise NodeBudgetExceeded(
+            "girth sweep would exceed the node budget",
+            steps=steps,
+            node_budget=args.node_budget,
+        )
     report = hypergraph_girth(H)
     _verify_girth_report(H, report)
     _write_artifact(args.out, _canonical_json(report.to_json_dict()), stdout)
@@ -462,62 +466,63 @@ def _cmd_selftest(args, stdout) -> int:
 # parser
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type`` of the limit flags."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+_LIMIT_DEFAULTS = {"--max-vertices": DEFAULT_MAX_VERTICES, "--node-budget": DEFAULT_NODE_BUDGET}
+
+
+def _limit(parser: _Parser, flag: str, help: str) -> None:
+    parser.add_argument(flag, type=_positive_int, default=_LIMIT_DEFAULTS[flag], help=help)
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     """The argument parser, built once per process.  Each subcommand's
     handler is bound here, when the parser is built, so a handler replaced
-    on the module afterwards is not the one ``run`` dispatches to."""
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
-    common.add_argument(
-        "--max-vertices",
-        type=int,
-        default=DEFAULT_MAX_VERTICES,
-        help="refuse to build instances larger than this",
-    )
-    common.add_argument(
-        "--node-budget",
-        type=int,
-        default=DEFAULT_NODE_BUDGET,
-        help="search-node ceiling for coloring/provider searches",
-    )
-
+    on the module afterwards is not the one ``run`` dispatches to.  Each
+    subcommand takes only the flags its handler reads."""
     p = _Parser(prog="chromarect", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     c = sub.add_parser("construct", help="build a staged instance")
     csub = c.add_subparsers(dest="family", required=True, metavar="FAMILY")
-    hkc = csub.add_parser("hkc", parents=[common], help="k-uniform staged family")
+    hkc = csub.add_parser("hkc", help="k-uniform staged family")
     hkc.add_argument("--k", type=int, required=True, help="uniformity")
     hkc.add_argument("--c", type=int, required=True, help="palette size to defeat")
+    _limit(hkc, "--max-vertices", "refuse to build instances larger than this")
     hkc.add_argument("--out", help="output path (default stdout)")
     hkc.set_defaults(handler=_cmd_construct_hkc)
-    gcg = csub.add_parser("gcg", parents=[common], help="high-girth graph family")
+    gcg = csub.add_parser("gcg", help="high-girth graph family")
     gcg.add_argument("--c", type=int, required=True, help="palette size to defeat")
     gcg.add_argument("--g", type=int, required=True, help="girth target")
-    gcg.add_argument(
-        "--provider",
-        choices=("odd-cycle", "random"),
-        default="odd-cycle",
-        help="auxiliary instance source",
-    )
+    _limit(gcg, "--max-vertices", "refuse to build instances larger than this")
     gcg.add_argument("--out", help="output path (default stdout)")
     gcg.set_defaults(handler=_cmd_construct_gcg)
 
-    r = sub.add_parser("realize", parents=[common], help="draw an instance as points and rectangles")
+    r = sub.add_parser("realize", help="draw an instance as points and rectangles")
     r.add_argument("--input", required=True, help="staged-instance JSON")
     r.add_argument("--nested", action="store_true", help="nested-rectangle variant")
     r.add_argument("--out", help="realization JSON path (default stdout)")
     r.add_argument("--svg", help="also render an SVG to this path")
     r.set_defaults(handler=_cmd_realize)
 
-    v = sub.add_parser("verify", parents=[common], help="check a realization against a hypergraph")
+    v = sub.add_parser("verify", help="check a realization against a hypergraph")
     v.add_argument("--realization", required=True)
     v.add_argument("--hypergraph", required=True)
     v.add_argument("--sample", type=int, default=None, help="check only N seeded rectangles")
+    v.add_argument("--seed", type=int, default=0, help="seed of the --sample draw")
     v.set_defaults(handler=_cmd_verify)
 
-    t = sub.add_parser("to-aps", parents=[common], help="translate rectangles to integer progressions")
+    t = sub.add_parser("to-aps", help="translate rectangles to integer progressions")
     t.add_argument("--input", required=True, help="realization JSON")
     t.add_argument("--mode", choices=("pow2", "general"), required=True)
     t.add_argument(
@@ -527,7 +532,7 @@ def _build_parser() -> _Parser:
     t.add_argument("--out", help="output path (default stdout)")
     t.set_defaults(handler=_cmd_to_aps)
 
-    cap = sub.add_parser("ap-capture", parents=[common], help="rectangle cutting a progression out of a set")
+    cap = sub.add_parser("ap-capture", help="rectangle cutting a progression out of a set")
     cap.add_argument("--set", required=True, help="comma-separated integers")
     cap.add_argument("--start", type=int, required=True)
     cap.add_argument("--difference", type=int, required=True)
@@ -535,50 +540,54 @@ def _build_parser() -> _Parser:
     cap.add_argument("--out", help="output path (default stdout)")
     cap.set_defaults(handler=_cmd_ap_capture)
 
-    ch = sub.add_parser("chromatic", parents=[common], help="exact chromatic number with witness")
+    ch = sub.add_parser("chromatic", help="exact chromatic number with witness")
     ch.add_argument("--input", required=True, help="hypergraph JSON")
+    _limit(ch, "--max-vertices", "refuse inputs with more vertices")
+    _limit(ch, "--node-budget", "search-node ceiling of the coloring search")
     ch.add_argument("--out", help="output path (default stdout)")
     ch.set_defaults(handler=_cmd_chromatic)
 
-    gi = sub.add_parser("girth", parents=[common], help="shortest alternating cycle")
+    gi = sub.add_parser("girth", help="shortest alternating cycle")
     gi.add_argument("--input", required=True, help="hypergraph JSON")
+    _limit(gi, "--max-vertices", "refuse inputs with more vertices")
+    _limit(gi, "--node-budget", "refuse inputs whose sweep bound n(n + m + sum |e|) is larger")
     gi.add_argument("--out", help="output path (default stdout)")
     gi.set_defaults(handler=_cmd_girth)
 
-    fm = sub.add_parser("find-mono", parents=[common], help="constructively find a monochromatic edge")
+    fm = sub.add_parser("find-mono", help="constructively find a monochromatic edge")
     fm.add_argument("--input", required=True, help="staged-instance JSON")
     fm.add_argument("--coloring", required=True, help="coloring JSON")
     fm.add_argument("--out", help="output path (default stdout)")
     fm.set_defaults(handler=_cmd_find_mono)
 
-    ha = sub.add_parser("hasse", parents=[common], help="cover pairs of the dominance order")
+    ha = sub.add_parser("hasse", help="cover pairs of the dominance order")
     ha.add_argument("--input", required=True, help="realization or points JSON")
     ha.add_argument("--out", help="output path (default stdout)")
     ha.set_defaults(handler=_cmd_hasse)
 
-    mp = sub.add_parser("mono-path", parents=[common], help="same-colored increasing cover chain")
+    mp = sub.add_parser("mono-path", help="same-colored increasing cover chain")
     mp.add_argument("--input", required=True, help="realization or points JSON")
     mp.add_argument("--coloring", required=True, help="coloring JSON")
     mp.add_argument("--k", type=int, required=True, help="chain length (vertices)")
     mp.add_argument("--out", help="output path (default stdout)")
     mp.set_defaults(handler=_cmd_mono_path)
 
-    vd = sub.add_parser("vdc", parents=[common], help="print one digit-mirror sequence value")
+    vd = sub.add_parser("vdc", help="print one digit-mirror sequence value")
     vd.add_argument("--n", type=int, required=True)
     vd.set_defaults(handler=_cmd_vdc)
 
-    sv = sub.add_parser("svg", parents=[common], help="render a realization")
+    sv = sub.add_parser("svg", help="render a realization")
     sv.add_argument("--input", required=True, help="realization JSON")
     sv.add_argument("--out", help="output path (default stdout)")
     sv.add_argument("--width", type=float, default=None)
     sv.set_defaults(handler=_cmd_svg)
 
-    em = sub.add_parser("embed", parents=[common], help="lift integers to sequence points")
+    em = sub.add_parser("embed", help="lift integers to sequence points")
     em.add_argument("--set", required=True, help="comma-separated integers")
     em.add_argument("--out", help="output path (default stdout)")
     em.set_defaults(handler=_cmd_embed)
 
-    st = sub.add_parser("selftest", parents=[common], help="run the acceptance criteria")
+    st = sub.add_parser("selftest", help="run the acceptance criteria")
     st.add_argument(
         "--criterion",
         type=int,
@@ -604,8 +613,6 @@ def run(argv: Sequence[str], stdout=None) -> int:
         stdout = sys.stdout.buffer
     try:
         args = _build_parser().parse_args(list(argv))
-        if args.max_vertices <= 0 or args.node_budget <= 0:
-            raise DomainError("limits must be positive")
         return args.handler(args, stdout)
     except RecursionError:
         # the builders and the staged loader recurse once per palette color

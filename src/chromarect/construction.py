@@ -11,8 +11,9 @@ Two families are built here:
   *transversal* edges), and every level-(k-1) vertex contributes its
   root-to-leaf *path* edge.
 
-* ``build_Gcg(c, g)`` — a 2-uniform analogue with girth at least g and
-  chromatic number above c, grown around a certified auxiliary hypergraph.
+* ``build_Gcg(c, g)`` — for c <= 2, a 2-uniform analogue with girth at
+  least g and chromatic number above c, grown around a certified
+  auxiliary graph, the shortest odd cycle of length at least g.
 
 Both produce a :class:`StagedHypergraph`, whose stage layout is
 level-homogeneous: every stage of a level has the same size, block shape
@@ -45,19 +46,13 @@ from the assembled ones.
 
 from __future__ import annotations
 
-import random
 from array import array
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice, product
 from operator import eq, ne
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import (
-    DomainError,
-    PaletteExceedsGuarantee,
-    SearchBudgetExceeded,
-    SizeLimitExceeded,
-)
+from .errors import DomainError, PaletteExceedsGuarantee, SizeLimitExceeded
 from .hypergraph import (
     Coloring,
     OrderedHypergraph,
@@ -72,14 +67,14 @@ DEFAULT_MAX_VERTICES = 10**7
 @dataclass(frozen=True)
 class LevelInfo:
     """Shape shared by all stages of one level.  Stage ``pos`` of the level
-    holds vertices ``first_vertex + pos * stage_size`` onwards; its child
-    stages are positions ``pos * children_per_stage`` onwards on the next
-    level."""
+    holds vertices ``first_vertex + pos * stage_size`` onwards, and its
+    first ``blocks_per_stage`` blocks of m vertices (the instance's ``m``)
+    each carry a template copy; its child stages are positions ``pos *
+    children_per_stage`` onwards on the next level."""
 
     n_stages: int
     first_vertex: int
     stage_size: int
-    block_size: int
     blocks_per_stage: int
     children_per_stage: int
 
@@ -179,7 +174,7 @@ class StagedHypergraph:
         "m",
         "parent",
         "levels",
-        "path_edges",
+        "n_path_edges",
         "copy_template",
     )
 
@@ -202,7 +197,7 @@ class StagedHypergraph:
         self.m = m
         self.parent = parent
         self.levels = tuple(levels)
-        self.path_edges = range(n_path_edges)
+        self.n_path_edges = n_path_edges
         self.copy_template = copy_template
 
     @property
@@ -346,7 +341,7 @@ def _base_instance(kind: str, k: int) -> StagedHypergraph:
     """The c = 1 instance: one edge on k vertices, one stage holding one
     block."""
     parent = array("l", [-1]) * k
-    return _staged(kind, k, 1, k, parent, [LevelInfo(1, 0, k, k, 1, 0)], None)
+    return _staged(kind, k, 1, k, parent, [LevelInfo(1, 0, k, 1, 0)], None)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +379,7 @@ def _hkc_levels(k: int, m: int, cap: int) -> Optional[list]:
             return None
         blocks = size // m
         children = _capped_pow(m, blocks, cap) if j < k - 1 else 0
-        levels.append(LevelInfo(n_stages, first_vertex, size, m, blocks, children))
+        levels.append(LevelInfo(n_stages, first_vertex, size, blocks, children))
         first_vertex += n_stages * size
         n_stages *= children if children else 1
     return levels
@@ -475,7 +470,7 @@ def _find_mono(S: StagedHypergraph, colors, voffset: int, palette: tuple) -> int
                 # monochromatic edge of its own.
                 sub = _find_mono(S.copy_template, colors, voffset + lo, palette[1:])
                 block = blocks_before + pos * li.blocks_per_stage + b
-                return len(S.path_edges) + block * len(S.copy_template.base.edges) + sub
+                return S.n_path_edges + block * len(S.copy_template.base.edges) + sub
         if not li.children_per_stage:
             # Last level, a single block with the tracked color present: that
             # leaf's whole path was built through tracked picks, so its path
@@ -526,22 +521,13 @@ def find_monochromatic_edge(
 
 
 # ---------------------------------------------------------------------------
-# auxiliary providers and G^c(g)
+# G^c(g)
 
 
-def odd_cycle_supply(uniformity: int, g: int, c: int) -> OrderedHypergraph:
-    """The cycle C_g' for the smallest odd g' >= max(g, 3), exhaustively
-    checked (girth computed, 2-colorability decided).  Odd cycles fit only
-    2-uniform, chromatic-bound-3 requests."""
-    if uniformity != 2 or c != 2:
-        raise DomainError(
-            "odd-cycle provider only supplies 2-uniform auxiliaries with "
-            "chromatic number 3",
-            uniformity=uniformity,
-            c=c,
-        )
-    if g < 2:
-        raise DomainError("girth requirement must be >= 2", g=g)
+def _odd_cycle(g: int) -> OrderedHypergraph:
+    """The auxiliary graph of G(2, g): the cycle C_g' for the smallest odd
+    g' >= max(g, 3), exhaustively checked (girth computed, 2-colorability
+    decided)."""
     gp = g if g % 2 else g + 1
     gp = max(gp, 3)
     edges = [(i, i + 1) for i in range(gp - 1)] + [(0, gp - 1)]
@@ -551,63 +537,32 @@ def odd_cycle_supply(uniformity: int, g: int, c: int) -> OrderedHypergraph:
     return H
 
 
-def random_search_provider(
-    uniformity: int, g: int, c: int, budget: int, seed: int = 0
-) -> OrderedHypergraph:
-    """Sample random uniform edge sets until one verifies (girth >= g and
-    not properly c-colorable, both machine-checked), or the trial budget
-    runs out."""
-    if uniformity < 2 or g < 2 or c < 1 or budget < 1:
-        raise DomainError(
-            "bad provider parameters", uniformity=uniformity, g=g, c=c, budget=budget
-        )
-    rng = random.Random(seed)
-    base_n = max(uniformity + 1, g, 5)
-    for trial in range(budget):
-        n = base_n + (trial % 8)
-        want = n + (trial % 3) * max(1, n // 4)
-        edges = set()
-        for _ in range(want):
-            edges.add(tuple(sorted(rng.sample(range(n), uniformity))))
-        H = OrderedHypergraph(n, sorted(edges))
-        if hypergraph_girth(H).girth < g:
-            continue
-        if is_c_colorable(H, c) is not None:
-            continue
-        return H
-    raise SearchBudgetExceeded(
-        "no certified auxiliary hypergraph found within the trial budget",
-        budget=budget,
-        uniformity=uniformity,
-        g=g,
-        c=c,
-    )
-
-
-def build_Gcg(
-    c: int,
-    g: int,
-    provider: Callable = odd_cycle_supply,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> StagedHypergraph:
-    """2-uniform graph with girth >= g and no proper c-coloring.
+def build_Gcg(c: int, g: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> StagedHypergraph:
+    """2-uniform graph with girth >= g and no proper c-coloring, for c <= 2.
 
     For c = 1 this is a single edge (its stage metadata is one level-0
     stage of two vertices with one internal edge — a deliberate degenerate
-    shape so the recursion stays uniform).  For c > 1 the level-0 stage is
-    the auxiliary hypergraph's vertex set with NO internal edges; each
-    auxiliary edge S spawns a level-1 stage holding one child per vertex of
-    S (in S's order) plus an embedded copy of the (c-1)-instance.
-    ``provider(m, g, c)`` returns that auxiliary :class:`OrderedHypergraph`,
-    m-uniform with girth >= g and no proper c-coloring.
+    shape so the recursion stays uniform).  For c = 2 the level-0 stage is
+    the vertex set of the auxiliary graph, an odd cycle of length >= g
+    (:func:`_odd_cycle`), with NO internal edges; each auxiliary edge
+    spawns a level-1 stage holding one child per end (in the edge's order)
+    plus an embedded copy of the c = 1 instance.  A c >= 3 instance would
+    need a |G(c - 1, g)|-uniform auxiliary hypergraph with girth >= g and
+    no proper c-coloring; none is built, so c >= 3 is refused at once.
     """
     if c < 1 or g < 2:
         raise DomainError("need c >= 1 and g >= 2", c=c, g=g)
+    if c > 2:
+        raise DomainError(
+            "only c <= 2 is built: the odd-cycle auxiliary is 2-uniform with "
+            "chromatic number 3",
+            c=c,
+        )
     if c == 1:
         return _base_instance("gcg", 2)
 
-    template = build_Gcg(c - 1, g, provider, max_vertices)
-    aux = provider(template.n, g, c)
+    template = build_Gcg(c - 1, g, max_vertices)
+    aux = _odd_cycle(g)
     n = aux.n + len(aux.edges) * template.n
     if n > max_vertices:
         raise SizeLimitExceeded(
@@ -633,8 +588,8 @@ def _gcg(c: int, template: StagedHypergraph, aux: OrderedHypergraph) -> StagedHy
             )
     n_h, n_edges_h = aux.n, len(aux.edges)
     levels = [
-        LevelInfo(1, 0, n_h, m, 0, n_edges_h),
-        LevelInfo(n_edges_h, n_h, m, m, 1, 0),
+        LevelInfo(1, 0, n_h, 0, n_edges_h),
+        LevelInfo(n_edges_h, n_h, m, 1, 0),
     ]
     parent = array("l", [-1]) * n_h
     parent.extend(chain.from_iterable(aux.edges))

@@ -4,7 +4,7 @@ Two broad classes matter to callers (and to the CLI's exit codes):
 
 * :class:`DomainError` — the input itself is invalid (exit code 1).
 * :class:`ResourceLimitError` — the input is fine but a configured budget
-  (vertex count, search nodes, random trials) was exceeded (exit code 2).
+  (vertex count, search nodes) was exceeded (exit code 2).
 
 Every error carries a short machine-readable ``code`` and an optional
 ``details`` dict so the CLI can emit structured JSON on stderr.
@@ -41,15 +41,10 @@ class ResourceLimitError(ChromarectError):
 
 
 class NodeBudgetExceeded(ResourceLimitError):
-    """The exact-search node budget ran out before an answer was proved."""
+    """An exact search's node budget ran out before an answer was proved,
+    or the search's step bound exceeds the budget before it starts."""
 
     code = "node-budget-exceeded"
-
-
-class SearchBudgetExceeded(ResourceLimitError):
-    """A randomized search exhausted its trial budget without success."""
-
-    code = "search-budget-exceeded"
 
 
 class SizeLimitExceeded(ResourceLimitError):

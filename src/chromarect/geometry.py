@@ -414,13 +414,13 @@ def _y_order(S: StagedHypergraph) -> array:
     levels = S.levels
     # one stage's band, relative to its first vertex: blocks from the lowest
     # sub-band up, each block in its copy's own y-order
+    m = S.m
+    within = copy if copy is not None else range(m)
     bands = []
     for li in levels:
         if li.blocks_per_stage:
-            bsize = li.block_size
-            within = copy if copy is not None else range(bsize)
             bands.append(
-                [b * bsize + p for b in range(li.blocks_per_stage - 1, -1, -1) for p in within]
+                [b * m + p for b in range(li.blocks_per_stage - 1, -1, -1) for p in within]
             )
         else:
             bands.append(list(range(li.stage_size)))  # one flat band
@@ -460,7 +460,7 @@ def _realize(S: StagedHypergraph, nested: bool) -> Realization:
     leaf_stages = None
     if nested:
         last = S.levels[-1]
-        leaf_stages = (len(S.path_edges), last.first_vertex, last.stage_size)
+        leaf_stages = (S.n_path_edges, last.first_vertex, last.stage_size)
     R = Realization(points, _RankRects(edges, points, leaf_stages), range(len(edges)), S.base)
     verify_realization(R, sample_count=default_sample(len(edges)), seed=_SAMPLE_SEED)
     return R

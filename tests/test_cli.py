@@ -105,11 +105,6 @@ class TestConstruct:
         assert d["n"] == 15
         assert d["kind"] == "gcg"
 
-    def test_gcg_random_provider_deterministic(self):
-        args = ("construct", "gcg", "--c", "2", "--g", "4", "--provider",
-                "random", "--node-budget", "20000", "--seed", "1")
-        assert cli_ok(*args) == cli_ok(*args)
-
     def test_file_output(self, h22_file):
         assert json.loads(h22_file.read_bytes())["n"] == 12
 
@@ -408,6 +403,11 @@ _BAD_PARENTS = [
 ]
 
 
+def _flag_id(argv):
+    """Test id: the command (the family for construct) and the last flag."""
+    return f"{argv[1] if argv[0] == 'construct' else argv[0]}{argv[-2]}"
+
+
 class TestErrorContract:
     def test_unknown_subcommand(self, capsys):
         code, _ = cli("frobnicate")
@@ -442,16 +442,89 @@ class TestErrorContract:
         assert code == 2
         err_json(capsys)
 
-    def test_search_budget_is_exit_2(self, capsys):
-        code, _ = cli("construct", "gcg", "--c", "2", "--g", "9",
-                      "--provider", "random", "--node-budget", "2")
-        assert code == 2
-        assert err_json(capsys)["error"] == "search-budget-exceeded"
+    def test_nonpositive_limits_rejected(self, h22_file, capsys):
+        # every command that takes a limit flag refuses 0 and -1 as an
+        # argument error, before it reads its input
+        for argv in (
+            ("construct", "hkc", "--k", "2", "--c", "2", "--max-vertices"),
+            ("construct", "gcg", "--c", "2", "--g", "5", "--max-vertices"),
+            ("girth", "--input", str(h22_file), "--max-vertices"),
+            ("girth", "--input", str(h22_file), "--node-budget"),
+            ("chromatic", "--input", str(h22_file), "--max-vertices"),
+            ("chromatic", "--input", str(h22_file), "--node-budget"),
+        ):
+            for value in ("0", "-1"):
+                code, out = cli(*argv, value)
+                assert (code, out) == (1, b""), argv
+                err = one_error(capsys)
+                assert err["error"] == "domain-error"
+                assert argv[-1] in err["message"]
 
-    def test_nonpositive_limits_rejected(self, capsys):
-        code, _ = cli("vdc", "--n", "3", "--node-budget", "-5")
-        assert code == 1
-        err_json(capsys)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("construct", "hkc", "--k", "2", "--c", "2", "--max-vertices", "12"),
+            ("construct", "gcg", "--c", "2", "--g", "5", "--max-vertices", "15"),
+            ("girth", "--input", "{h22}", "--max-vertices", "12"),
+            ("girth", "--input", "{h22}", "--node-budget", "10000"),
+            ("chromatic", "--input", "{h22}", "--max-vertices", "12"),
+            ("chromatic", "--input", "{h22}", "--node-budget", "10000"),
+            ("verify", "--realization", "{r22n}", "--hypergraph", "{h22}",
+             "--sample", "5", "--seed", "3"),
+        ],
+        ids=_flag_id,
+    )
+    def test_kept_flags_take_positive_values(self, argv, h22_file, r22n_file):
+        paths = {"{h22}": str(h22_file), "{r22n}": str(r22n_file)}
+        cli_ok(*(paths.get(a, a) for a in argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("construct", "hkc", "--k", "2", "--c", "2", "--seed", "1"),
+            ("construct", "hkc", "--k", "2", "--c", "2", "--node-budget", "5"),
+            ("construct", "gcg", "--c", "2", "--g", "5", "--provider", "odd-cycle"),
+            ("construct", "gcg", "--c", "2", "--g", "5", "--seed", "1"),
+            ("construct", "gcg", "--c", "2", "--g", "5", "--node-budget", "5"),
+            ("realize", "--input", "h.json", "--max-vertices", "5"),
+            ("verify", "--realization", "r.json", "--hypergraph", "h.json",
+             "--max-vertices", "5"),
+            ("verify", "--realization", "r.json", "--hypergraph", "h.json",
+             "--node-budget", "5"),
+            ("to-aps", "--input", "r.json", "--mode", "pow2", "--node-budget", "5"),
+            ("ap-capture", "--set", "1,3", "--start", "1", "--difference", "2",
+             "--length", "2", "--seed", "1"),
+            ("chromatic", "--input", "h.json", "--seed", "1"),
+            ("girth", "--input", "h.json", "--seed", "1"),
+            ("find-mono", "--input", "h.json", "--coloring", "c.json",
+             "--max-vertices", "5"),
+            ("hasse", "--input", "r.json", "--seed", "1"),
+            ("mono-path", "--input", "r.json", "--coloring", "c.json", "--k", "2",
+             "--node-budget", "5"),
+            ("vdc", "--n", "3", "--seed", "1"),
+            ("svg", "--input", "r.json", "--max-vertices", "5"),
+            ("embed", "--set", "1,3", "--node-budget", "5"),
+            ("selftest", "--seed", "1"),
+        ],
+        ids=_flag_id,
+    )
+    def test_flag_a_command_does_not_take_is_argument_error(self, argv, capsys):
+        code, out = cli(*argv)
+        assert (code, out) == (1, b"")
+        err = one_error(capsys)
+        assert err["error"] == "domain-error"
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err["message"]
+
+    def test_girth_sweep_bound_over_node_budget_is_exit_2(self, g25_file, capsys):
+        # G(2,5) is a 15-cycle: n (n + m + sum |e|) = 15 * (15 + 15 + 30)
+        bound = 900
+        code, out = cli("girth", "--input", str(g25_file), "--node-budget", str(bound - 1))
+        assert (code, out) == (2, b"")
+        err = one_error(capsys)
+        assert err["error"] == "node-budget-exceeded"
+        assert (err["steps"], err["node_budget"]) == (bound, bound - 1)
+        out = cli_ok("girth", "--input", str(g25_file), "--node-budget", str(bound))
+        assert out == cli_ok("girth", "--input", str(g25_file))
 
     @pytest.mark.parametrize(
         "coloring",
@@ -835,7 +908,7 @@ class TestErrorContract:
 
 class TestDeterminism:
     def test_identical_argv_identical_bytes(self, h22_file):
-        argv = ("realize", "--input", str(h22_file), "--nested", "--seed", "4")
+        argv = ("realize", "--input", str(h22_file), "--nested")
         assert cli_ok(*argv) == cli_ok(*argv)
 
     def test_svg_bytes_stable(self, r22n_file):

@@ -15,7 +15,6 @@ import json
 import random
 import time
 from array import array
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -24,19 +23,14 @@ from hypothesis import strategies as st
 from chromarect.construction import (
     LevelInfo,
     StagedHypergraph,
+    _gcg,
     _hkc_size,
+    _odd_cycle,
     build_Gcg,
     build_Hkc,
     find_monochromatic_edge,
-    odd_cycle_supply,
-    random_search_provider,
 )
-from chromarect.errors import (
-    DomainError,
-    PaletteExceedsGuarantee,
-    SearchBudgetExceeded,
-    SizeLimitExceeded,
-)
+from chromarect.errors import DomainError, PaletteExceedsGuarantee, SizeLimitExceeded
 from chromarect.hypergraph import (
     Coloring,
     OrderedHypergraph,
@@ -107,7 +101,7 @@ def test_h22_counts_and_edges(h22):
     assert len(h22.base.edges) == 14
     assert list(h22.base.edges[:8]) == H22_PATH
     assert list(h22.base.edges[8:]) == H22_TRANSVERSAL
-    assert list(h22.path_edges) == list(range(8))
+    assert h22.n_path_edges == 8
 
 
 def test_h22_parents_and_roots(h22):
@@ -118,7 +112,7 @@ def test_h22_parents_and_roots(h22):
 def test_h22_stage_layout(h22):
     # one level-0 stage of two blocks with m ** blocks = 4 children, then
     # four single-block leaf stages
-    assert h22.levels == (LevelInfo(1, 0, 4, 2, 2, 4), LevelInfo(4, 4, 2, 2, 1, 0))
+    assert h22.levels == (LevelInfo(1, 0, 4, 2, 4), LevelInfo(4, 4, 2, 1, 0))
     assert [list(vs) for _, vs in _stages(h22)] == [
         [0, 1, 2, 3], [4, 5], [6, 7], [8, 9], [10, 11]
     ]
@@ -136,7 +130,7 @@ def test_h22_blocks_carry_template_copies(h22):
     assert template.c == 1 and template.n == 2
     for li, vs in _stages(h22):
         for b in range(li.blocks_per_stage):
-            block = vs[b * li.block_size : (b + 1) * li.block_size]
+            block = vs[b * h22.m : (b + 1) * h22.m]
             inside = [e for e in h22.base.edges if all(u in block for u in e)]
             sub = OrderedHypergraph(
                 template.n, [tuple(u - block[0] for u in e) for e in inside]
@@ -157,8 +151,8 @@ def test_h22_chromatic_three_by_exhaustive_scan(h22):
 def test_hkc_base_case_is_one_full_edge():
     H = build_Hkc(3, 1)
     assert H.n == 3 and H.base.edges == [(0, 1, 2)]
-    assert len(H.path_edges) == 0
-    assert H.levels == (LevelInfo(1, 0, 3, 3, 1, 0),)
+    assert H.n_path_edges == 0
+    assert H.levels == (LevelInfo(1, 0, 3, 1, 0),)
 
 
 def test_hkc_uniformity_small():
@@ -365,12 +359,12 @@ def test_finder_rejects_gcg():
 
 
 # ---------------------------------------------------------------------------
-# providers
+# the auxiliary graph of G(2, g)
 
 
 def test_odd_cycle_provider_rounds_up():
     for g, expect in [(2, 3), (3, 3), (5, 5), (6, 7), (9, 9)]:
-        aux = odd_cycle_supply(2, g, 2)
+        aux = _odd_cycle(g)
         assert aux == OrderedHypergraph(
             expect, [(i, i + 1) for i in range(expect - 1)] + [(0, expect - 1)]
         )
@@ -379,27 +373,14 @@ def test_odd_cycle_provider_rounds_up():
 
 
 def test_odd_cycle_supply_rejects_mismatch():
+    # the odd cycle is 2-uniform with chromatic number 3, so it serves c = 2
+    # only; c >= 3 is refused before G(2, g) is built, even when the vertex
+    # limit could not hold G(2, g)
+    for c in (3, 4, 10**6):
+        with pytest.raises(DomainError):
+            build_Gcg(c, 5, max_vertices=1)
     with pytest.raises(DomainError):
-        odd_cycle_supply(3, 5, 2)
-    with pytest.raises(DomainError):
-        odd_cycle_supply(2, 5, 3)
-    with pytest.raises(DomainError):
-        odd_cycle_supply(2, 1, 2)
-
-
-def test_random_search_provider_finds_small_graph():
-    aux = random_search_provider(2, 4, 2, budget=20_000, seed=1)
-    assert isinstance(aux, OrderedHypergraph)
-    assert all(len(e) == 2 for e in aux.edges)
-    assert hypergraph_girth(aux).girth >= 4
-    assert is_c_colorable(aux, 2) is None
-    again = random_search_provider(2, 4, 2, budget=20_000, seed=1)
-    assert again == aux  # seeded determinism
-
-
-def test_random_search_provider_budget_exceeded():
-    with pytest.raises(SearchBudgetExceeded):
-        random_search_provider(3, 9, 3, budget=2, seed=0)
+        build_Gcg(2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +390,7 @@ def test_random_search_provider_budget_exceeded():
 def test_g1_is_single_edge():
     G = build_Gcg(1, 7)
     assert G.base.n == 2 and G.base.edges == [(0, 1)]
-    assert G.kind == "gcg" and G.levels == (LevelInfo(1, 0, 2, 2, 1, 0),)
+    assert G.kind == "gcg" and G.levels == (LevelInfo(1, 0, 2, 1, 0),)
 
 
 G25_PATH = [
@@ -441,7 +422,7 @@ def test_g25_stage_layout():
     G = build_Gcg(2, 5)
     # a blockless level-0 stage with one child per auxiliary edge, then
     # five single-block stages of two vertices
-    assert G.levels == (LevelInfo(1, 0, 5, 2, 0, 5), LevelInfo(5, 5, 2, 2, 1, 0))
+    assert G.levels == (LevelInfo(1, 0, 5, 0, 5), LevelInfo(5, 5, 2, 1, 0))
     assert len(_stages(G)) == 6
     assert list(G.parent[5:]) == [0, 1, 1, 2, 2, 3, 3, 4, 0, 4]
 
@@ -462,18 +443,16 @@ def test_gcg_json_round_trip_preserves_blockless_level():
 
 
 def test_gcg_rejects_wrong_uniformity_provider():
-    def bad(uniformity, g, c):
-        return OrderedHypergraph(4, [(0, 1, 2, 3)])
-
+    # G(2, g) needs a 2-uniform auxiliary, the vertex count of G(1, g)
     with pytest.raises(DomainError):
-        build_Gcg(2, 5, provider=bad)
+        _gcg(2, build_Gcg(1, 5), OrderedHypergraph(4, [(0, 1, 2, 3)]))
 
 
 def test_gcg_c3_needs_unreachable_auxiliary():
-    # uniformity-15 auxiliaries of girth >= 5 are far beyond a tiny random
-    # budget; the failure must surface as the provider's budget error
-    with pytest.raises(SearchBudgetExceeded):
-        build_Gcg(3, 5, provider=partial(random_search_provider, budget=3, seed=0))
+    # G(3, 5) would need a 15-uniform auxiliary of girth >= 5 with no proper
+    # 3-coloring; none is built
+    with pytest.raises(DomainError):
+        build_Gcg(3, 5)
 
 
 def test_gcg_bad_args():
@@ -536,12 +515,26 @@ EDGE_INSTANCES = (
 )
 
 
+def _uneven_gcg(seed):
+    """G(2, 4) around a seeded random auxiliary graph with uneven child
+    counts: seed + 2 cycles of length 5 or 7, each after the first sharing
+    one random vertex with those before, so the graph has girth >= 5, no
+    proper 2-coloring, and a vertex of degree at least 4."""
+    rng = random.Random(seed)
+    n, edges = 1, []
+    for _ in range(seed + 2):
+        cycle = [rng.randrange(n)] + list(range(n, n + rng.choice((4, 6))))
+        n += len(cycle) - 1
+        edges += zip(cycle, cycle[1:] + cycle[:1])
+    return _gcg(2, build_Gcg(1, 4), OrderedHypergraph(n, edges))
+
+
 def _edge_instance(kind, a, b):
     if kind == "hkc":
         return build_Hkc(a, b)
     if kind == "gcg":
         return build_Gcg(a, b)
-    return build_Gcg(a, 4, provider=partial(random_search_provider, budget=200, seed=b))
+    return _uneven_gcg(b)
 
 
 @pytest.mark.parametrize("kind,a,b", EDGE_INSTANCES)

@@ -7,7 +7,7 @@ import random
 from array import array
 from collections import namedtuple
 from fractions import Fraction as F
-from functools import lru_cache, partial
+from functools import lru_cache
 from unittest import mock
 
 import pytest
@@ -17,9 +17,9 @@ from chromarect import geometry
 from chromarect.construction import (
     StagedHypergraph,
     _StagedEdges,
+    _gcg,
     build_Gcg,
     build_Hkc,
-    random_search_provider,
 )
 from chromarect.errors import DomainError, VerificationError
 from chromarect.geometry import (
@@ -279,11 +279,11 @@ class TestBulkYWindows:
         S = build_Hkc(3, 2)
         last = S.levels[-1]
         points = geometry._RankPoints(*geometry._orders(S))
-        leaf_stages = (len(S.path_edges), last.first_vertex, last.stage_size)
+        leaf_stages = (S.n_path_edges, last.first_vertex, last.stage_size)
         for stages in (leaf_stages, None):
             R = Realization(points, geometry._RankRects(S.base.edges, points, stages), None)
             sample = random.Random(7).sample(range(len(R.rects)), 2000)
-            sample += [0, len(S.path_edges) - 1, len(S.path_edges), len(R.rects) - 1]
+            sample += [0, S.n_path_edges - 1, S.n_path_edges, len(R.rects) - 1]
             got, want = _window_pairs(R, sample)
             assert got == want
 
@@ -349,7 +349,7 @@ def _stage_list(S):
                     len(stages),
                     li.first_vertex + pos * li.stage_size,
                     li.stage_size,
-                    li.block_size,
+                    S.m,
                     li.blocks_per_stage,
                     next_level + pos * li.children_per_stage,
                     li.children_per_stage,
@@ -434,12 +434,25 @@ ORDER_INSTANCES = (
 )
 
 
+def _uneven_gcg(seed):
+    """G(2, 4) around a seeded random auxiliary graph with uneven child
+    counts: seed + 2 cycles of length 5 or 7, each after the first sharing
+    one random vertex with those before."""
+    rng = random.Random(seed)
+    n, edges = 1, []
+    for _ in range(seed + 2):
+        cycle = [rng.randrange(n)] + list(range(n, n + rng.choice((4, 6))))
+        n += len(cycle) - 1
+        edges += zip(cycle, cycle[1:] + cycle[:1])
+    return _gcg(2, build_Gcg(1, 4), OrderedHypergraph(n, edges))
+
+
 def _order_instance(kind, a, b):
     if kind == "hkc":
         return build_Hkc(a, b)
     if kind == "gcg":
         return build_Gcg(a, b)
-    return build_Gcg(a, 4, provider=partial(random_search_provider, budget=200, seed=b))
+    return _uneven_gcg(b)
 
 
 class TestOrders:
