@@ -7,8 +7,7 @@ bottom-to-top orders of the points, so the realizer computes those two
 orders and nothing else:
 
 * The x-order is a post-order of the parent forest: every vertex comes
-  just after its children's subtrees, the children in id order.  It is
-  built level by level: each vertex's children go just left of it.  With
+  just after its children's subtrees, the children in id order.  With
   the y-order below, every root-to-leaf path is an ascending point set
   isolated by its bounding box.
 
@@ -17,6 +16,17 @@ orders and nothing else:
   thin band with one sub-band per block, the blocks from the last to the
   first, each block ordered like the embedded copy's own y-order
   (identity order when there is no copy).
+
+Both orders are built from the level records.  Every stage of a level has
+the same shape, and stage t's children are stage 0's shifted by t times
+the child count of one stage, so each level does Python work for stage 0
+only.  The x-order groups stage 0's children by parent and places each
+level's vertices just left of their parents from a table that holds one
+strided slice of the identity array per child of stage 0.  The y-order
+writes a sibling group's chunks (each one stage's leaf family and band)
+by one strided slice per chunk entry, and its inverse by the same slices.
+The x-order checks the shift it relies on (one strided compare per child
+offset) and raises :class:`VerificationError` where it fails.
 
 A built realization keeps only the two rank arrays: vertex v is the point
 (4·x_rank[v], 4·y_rank[v]), and an edge's rectangle is its members' rank
@@ -120,13 +130,14 @@ def _inverse(ids) -> array:
 
 
 class _RankPoints(_LazySequence):
-    """Vertex v at (4·x_rank[v], 4·y_rank[v]), from the two orders."""
+    """Vertex v at (4·x_rank[v], 4·y_rank[v]), from the two orders (and
+    the y-order's inverse, when the caller has it)."""
 
-    def __init__(self, x_ids: array, y_ids: array):
+    def __init__(self, x_ids: array, y_ids: array, y_rank: Optional[array] = None):
         self.x_ids = x_ids
         self.y_ids = y_ids
         self.x_rank = _inverse(x_ids)
-        self.y_rank = _inverse(y_ids)
+        self.y_rank = _inverse(y_ids) if y_rank is None else y_rank
 
     def __len__(self) -> int:
         return len(self.x_ids)
@@ -385,37 +396,86 @@ def verify_realization(
 # the rank-space realizer
 
 
-def _x_order(S: StagedHypergraph) -> array:
-    """Post-order of the parent forest, children in id order, built level by level."""
+def _check_periodic(parent: array, prev, li, ident: array) -> None:
+    """Raise VerificationError unless level ``li``'s parents repeat stage
+    0's pattern: with span the child count of one ``prev`` stage, vertex
+    ``li.first_vertex + t·span + q`` has parent p_q + t·prev.stage_size,
+    where p_q is the parent of child q of stage 0.  One strided compare
+    per child offset q."""
+    lo, span = li.first_vertex, prev.children_per_stage * li.stage_size
+    N, size = prev.n_stages, prev.stage_size
+    if N == 1:
+        return
+    for q, p in enumerate(parent[lo : lo + span]):
+        if parent[lo + q : lo + N * span : span] != ident[p : p + N * size : size]:
+            raise VerificationError(
+                "a stage's children are not stage 0's children shifted",
+                level_first=lo,
+                child_offset=q,
+            )
+
+
+def _x_order(S: StagedHypergraph, ident: array) -> array:
+    """Post-order of the parent forest, children in id order.
+
+    Built level by level: each new level's vertices go just left of their
+    parents, grouped by parent.  Stage t of the previous level has stage
+    0's children shifted by t·span (``_check_periodic`` makes sure), so
+    only stage 0's span children are grouped in Python; the level's whole
+    table of grouped children is one strided slice of ``ident`` per child
+    of stage 0's grouped list, laid out column by column."""
     parent, levels = S.parent, S.levels
     top = levels[0]
-    order = array("l", range(top.first_vertex, top.first_vertex + top.n_stages * top.stage_size))
+    order = ident[top.first_vertex : top.first_vertex + top.n_stages * top.stage_size]
     for prev, li in zip(levels, levels[1:]):
-        # each previous-level vertex's children, in id order, go just left of it
-        off = prev.first_vertex
-        kids = [[] for _ in range(prev.n_stages * prev.stage_size)]
-        lo = li.first_vertex
-        for ch in range(lo, lo + li.n_stages * li.stage_size):
-            kids[parent[ch] - off].append(ch)
+        _check_periodic(parent, prev, li, ident)
+        off, size, N = prev.first_vertex, prev.stage_size, prev.n_stages
+        lo, span = li.first_vertex, prev.children_per_stage * li.stage_size
+        grouped = sorted(range(lo, lo + span), key=parent.__getitem__)
+        keys = sorted(parent[lo : lo + span])
+        # stage 0's parent o has grouped children cut[o]..cut[o + 1] - 1
+        cut = [bisect_left(keys, off + o) for o in range(size + 1)]
+        # child j of the grouped list, in stage t, is table[j·N + t]
+        if N == 1:
+            table = array("l", grouped)
+        else:
+            table = array("l")
+            for a in grouped:
+                table += ident[a : a + N * span : span]
+        # previous-level vertex t·size + o: its children are
+        # table[begin[i] : end[i] : N], i = t·size + o
+        begin, end = array("l", [0]) * (N * size), array("l", [0]) * (N * size)
+        for o in range(size):
+            begin[o::size] = ident[cut[o] * N : cut[o] * N + N]
+            end[o::size] = ident[cut[o + 1] * N : cut[o + 1] * N + N]
         placed = array("l")
         for v in order:
             if v >= off:
-                placed.extend(kids[v - off])
+                i = v - off
+                placed += table[begin[i] : end[i] : N]
             placed.append(v)
         order = placed
+    # a child of stage 0 whose parent lies outside stage 0 was left out
     if len(order) != S.n:
         raise VerificationError("placement list does not cover all points")
     return order
 
 
-def _y_order(S: StagedHypergraph) -> array:
-    """Reverse pre-order of the stage tree: child subtrees last to first, then the stage."""
-    copy = _y_order(S.copy_template) if S.copy_template is not None else None
-    levels = S.levels
+def _y_order(S: StagedHypergraph, ident: array):
+    """(y_ids, y_rank): the reverse pre-order of the stage tree, child
+    subtrees last to first and then the stage's own band, and its inverse.
+
+    A stage on level last − 1 emits one chunk, its child stages' bands
+    (its leaf family) and then its own band, and entry i of the chunk of
+    stage pos is a_i + pos·step_i.  Sibling chunks are consecutive and
+    reversed, so a sibling group's chunks are written, ids and ranks, by
+    one strided slice of ``ident`` per chunk entry.  The stages above
+    level last − 1 (one stage on every buildable instance) are emitted one
+    by one."""
+    levels, m = S.levels, S.m
+    within = _y_order(S.copy_template, ident)[0] if S.copy_template is not None else range(m)
     # one stage's band, relative to its first vertex: blocks from the lowest
     # sub-band up, each block in its copy's own y-order
-    m = S.m
-    within = copy if copy is not None else range(m)
     bands = []
     for li in levels:
         if li.blocks_per_stage:
@@ -424,38 +484,71 @@ def _y_order(S: StagedHypergraph) -> array:
             )
         else:
             bands.append(list(range(li.stage_size)))  # one flat band
-    # the last level's sibling stages are contiguous in ids, so each sibling
-    # family is one band: its stages from the last to the first
+    y_ids, y_rank = array("l"), array("l", [0]) * S.n
+
+    def put(ids: list) -> None:
+        for i, v in enumerate(ids, len(y_ids)):
+            y_rank[v] = i
+        y_ids.extend(ids)
+
+    def band(j: int, pos: int) -> None:
+        base = levels[j].first_vertex + pos * levels[j].stage_size
+        put([base + p for p in bands[j]])
+
     last = len(levels) - 1
-    if last:
-        size = levels[last].stage_size
-        r = levels[last - 1].children_per_stage
-        family = [t * size + p for t in range(r - 1, -1, -1) for p in bands[last]]
-    y_ids = array("l")
+    if not last:
+        band(0, 0)
+        return y_ids, y_rank
+    li, leaf = levels[last - 1], levels[last]
+    r, size = li.children_per_stage, leaf.stage_size
+    # (a_i, step_i) per chunk entry: the family's stages last to first, then the band
+    chunk = [
+        (leaf.first_vertex + t * size + p, r * size)
+        for t in range(r - 1, -1, -1)
+        for p in bands[last]
+    ]
+    chunk += [(li.first_vertex + p, li.stage_size) for p in bands[last - 1]]
+    width = len(chunk)
+
+    def group(lo: int, count: int) -> None:
+        # the chunks of stages lo + count - 1 down to lo
+        if count == 1:
+            put([a + lo * step for a, step in chunk])
+            return
+        at = len(y_ids)
+        y_ids.extend(array("l", [0]) * (count * width))
+        for i, (a, step) in enumerate(chunk):
+            ids = slice(a + lo * step, a + (lo + count) * step, step)
+            ranks = ident[at + i : at + count * width : width]
+            ranks.reverse()
+            y_rank[ids] = ranks
+            y_ids[at + i :: width] = ident[ids][::-1]
 
     def emit(j: int, pos: int) -> None:
-        li = levels[j]
-        r = li.children_per_stage
-        if j + 1 == last:
-            base = levels[last].first_vertex + pos * r * size
-            y_ids.extend([base + p for p in family])
+        r = levels[j].children_per_stage
+        if j + 1 == last - 1:
+            group(pos * r, r)
         else:
             for t in range((pos + 1) * r - 1, pos * r - 1, -1):
                 emit(j + 1, t)
-        base = li.first_vertex + pos * li.stage_size
-        y_ids.extend([base + p for p in bands[j]])
+        band(j, pos)
 
-    emit(0, 0)
-    return y_ids
+    if last == 1:
+        group(0, levels[0].n_stages)
+    else:
+        emit(0, 0)
+    return y_ids, y_rank
 
 
 def _orders(S: StagedHypergraph):
     """(x_ids, y_ids): the vertices left to right and bottom to top."""
-    return _x_order(S), _y_order(S)
+    ident = array("l", range(S.n))
+    return _x_order(S, ident), _y_order(S, ident)[0]
 
 
 def _realize(S: StagedHypergraph, nested: bool) -> Realization:
-    points = _RankPoints(*_orders(S))
+    ident = array("l", range(S.n))
+    points = _RankPoints(_x_order(S, ident), *_y_order(S, ident))
     edges = S.base.edges
     leaf_stages = None
     if nested:

@@ -25,6 +25,7 @@ from chromarect.construction import (
     StagedHypergraph,
     _gcg,
     _hkc_size,
+    _is_cycle,
     _odd_cycle,
     build_Gcg,
     build_Hkc,
@@ -381,6 +382,34 @@ def test_odd_cycle_supply_rejects_mismatch():
             build_Gcg(c, 5, max_vertices=1)
     with pytest.raises(DomainError):
         build_Gcg(2, 1)
+
+
+def test_cycle_certificate():
+    # C_n passes at n >= 3; two disjoint cycles (every degree 2, two
+    # components) and a cycle with a chord (two vertices of degree 3) fail,
+    # as do a triangle with a doubled edge, a path, a doubled edge on two
+    # vertices and a cycle with a one-vertex edge
+    def cycle(n, start=0):
+        return [(start + i, start + (i + 1) % n) for i in range(n)]
+
+    for n in (3, 4, 5, 8):
+        assert _is_cycle(OrderedHypergraph(n, cycle(n)))
+    assert not _is_cycle(OrderedHypergraph(6, cycle(3) + cycle(3, 3)))
+    assert not _is_cycle(OrderedHypergraph(10, cycle(5) + cycle(5, 5)))
+    assert not _is_cycle(OrderedHypergraph(6, cycle(6) + [(0, 3)]))
+    assert not _is_cycle(OrderedHypergraph(5, cycle(5) + [(1, 3)]))
+    assert not _is_cycle(OrderedHypergraph(3, cycle(3) + [(0, 1)]))
+    assert not _is_cycle(OrderedHypergraph(4, [(0, 1), (1, 2), (2, 3)]))
+    assert not _is_cycle(OrderedHypergraph(2, [(0, 1), (0, 1)]))
+    assert not _is_cycle(OrderedHypergraph(3, [(0,), (0, 1), (1, 2), (0, 2)]))
+
+
+def test_odd_cycle_is_linear():
+    # the certificate replaced a girth sweep that is quadratic in g
+    t = time.perf_counter()
+    aux = _odd_cycle(20001)
+    assert time.perf_counter() - t < 5
+    assert aux.n == len(aux.edges) == 20001
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from chromarect.construction import (
     StagedHypergraph,
     _StagedEdges,
     _gcg,
+    _hkc,
+    _hkc_levels,
     build_Gcg,
     build_Hkc,
 )
@@ -475,6 +477,54 @@ class TestOrders:
         x_ids, y_ids = geometry._orders(build_Hkc(3, 2))
         assert _digest(x_ids) == "460f917e8cdcdba3621ed6b71be1ac77fd28b2753c56aff46e78e5cb36e7a7a9"
         assert _digest(y_ids) == "b2fedc9a73f7aabe0b8669d8b9032b1d8f7cf352039298579f8d90c7e1543335"
+
+    @pytest.mark.parametrize("k,m", [(4, 2), (5, 1)])
+    def test_deeper_layouts(self, k, m):
+        # every buildable instance has at most three levels (H(4, 2)'s
+        # level-0 stage has 4**64 child stages).  H(k, 2)'s layout around an
+        # m-vertex template has k levels: the y-order recurses above the
+        # sibling groups, and the x-order repeats stage 0 on several levels.
+        S = _hkc(k, 2, build_Hkc(m, 1), _hkc_levels(k, m, 10**6))
+        assert len(S.levels) == k
+        x_ids, y_ids = geometry._orders(S)
+        assert (list(x_ids), list(y_ids)) == _placement_orders(S)
+        assert geometry._y_order(S, array("l", range(S.n)))[1] == geometry._inverse(y_ids)
+
+    def test_y_rank_is_inverse(self):
+        # the y-order writes its inverse by the slices that write the ids;
+        # H(3, 2) is the buildable instance whose sibling groups hold more
+        # than one stage
+        for S in [_order_instance(*case) for case in ORDER_INSTANCES] + [build_Hkc(3, 2)]:
+            y_ids, y_rank = geometry._y_order(S, array("l", range(S.n)))
+            assert y_rank == geometry._inverse(y_ids)
+
+    def test_stages_not_repeating_stage_0_rejected(self):
+        # the x-order groups only stage 0's children by parent and shifts
+        # that grouping across the level, so each level-1 stage must have
+        # stage 0's children shifted.  Two of one stage's children swap
+        # parents, in stage 1, a middle stage and the last; or a child of
+        # stage 0 takes a parent in stage 1.
+        S = build_Hkc(3, 2)
+        prev, leaf = S.levels[1], S.levels[2]
+        span = prev.children_per_stage * leaf.stage_size
+        for t in (1, prev.n_stages // 2, prev.n_stages - 1):
+            parent = array("l", S.parent)
+            a, b = leaf.first_vertex + t * span, leaf.first_vertex + t * span + 1
+            assert parent[a] != parent[b]
+            parent[a], parent[b] = parent[b], parent[a]
+            with pytest.raises(VerificationError):
+                geometry._orders(_with_parents(S, parent))
+        parent = array("l", S.parent)
+        parent[leaf.first_vertex] = prev.first_vertex + prev.stage_size
+        with pytest.raises(VerificationError):
+            geometry._orders(_with_parents(S, parent))
+
+
+def _with_parents(S, parent):
+    """S with its parent array replaced, everything else kept."""
+    return StagedHypergraph(
+        S.kind, S.base, S.k, S.c, S.m, parent, S.levels, S.n_path_edges, S.copy_template
+    )
 
 
 def _branch(index, rect):
