@@ -130,14 +130,14 @@ def _inverse(ids) -> array:
 
 
 class _RankPoints(_LazySequence):
-    """Vertex v at (4·x_rank[v], 4·y_rank[v]), from the two orders (and
-    the y-order's inverse, when the caller has it)."""
+    """Vertex v at (4·x_rank[v], 4·y_rank[v]), from the two orders and the
+    y-order's inverse."""
 
-    def __init__(self, x_ids: array, y_ids: array, y_rank: Optional[array] = None):
+    def __init__(self, x_ids: array, y_ids: array, y_rank: array):
         self.x_ids = x_ids
         self.y_ids = y_ids
         self.x_rank = _inverse(x_ids)
-        self.y_rank = _inverse(y_ids) if y_rank is None else y_rank
+        self.y_rank = y_rank
 
     def __len__(self) -> int:
         return len(self.x_ids)
@@ -541,14 +541,14 @@ def _y_order(S: StagedHypergraph, ident: array):
 
 
 def _orders(S: StagedHypergraph):
-    """(x_ids, y_ids): the vertices left to right and bottom to top."""
+    """(x_ids, y_ids, y_rank): the vertices left to right and bottom to
+    top, and the y-order's inverse."""
     ident = array("l", range(S.n))
-    return _x_order(S, ident), _y_order(S, ident)[0]
+    return (_x_order(S, ident), *_y_order(S, ident))
 
 
 def _realize(S: StagedHypergraph, nested: bool) -> Realization:
-    ident = array("l", range(S.n))
-    points = _RankPoints(_x_order(S, ident), *_y_order(S, ident))
+    points = _RankPoints(*_orders(S))
     edges = S.base.edges
     leaf_stages = None
     if nested:

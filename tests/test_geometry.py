@@ -461,7 +461,7 @@ class TestOrders:
     @pytest.mark.parametrize("kind,a,b", ORDER_INSTANCES)
     def test_equal_placement_reference(self, kind, a, b):
         S = _order_instance(kind, a, b)
-        x_ids, y_ids = geometry._orders(S)
+        x_ids, y_ids, _ = geometry._orders(S)
         assert (list(x_ids), list(y_ids)) == _placement_orders(S)
 
     def test_random_providers_vary_child_counts(self):
@@ -474,7 +474,7 @@ class TestOrders:
     def test_h32_digests(self):
         # the only three-level instance: the y-order recurses above the
         # sibling-family fold.  Digests of the placement-list orders.
-        x_ids, y_ids = geometry._orders(build_Hkc(3, 2))
+        x_ids, y_ids, _ = geometry._orders(build_Hkc(3, 2))
         assert _digest(x_ids) == "460f917e8cdcdba3621ed6b71be1ac77fd28b2753c56aff46e78e5cb36e7a7a9"
         assert _digest(y_ids) == "b2fedc9a73f7aabe0b8669d8b9032b1d8f7cf352039298579f8d90c7e1543335"
 
@@ -486,16 +486,16 @@ class TestOrders:
         # sibling groups, and the x-order repeats stage 0 on several levels.
         S = _hkc(k, 2, build_Hkc(m, 1), _hkc_levels(k, m, 10**6))
         assert len(S.levels) == k
-        x_ids, y_ids = geometry._orders(S)
+        x_ids, y_ids, y_rank = geometry._orders(S)
         assert (list(x_ids), list(y_ids)) == _placement_orders(S)
-        assert geometry._y_order(S, array("l", range(S.n)))[1] == geometry._inverse(y_ids)
+        assert y_rank == geometry._inverse(y_ids)
 
     def test_y_rank_is_inverse(self):
         # the y-order writes its inverse by the slices that write the ids;
         # H(3, 2) is the buildable instance whose sibling groups hold more
         # than one stage
         for S in [_order_instance(*case) for case in ORDER_INSTANCES] + [build_Hkc(3, 2)]:
-            y_ids, y_rank = geometry._y_order(S, array("l", range(S.n)))
+            _, y_ids, y_rank = geometry._orders(S)
             assert y_rank == geometry._inverse(y_ids)
 
     def test_stages_not_repeating_stage_0_rejected(self):
