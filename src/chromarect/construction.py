@@ -46,9 +46,10 @@ from the assembled ones.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, product
+from itertools import chain, compress, count, islice
 from operator import eq, ne
 from typing import Optional, Sequence
 
@@ -331,6 +332,26 @@ def _staged(kind, k, c, m, parent, levels, template) -> StagedHypergraph:
     return StagedHypergraph(kind, base, k, c, m, parent, levels, n - first_leaf, template)
 
 
+def _identity(n: int) -> array:
+    """``array("l", range(n))``, written one byte plane at a time.  Byte j
+    of entry i is (i >> 8·j) & 255: over all entries, a plane in which
+    each byte value repeats 256**j times and the pattern cycles.  Each
+    plane that is not all zero is one strided assignment through a byte
+    view of the array, so no Python work is done per entry."""
+    ident = array("l", [0]) * n
+    view, width = memoryview(ident).cast("B"), ident.itemsize
+    rep = 1
+    for j in range(width):
+        if rep >= n:
+            break
+        # byte values 0, 1, ... each rep times, as far as n reaches
+        cycle = b"".join(bytes([v]) * rep for v in range(min(256, -(-n // rep))))
+        plane = cycle * (n // len(cycle)) + cycle[: n % len(cycle)]
+        view[(j if sys.byteorder == "little" else width - 1 - j) :: width] = plane
+        rep *= 256
+    return ident
+
+
 def _vertex_count(levels: Sequence[LevelInfo]) -> int:
     """The number of vertices up to the end of the last level."""
     last = levels[-1]
@@ -423,14 +444,33 @@ def _hkc(k: int, c: int, template: StagedHypergraph, levels: list) -> StagedHype
     """H(k, c) on its level layout, around ``template`` = H(k, c - 1).  The
     child stages of a stage take one vertex from each of its blocks, in
     lexicographic order of the picks (the f_m choice tuples), and those
-    picks are the children's parents."""
+    picks are the children's parents.
+
+    The parents are written into one preallocated array, a level at a
+    time, by C-level slices.  Child stage r of a stage picks vertex
+    digit_b(r) of block b, digit_b(r) being r's b-th base-m digit, most
+    significant first.  So over stage 0's children, the parents of child
+    offset b form a column in which each vertex of block b repeats
+    m**(blocks - 1 - b) times and the pattern cycles; it is written by one
+    strided slice.  Stage t's children take stage 0's parents shifted by
+    t times the stage size, so each child offset of stage 0 is copied
+    across the level by one strided slice of an identity array."""
     m = template.n
-    parent = array("l", [-1]) * levels[0].stage_size
-    for li in levels[:-1]:
-        end = li.first_vertex + li.n_stages * li.stage_size
-        for start in range(li.first_vertex, end, li.stage_size):
-            blocks = [range(b, b + m) for b in range(start, start + li.stage_size, m)]
-            parent.extend(chain.from_iterable(product(*blocks)))
+    parent = array("l", [-1]) * _vertex_count(levels)
+    ident = _identity(levels[-1].first_vertex)
+    for li, child in zip(levels, levels[1:]):
+        lo, blocks = child.first_vertex, li.blocks_per_stage
+        span = li.children_per_stage * blocks
+        for b in range(blocks):
+            first = li.first_vertex + b * m
+            column = array("l")
+            for v in range(first, first + m):
+                column += array("l", [v]) * m ** (blocks - 1 - b)
+            parent[lo + b : lo + span : blocks] = column * m**b
+        N, size = li.n_stages, li.stage_size
+        if N > 1:
+            for q, p in enumerate(parent[lo : lo + span]):
+                parent[lo + q : lo + N * span : span] = ident[p : p + N * size : size]
     return _staged("hkc", k, c, m, parent, levels, template)
 
 

@@ -26,7 +26,10 @@ strided slice of the identity array per child of stage 0.  The y-order
 writes a sibling group's chunks (each one stage's leaf family and band)
 by one strided slice per chunk entry, and its inverse by the same slices.
 The x-order checks the shift it relies on (one strided compare per child
-offset) and raises :class:`VerificationError` where it fails.
+offset) and raises :class:`VerificationError` where it fails.  The
+identity array both orders slice is written one byte plane at a time
+(:func:`~chromarect.construction._identity`), with no Python work per
+vertex.
 
 A built realization keeps only the two rank arrays: vertex v is the point
 (4·x_rank[v], 4·y_rank[v]), and an edge's rectangle is its members' rank
@@ -40,7 +43,7 @@ picks (every rectangle unless the instance is too large for a full pass).
 Every box-membership question goes through :class:`BoxIndex`: a box is
 the pair of its x- and y-rank windows.  Besides the two orders the index
 keeps one block array: the x-order cut into blocks of isqrt(n) ranks,
-each block's y-ranks sorted.  A box whose y-window is shorter than its
+each block's y-ranks gathered by one ``itemgetter`` call and sorted.  A box whose y-window is shorter than its
 x-window and at most one block long scans the y-window; every other box
 scans the partial blocks at the ends of its x-window and bisects each
 whole block between them for the y-window.  On H(3,2) the transversal
@@ -59,9 +62,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite, isqrt
+from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
-from .construction import StagedHypergraph
+from .construction import StagedHypergraph, _identity
 from .errors import DomainError, VerificationError
 from .hypergraph import Coloring, OrderedHypergraph, _LazySequence
 
@@ -274,8 +278,12 @@ class BoxIndex:
             self._ys = [points[i].y for i in self.y_ids]
         self.block = B = max(1, isqrt(n))
         self._runs = runs = array("l")
+        x_ids, y_rank = self.x_ids, self.y_rank
         for b in range(0, n, B):
-            runs.extend(sorted(map(self.y_rank.__getitem__, self.x_ids[b : b + B])))
+            blk = x_ids[b : b + B]
+            # itemgetter of one index returns the bare item, not a tuple
+            ys = itemgetter(*blk)(y_rank)
+            runs.extend(sorted(ys) if len(blk) > 1 else (ys,))
 
     def x_window(self, rect: Rect) -> range:
         """x-ranks of the points whose x lies in the box's x-extent."""
@@ -543,7 +551,7 @@ def _y_order(S: StagedHypergraph, ident: array):
 def _orders(S: StagedHypergraph):
     """(x_ids, y_ids, y_rank): the vertices left to right and bottom to
     top, and the y-order's inverse."""
-    ident = array("l", range(S.n))
+    ident = _identity(S.n)
     return (_x_order(S, ident), *_y_order(S, ident))
 
 

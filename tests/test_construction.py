@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 import time
 from array import array
 
@@ -24,7 +25,10 @@ from chromarect.construction import (
     LevelInfo,
     StagedHypergraph,
     _gcg,
+    _hkc,
+    _hkc_levels,
     _hkc_size,
+    _identity,
     _is_cycle,
     _odd_cycle,
     build_Gcg,
@@ -94,6 +98,48 @@ def _stages(S):
             lo = li.first_vertex + pos * li.stage_size
             stages.append((li, range(lo, lo + li.stage_size)))
     return stages
+
+
+def _product_parents(m, levels):
+    """Frozen reference: the parent array the builder made with one
+    ``itertools.product`` over the blocks of every non-last stage, the
+    picks of each child stage in lexicographic order."""
+    parent = [-1] * levels[0].stage_size
+    for li in levels[:-1]:
+        end = li.first_vertex + li.n_stages * li.stage_size
+        for start in range(li.first_vertex, end, li.stage_size):
+            blocks = [range(b, b + m) for b in range(start, start + li.stage_size, m)]
+            parent.extend(itertools.chain.from_iterable(itertools.product(*blocks)))
+    return array("l", parent)
+
+
+def _hkc_instance(k, c, m=None):
+    """H(k, c), or with m given H(k, 2)'s layout around H(m, 1): k levels,
+    more than any buildable instance has."""
+    if m is None:
+        return build_Hkc(k, c)
+    return _hkc(k, 2, build_Hkc(m, 1), _hkc_levels(k, m, 10**6))
+
+
+@pytest.mark.parametrize("k,c,m", [(2, 2, None), (3, 2, None), (4, 1, None), (4, 2, 2), (5, 2, 1)])
+def test_hkc_parents_equal_product_reference(k, c, m):
+    S = _hkc_instance(k, c, m)
+    assert S.parent == _product_parents(S.m, S.levels)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 65535, 65536, 65537, 1771497])
+def test_identity_equals_range(n):
+    assert _identity(n) == array("l", range(n))
+
+
+def test_identity_other_byte_order(monkeypatch):
+    # with the byte order flipped, every entry is written byte-reversed: the
+    # other byte order's planes land where that order puts them
+    flipped = "big" if sys.byteorder == "little" else "little"
+    monkeypatch.setattr(sys, "byteorder", flipped)
+    ident = _identity(65537)
+    ident.byteswap()
+    assert ident == array("l", range(65537))
 
 
 def test_h22_counts_and_edges(h22):

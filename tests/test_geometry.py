@@ -626,6 +626,28 @@ class TestBoxIndex:
             assert index.members(rect) == x_order_members(pts, rect)
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 17])
+    def test_block_array_equals_sorted_reference(self, n):
+        # blocks of isqrt(n) points gathered by one itemgetter each: n <= 3
+        # has one-point blocks only, and n = 17 (blocks of 4) ends in one
+        rng = random.Random(n)
+        x_ids, y_ids = array("l", range(n)), array("l", range(n))
+        rng.shuffle(x_ids)
+        rng.shuffle(y_ids)
+        rank_points = geometry._RankPoints(x_ids, y_ids, geometry._inverse(y_ids))
+        loaded = [Point2(F(rng.randrange(50), 2), F(rng.randrange(50), 3)) for _ in range(n)]
+        for points in (rank_points, loaded):
+            index = BoxIndex(points)
+            B = index.block
+            expected = array("l")
+            for b in range(0, n, B):
+                expected.extend(sorted(map(index.y_rank.__getitem__, index.x_ids[b : b + B])))
+            assert index._runs == expected
+            assert len(index.x_ids[(n - 1) // B * B :]) == 1  # the last block
+            rect = Rect(-1, 4 * n + 25, -1, 4 * n + 25)
+            assert index.members(rect) == x_order_members(points, rect)
+
+
 class TestPredicates:
     def test_ascending(self):
         assert is_ascending([Point2(F(0), F(0)), Point2(F(1), F(2))])
