@@ -457,7 +457,7 @@ def _hkc(k: int, c: int, template: StagedHypergraph, levels: list) -> StagedHype
     across the level by one strided slice of an identity array."""
     m = template.n
     parent = array("l", [-1]) * _vertex_count(levels)
-    ident = _identity(levels[-1].first_vertex)
+    ident = _identity(levels[-1].first_vertex)  # every parent lies above the last level
     for li, child in zip(levels, levels[1:]):
         lo, blocks = child.first_vertex, li.blocks_per_stage
         span = li.children_per_stage * blocks

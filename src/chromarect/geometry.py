@@ -43,13 +43,14 @@ picks (every rectangle unless the instance is too large for a full pass).
 Every box-membership question goes through :class:`BoxIndex`: a box is
 the pair of its x- and y-rank windows.  Besides the two orders the index
 keeps one block array: the x-order cut into blocks of isqrt(n) ranks,
-each block's y-ranks gathered by one ``itemgetter`` call and sorted.  A box whose y-window is shorter than its
-x-window and at most one block long scans the y-window; every other box
-scans the partial blocks at the ends of its x-window and bisects each
-whole block between them for the y-window.  On H(3,2) the transversal
-rectangles have y-windows of three ranks, and a path rectangle's x-window
-of some 33k ranks costs about 25 bisects plus two partial blocks of at
-most 1331 ranks, so neither kind pays for its wide side.
+each block's y-ranks gathered by one ``itemgetter`` call and sorted.  A
+box whose y-window is shorter than its x-window and at most one block
+long scans the y-window; every other box scans the partial blocks at the
+ends of its x-window and bisects each whole block between them for the
+y-window.  On H(3,2) the transversal rectangles have y-windows of three
+ranks, and a path rectangle's x-window of some 33k ranks costs about 25
+bisects plus two partial blocks of at most 1331 ranks, so neither kind
+pays for its wide side.
 """
 
 from __future__ import annotations
