@@ -113,17 +113,11 @@ def _product_parents(m, levels):
     return array("l", parent)
 
 
-def _hkc_instance(k, c, m=None):
-    """H(k, c), or with m given H(k, 2)'s layout around H(m, 1): k levels,
-    more than any buildable instance has."""
-    if m is None:
-        return build_Hkc(k, c)
-    return _hkc(k, 2, build_Hkc(m, 1), _hkc_levels(k, m, 10**6))
-
-
 @pytest.mark.parametrize("k,c,m", [(2, 2, None), (3, 2, None), (4, 1, None), (4, 2, 2), (5, 2, 1)])
 def test_hkc_parents_equal_product_reference(k, c, m):
-    S = _hkc_instance(k, c, m)
+    # with m given, H(k, 2)'s layout around H(m, 1): k levels, more than
+    # any buildable instance has
+    S = build_Hkc(k, c) if m is None else _hkc(k, 2, build_Hkc(m, 1), _hkc_levels(k, m, 10**6))
     assert S.parent == _product_parents(S.m, S.levels)
 
 

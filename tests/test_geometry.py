@@ -625,7 +625,6 @@ class TestBoxIndex:
             rect = Rect(F(x0, 2), F(x0 + dx, 2), F(y0, 3), F(y0 + dy, 3))
             assert index.members(rect) == x_order_members(pts, rect)
 
-
     @pytest.mark.parametrize("n", [1, 2, 3, 17])
     def test_block_array_equals_sorted_reference(self, n):
         # blocks of isqrt(n) points gathered by one itemgetter each: n <= 3
