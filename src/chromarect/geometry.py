@@ -7,9 +7,10 @@ bottom-to-top orders of the points, so the realizer computes those two
 orders and nothing else:
 
 * The x-order is a post-order of the parent forest: every vertex comes
-  just after its children's subtrees, the children in id order.  With
-  the y-order below, every root-to-leaf path is an ascending point set
-  isolated by its bounding box.
+  just after its children's subtrees, the children in id order, so a
+  subtree fills an interval of x-ranks that its children's subtrees
+  tile.  With the y-order below, every root-to-leaf path is an
+  ascending point set isolated by its bounding box.
 
 * The y-order is a reverse pre-order of the stage tree: a stage's child
   subtrees from the last child to the first, then the stage itself, as a
@@ -17,17 +18,21 @@ orders and nothing else:
   first, each block ordered like the embedded copy's own y-order
   (identity order when there is no copy).
 
-Both orders are built from the level records.  Every stage of a level has
-the same shape, and stage t's children are stage 0's shifted by t times
-the child count of one stage, so each level does Python work for stage 0
-only.  The x-order groups stage 0's children by parent and places each
-level's vertices just left of their parents from a table that holds one
-strided slice of the identity array per child of stage 0.  The y-order
+Both orders are built from the level records, and each is written
+together with its inverse by strided slices of one identity array.
+Every stage of a level has the same shape, and stage t's children are
+stage 0's shifted by t times the child count of one stage, so each level
+does Python work for stage 0 only, and a subtree's size depends only on
+its level and stage offset.  The x-order writes arithmetic runs: vertices
+with ids v, v + dv, … whose subtrees start at x-positions s, s + dp, …,
+one slice pair per run.  A run's children come from its offset's sibling
+list, cut into grids of arithmetic ids; on H(3,2) every sibling list is
+one grid, and 4,857 runs place all 1,771,497 vertices.  The y-order
 writes a sibling group's chunks (each one stage's leaf family and band)
-by one strided slice per chunk entry, and its inverse by the same slices.
-The x-order checks the shift it relies on (one strided compare per child
-offset) and raises :class:`VerificationError` where it fails.  The
-identity array both orders slice is written one byte plane at a time
+by one strided slice per chunk entry.  The x-order checks the shift it
+relies on (one strided compare per child offset) and that its runs cover
+every vertex, and raises :class:`VerificationError` where either fails.
+The identity array is written one byte plane at a time
 (:func:`~chromarect.construction._identity`), with no Python work per
 vertex.
 
@@ -135,13 +140,13 @@ def _inverse(ids) -> array:
 
 
 class _RankPoints(_LazySequence):
-    """Vertex v at (4·x_rank[v], 4·y_rank[v]), from the two orders and the
-    y-order's inverse."""
+    """Vertex v at (4·x_rank[v], 4·y_rank[v]), from the two orders and
+    their inverses."""
 
-    def __init__(self, x_ids: array, y_ids: array, y_rank: array):
+    def __init__(self, x_ids: array, y_ids: array, x_rank: array, y_rank: array):
         self.x_ids = x_ids
         self.y_ids = y_ids
-        self.x_rank = _inverse(x_ids)
+        self.x_rank = x_rank
         self.y_rank = y_rank
 
     def __len__(self) -> int:
@@ -424,50 +429,131 @@ def _check_periodic(parent: array, prev, li, ident: array) -> None:
             )
 
 
-def _x_order(S: StagedHypergraph, ident: array) -> array:
-    """Post-order of the parent forest, children in id order.
-
-    Built level by level: each new level's vertices go just left of their
-    parents, grouped by parent.  Stage t of the previous level has stage
-    0's children shifted by t·span (``_check_periodic`` makes sure), so
-    only stage 0's span children are grouped in Python; the level's whole
-    table of grouped children is one strided slice of ``ident`` per child
-    of stage 0's grouped list, laid out column by column."""
-    parent, levels = S.parent, S.levels
-    top = levels[0]
-    order = ident[top.first_vertex : top.first_vertex + top.n_stages * top.stage_size]
-    for prev, li in zip(levels, levels[1:]):
-        _check_periodic(parent, prev, li, ident)
-        off, size, N = prev.first_vertex, prev.stage_size, prev.n_stages
-        lo, span = li.first_vertex, prev.children_per_stage * li.stage_size
-        grouped = sorted(range(lo, lo + span), key=parent.__getitem__)
-        keys = sorted(parent[lo : lo + span])
-        # stage 0's parent o has grouped children cut[o]..cut[o + 1] - 1
-        cut = [bisect_left(keys, off + o) for o in range(size + 1)]
-        # child j of the grouped list, in stage t, is table[j·N + t]
-        if N == 1:
-            table = array("l", grouped)
+def _longest(fits, lo: int, hi: int) -> int:
+    """The largest m in [lo, hi] with fits(m), for a predicate that holds
+    at lo and, once false, stays false: doubling steps, then bisection."""
+    while lo < hi:
+        m = min(2 * lo, hi)
+        if not fits(m):
+            hi = m - 1
+            break
+        lo = m
+    while lo < hi:
+        m = (lo + hi + 1) // 2
+        if fits(m):
+            lo = m
         else:
-            table = array("l")
-            for a in grouped:
-                table += ident[a : a + N * span : span]
-        # previous-level vertex t·size + o: its children are
-        # table[begin[i] : end[i] : N], i = t·size + o
-        begin, end = array("l", [0]) * (N * size), array("l", [0]) * (N * size)
-        for o in range(size):
-            begin[o::size] = ident[cut[o] * N : cut[o] * N + N]
-            end[o::size] = ident[cut[o + 1] * N : cut[o + 1] * N + N]
-        placed = array("l")
-        for v in order:
-            if v >= off:
-                i = v - off
-                placed += table[begin[i] : end[i] : N]
-            placed.append(v)
-        order = placed
+            hi = m - 1
+    return lo
+
+
+def _sibling_grids(kids: array, size: int, ident: array) -> list:
+    """Cut a sibling list (child ids ascending, on a level of stages of
+    ``size`` vertices) into grids (u, du, ell, R, rows): the ids
+    u + a·R + b·du for a < rows and b < ell, row by row.  du and R are
+    multiples of ``size``, so a grid's vertices share one stage offset; a
+    lone id is a 1 × 1 grid.  A row grows as long as its ids stay
+    arithmetic, and a grid as long as further rows repeat the first at a
+    fixed stride, each tried by strided compares against ``ident``."""
+    grids, i, c = [], 0, len(kids)
+    while i < c:
+        u = kids[i]
+        du = kids[i + 1] - u if i + 1 < c else size
+        if du % size:
+            grids.append((u, size, 1, size, 1))
+            i += 1
+            continue
+        ell = _longest(lambda m: kids[i : i + m] == ident[u : u + m * du : du], 1, c - i)
+        R, rows = size, 1
+        if i + ell < c and (kids[i + ell] - u) % size == 0:
+            R = kids[i + ell] - u
+
+            def fits(m: int) -> bool:
+                if m <= ell:  # m rows of ell ids, or ell columns of m ids
+                    return all(
+                        kids[i + a * ell : i + a * ell + ell] == ident[u + a * R : u + a * R + ell * du : du]
+                        for a in range(m)
+                    )
+                return all(
+                    kids[i + b : i + m * ell : ell] == ident[u + b * du : u + b * du + m * R : R]
+                    for b in range(ell)
+                )
+
+            rows = _longest(fits, 1, (c - i) // ell)
+        grids.append((u, du, ell, R, rows))
+        i += rows * ell
+    return grids
+
+
+def _x_order(S: StagedHypergraph, ident: array):
+    """(x_ids, x_rank): the post-order of the parent forest, children in
+    id order, and its inverse, both written by arithmetic runs.
+
+    A run is ``count`` vertices of one level with ids v, v + dv, … whose
+    subtrees start at x-positions s, s + dp, …; dv is a multiple of the
+    stage size, so they share one stage offset and one subtree shape
+    (stage t repeats stage 0's children shifted by t·span, which
+    ``_check_periodic`` makes sure).  A run is written by one strided
+    slice pair, each vertex at the end of its subtree.  Its children come
+    from the offset's sibling list, cut into grids (``_sibling_grids``):
+    a grid and the run span three arithmetic axes, and the longest becomes
+    the new runs' axis.  Subtree sizes and grids come level by level from
+    the leaves up, from stage 0's children grouped by parent."""
+    parent, levels, n = S.parent, S.levels, S.n
+    last = len(levels) - 1
+    # per level: the subtree size and the children's grids, per stage offset
+    sizes = [None] * last + [[1] * levels[last].stage_size]
+    grids = [None] * last
+    for j in range(last - 1, -1, -1):
+        prev, li = levels[j], levels[j + 1]
+        _check_periodic(parent, prev, li, ident)
+        off, lo, span = prev.first_vertex, li.first_vertex, prev.children_per_stage * li.stage_size
+        grouped = array("l", sorted(range(lo, lo + span), key=parent.__getitem__))
+        # stage 0's parent o has grouped children cut[o]..cut[o + 1] - 1
+        cut = [bisect_left(grouped, off + o, key=parent.__getitem__) for o in range(prev.stage_size + 1)]
+        below, sizes[j], grids[j] = sizes[j + 1], [], []
+        for o in range(prev.stage_size):
+            q, kept = 0, []  # q: where the next grid starts in o's subtree
+            for u, du, ell, R, rows in _sibling_grids(grouped[cut[o] : cut[o + 1]], li.stage_size, ident):
+                size = below[(u - lo) % li.stage_size]
+                # its two axes as (count, id stride, position stride), longer first
+                down, across = (rows, R, ell * size), (ell, du, size)
+                kept.append((u, q, down, across) if rows > ell else (u, q, across, down))
+                q += rows * ell * size
+            grids[j].append(kept)
+            sizes[j].append(q + 1)
+        del grouped
+
+    x_ids, x_rank = array("l", [0]) * n, array("l", [0]) * n
+    top = levels[0]
+    runs, s, stage_total = [], 0, sum(sizes[0])
+    for o in range(top.stage_size):
+        runs.append((0, top.first_vertex + o, top.stage_size, s, stage_total, top.n_stages))
+        s += sizes[0][o]
+    placed = 0
+    while runs:
+        j, v, dv, s, dp, count = runs.pop()
+        li = levels[j]
+        t, o = divmod(v - li.first_vertex, li.stage_size)
+        p = s + sizes[j][o] - 1
+        x_ids[p : p + count * dp : dp] = ident[v : v + count * dv : dv]
+        x_rank[v : v + count * dv : dv] = ident[p : p + count * dp : dp]
+        placed += count
+        if j == last:
+            continue
+        span = li.children_per_stage * levels[j + 1].stage_size
+        shift, step = t * span, dv // li.stage_size * span
+        for u, q, longer, (n1, dv1, dp1) in grids[j][o]:
+            # the run's own axis and the grid's two: the longest carries the new runs
+            own = (count, step, dp)
+            (n2, dv2, dp2), (n3, dv3, dp3) = (own, longer) if longer[0] > count else (longer, own)
+            for a in range(n1):
+                for b in range(n2):
+                    runs.append((j + 1, u + shift + a * dv1 + b * dv2, dv3, s + q + a * dp1 + b * dp2, dp3, n3))
     # a child of stage 0 whose parent lies outside stage 0 was left out
-    if len(order) != S.n:
+    if placed != n:
         raise VerificationError("placement list does not cover all points")
-    return order
+    return x_ids, x_rank
 
 
 def _y_order(S: StagedHypergraph, ident: array):
@@ -493,12 +579,15 @@ def _y_order(S: StagedHypergraph, ident: array):
             )
         else:
             bands.append(list(range(li.stage_size)))  # one flat band
-    y_ids, y_rank = array("l"), array("l", [0]) * S.n
+    y_ids, y_rank = array("l", [0]) * S.n, array("l", [0]) * S.n
+    at = 0  # the next y-rank to write
 
     def put(ids: list) -> None:
-        for i, v in enumerate(ids, len(y_ids)):
+        nonlocal at
+        for i, v in enumerate(ids, at):
             y_rank[v] = i
-        y_ids.extend(ids)
+        y_ids[at : at + len(ids)] = array("l", ids)
+        at += len(ids)
 
     def band(j: int, pos: int) -> None:
         base = levels[j].first_vertex + pos * levels[j].stage_size
@@ -521,43 +610,50 @@ def _y_order(S: StagedHypergraph, ident: array):
 
     def group(lo: int, count: int) -> None:
         # the chunks of stages lo + count - 1 down to lo
+        nonlocal at
         if count == 1:
             put([a + lo * step for a, step in chunk])
             return
-        at = len(y_ids)
-        y_ids.extend(array("l", [0]) * (count * width))
+        end = at + count * width
         for i, (a, step) in enumerate(chunk):
             ids = slice(a + lo * step, a + (lo + count) * step, step)
-            ranks = ident[at + i : at + count * width : width]
+            ranks = ident[at + i : end : width]
             ranks.reverse()
             y_rank[ids] = ranks
-            y_ids[at + i :: width] = ident[ids][::-1]
-
-    def emit(j: int, pos: int) -> None:
-        r = levels[j].children_per_stage
-        if j + 1 == last - 1:
-            group(pos * r, r)
-        else:
-            for t in range((pos + 1) * r - 1, pos * r - 1, -1):
-                emit(j + 1, t)
-        band(j, pos)
+            y_ids[at + i : end : width] = ident[ids][::-1]
+        at = end
 
     if last == 1:
         group(0, levels[0].n_stages)
-    else:
-        emit(0, 0)
+        return y_ids, y_rank
+    # the stages above level last − 1, each after its child subtrees
+    # (last child first): (j, pos, whether its children are emitted)
+    todo = [(0, 0, False)]
+    while todo:
+        j, pos, expanded = todo.pop()
+        r = levels[j].children_per_stage
+        if not expanded and j + 1 < last - 1:
+            todo.append((j, pos, True))
+            todo += [(j + 1, t, False) for t in range(pos * r, (pos + 1) * r)]
+            continue
+        if not expanded:
+            group(pos * r, r)
+        band(j, pos)
     return y_ids, y_rank
 
 
 def _orders(S: StagedHypergraph):
-    """(x_ids, y_ids, y_rank): the vertices left to right and bottom to
-    top, and the y-order's inverse."""
+    """(x_ids, y_ids, (x_rank, y_rank)): the vertices left to right and
+    bottom to top, and the two orders' inverses."""
     ident = _identity(S.n)
-    return (_x_order(S, ident), *_y_order(S, ident))
+    x_ids, x_rank = _x_order(S, ident)
+    y_ids, y_rank = _y_order(S, ident)
+    return x_ids, y_ids, (x_rank, y_rank)
 
 
 def _realize(S: StagedHypergraph, nested: bool) -> Realization:
-    points = _RankPoints(*_orders(S))
+    x_ids, y_ids, ranks = _orders(S)
+    points = _RankPoints(x_ids, y_ids, *ranks)
     edges = S.base.edges
     leaf_stages = None
     if nested:

@@ -280,7 +280,8 @@ class TestBulkYWindows:
     def test_equal_rect_views_on_seeded_h32_sample(self):
         S = build_Hkc(3, 2)
         last = S.levels[-1]
-        points = geometry._RankPoints(*geometry._orders(S))
+        x_ids, y_ids, ranks = geometry._orders(S)
+        points = geometry._RankPoints(x_ids, y_ids, *ranks)
         leaf_stages = (S.n_path_edges, last.first_vertex, last.stage_size)
         for stages in (leaf_stages, None):
             R = Realization(points, geometry._RankRects(S.base.edges, points, stages), None)
@@ -486,7 +487,7 @@ class TestOrders:
         # sibling groups, and the x-order repeats stage 0 on several levels.
         S = _hkc(k, 2, build_Hkc(m, 1), _hkc_levels(k, m, 10**6))
         assert len(S.levels) == k
-        x_ids, y_ids, y_rank = geometry._orders(S)
+        x_ids, y_ids, (_, y_rank) = geometry._orders(S)
         assert (list(x_ids), list(y_ids)) == _placement_orders(S)
         assert y_rank == geometry._inverse(y_ids)
 
@@ -495,8 +496,40 @@ class TestOrders:
         # H(3, 2) is the buildable instance whose sibling groups hold more
         # than one stage
         for S in [_order_instance(*case) for case in ORDER_INSTANCES] + [build_Hkc(3, 2)]:
-            _, y_ids, y_rank = geometry._orders(S)
+            _, y_ids, (_, y_rank) = geometry._orders(S)
             assert y_rank == geometry._inverse(y_ids)
+
+    def test_x_rank_is_inverse(self):
+        # the x-order writes its inverse by the slice pairs that write the
+        # ids; H(3, 2)'s sibling lists are grids, and the deeper layouts
+        # carry runs through more than one level of children
+        deeper = [_hkc(k, 2, build_Hkc(m, 1), _hkc_levels(k, m, 10**6)) for k, m in [(4, 2), (5, 1)]]
+        for S in [_order_instance(*case) for case in ORDER_INSTANCES] + [build_Hkc(3, 2)] + deeper:
+            x_ids, _, (x_rank, _) = geometry._orders(S)
+            assert x_rank == geometry._inverse(x_ids)
+
+    def test_sibling_grids(self):
+        # stages of 3 vertices: a 2 × 3 grid (rows at stride 30, ids at
+        # stride 6), an arithmetic row whose successor keeps no offset,
+        # then two ids one apart, each alone
+        kids = array("l", [10, 16, 22, 40, 46, 52, 100, 103, 106, 109, 150, 151])
+        assert geometry._sibling_grids(kids, 3, array("l", range(200))) == [
+            (10, 6, 3, 30, 2),
+            (100, 3, 4, 3, 1),
+            (150, 3, 1, 3, 1),
+            (151, 3, 1, 3, 1),
+        ]
+
+    def test_child_outside_stage_0_rejected(self):
+        # below a one-stage level no periodicity is checked: a child whose
+        # parent lies outside that stage is in no run, so the run counts
+        # miss n
+        S = build_Gcg(2, 5)
+        parent = array("l", S.parent)
+        leaf = S.levels[1]
+        parent[leaf.first_vertex] = leaf.first_vertex + 1
+        with pytest.raises(VerificationError):
+            geometry._orders(_with_parents(S, parent))
 
     def test_stages_not_repeating_stage_0_rejected(self):
         # the x-order groups only stage 0's children by parent and shifts
@@ -633,7 +666,9 @@ class TestBoxIndex:
         x_ids, y_ids = array("l", range(n)), array("l", range(n))
         rng.shuffle(x_ids)
         rng.shuffle(y_ids)
-        rank_points = geometry._RankPoints(x_ids, y_ids, geometry._inverse(y_ids))
+        rank_points = geometry._RankPoints(
+            x_ids, y_ids, geometry._inverse(x_ids), geometry._inverse(y_ids)
+        )
         loaded = [Point2(F(rng.randrange(50), 2), F(rng.randrange(50), 3)) for _ in range(n)]
         for points in (rank_points, loaded):
             index = BoxIndex(points)
