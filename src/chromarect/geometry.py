@@ -522,7 +522,6 @@ def _x_order(S: StagedHypergraph, ident: array):
                 q += rows * ell * size
             grids[j].append(kept)
             sizes[j].append(q + 1)
-        del grouped
 
     x_ids, x_rank = array("l", [0]) * n, array("l", [0]) * n
     top = levels[0]
