@@ -485,7 +485,7 @@ def _windows_and_members(R: Realization):
         xw = index.x_window(rect)
         windows.append((xw.start, xw.stop - 1))
         members.append(tuple(index.x_rank[v] for v in index.members(rect)))
-    return index.x_ids, windows, members
+    return [index.y_ids[j] for j in index.yx], windows, members
 
 
 def _emit_aps(R, fam, point_value, diff_and_residue) -> APRealization:

@@ -18,25 +18,26 @@ orders and nothing else:
   first, each block ordered like the embedded copy's own y-order
   (identity order when there is no copy).
 
-Both orders are built from the level records, and each is written
-together with its inverse by strided slices of one identity array.
-Every stage of a level has the same shape, and stage t's children are
-stage 0's shifted by t times the child count of one stage, so each level
-does Python work for stage 0 only, and a subtree's size depends only on
-its level and stage offset.  The x-order writes arithmetic runs: vertices
-with ids v, v + dv, … whose subtrees start at x-positions s, s + dp, …,
-one slice pair per run.  A run's children come from its offset's sibling
-list, cut into grids of arithmetic ids; on H(3,2) every sibling list is
-one grid, and 4,857 runs place all 1,771,497 vertices.  The y-order
-writes a sibling group's chunks (each one stage's leaf family and band)
-by one strided slice per chunk entry.  The x-order checks the shift it
-relies on (one strided compare per child offset) and that its runs cover
-every vertex, and raises :class:`VerificationError` where either fails.
-The identity array is written one byte plane at a time
+Both orders are built from the level records.  Every stage of a level
+has the same shape, and stage t's children are stage 0's shifted by t
+times the child count of one stage, so each level does Python work for
+stage 0 only, and a subtree's size depends only on its level and stage
+offset.  The x-order is planned as arithmetic runs: vertices with ids
+v, v + dv, … at x-ranks p, p + dp, ….  A run's children come from its
+offset's sibling list, cut into grids of arithmetic ids; on H(3,2) every
+sibling list is one grid, and 4,857 runs place all 1,771,497 vertices.
+The plan checks the shift it relies on (one strided compare per child
+offset) and that its runs cover every vertex, and raises
+:class:`VerificationError` if not.  The y-order and its
+inverse are written by strided slices of one identity array, one per
+entry of a sibling group's chunk (each one stage's leaf family and
+band).  The identity array is written one byte plane at a time
 (:func:`~chromarect.construction._identity`), with no Python work per
 vertex.
 
-A built realization keeps only the two rank arrays: vertex v is the point
+A built drawing is the two rank arrays, the y-order ``y_ids``, and one
+permutation ``yx``: yx[i] is the y-rank of the point at x-rank i, one
+slice per x-order run.  Vertex v is the point
 (4·x_rank[v], 4·y_rank[v]), and an edge's rectangle is its members' rank
 window with each side one unit outside the extreme members.  Every
 coordinate a builder emits is an integer; a loaded realization may still
@@ -46,16 +47,15 @@ its own incidence before returning, with the sample :func:`default_sample`
 picks (every rectangle unless the instance is too large for a full pass).
 
 Every box-membership question goes through :class:`BoxIndex`: a box is
-the pair of its x- and y-rank windows.  Besides the two orders the index
-keeps one block array: the x-order cut into blocks of isqrt(n) ranks,
-each block's y-ranks gathered by one ``itemgetter`` call and sorted.  A
-box whose y-window is shorter than its x-window and at most one block
-long scans the y-window; every other box scans the partial blocks at the
-ends of its x-window and bisects each whole block between them for the
-y-window.  On H(3,2) the transversal rectangles have y-windows of three
-ranks, and a path rectangle's x-window of some 33k ranks costs about 25
-bisects plus two partial blocks of at most 1331 ranks, so neither kind
-pays for its wide side.
+the pair of its x- and y-rank windows.  Besides the drawing's arrays the
+index keeps one block array: ``yx`` cut into blocks of isqrt(n) ranks,
+each block sorted.  A box whose y-window is shorter than its x-window and
+at most one block long scans the y-window; every other box scans ``yx``
+over the partial blocks at the ends of its x-window and bisects each
+whole block between them for the y-window.  On H(3,2) the transversal
+rectangles have y-windows of three ranks, and a path rectangle's
+x-window of some 33k ranks costs about 25 bisects plus two partial
+blocks of at most 1331 ranks, so neither kind pays for its wide side.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite, isqrt
-from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
 from .construction import StagedHypergraph, _identity
@@ -140,17 +139,17 @@ def _inverse(ids) -> array:
 
 
 class _RankPoints(_LazySequence):
-    """Vertex v at (4·x_rank[v], 4·y_rank[v]), from the two orders and
-    their inverses."""
+    """Vertex v at (4·x_rank[v], 4·y_rank[v]); ``yx`` (the y-ranks in
+    x-order) and ``y_ids`` ride along for :class:`BoxIndex`."""
 
-    def __init__(self, x_ids: array, y_ids: array, x_rank: array, y_rank: array):
-        self.x_ids = x_ids
+    def __init__(self, yx: array, y_ids: array, x_rank: array, y_rank: array):
+        self.yx = yx
         self.y_ids = y_ids
         self.x_rank = x_rank
         self.y_rank = y_rank
 
     def __len__(self) -> int:
-        return len(self.x_ids)
+        return len(self.yx)
 
     def _item(self, v: int) -> Point2:
         return Point2(4 * self.x_rank[v], 4 * self.y_rank[v])
@@ -189,14 +188,16 @@ class _RankRects(_LazySequence):
 
     def y_windows(self):
         """(y_lo, y_hi) of every rectangle, as ``_item`` gives them, in
-        two arrays and without building the rectangles.  A path rectangle
-        of the nested variant takes its leaf stage's lowest point; any
-        other rectangle takes its members' y-ranks, read from the edge
-        columns at C level."""
-        yr, n_path, size = self._yr, self._n_path, self._leaf_size
-        lows = array("l")
-        for lo in range(self._first_leaf, self._first_leaf + n_path, size):
-            lows.extend(array("l", [4 * min(yr[lo : lo + size]) - 2]) * size)
+        two arrays and without building the rectangles.  A nested path
+        rectangle takes its leaf stage's lowest point (one strided column
+        of y-ranks per stage offset); any other rectangle takes its
+        members' y-ranks, read from the edge columns at C level."""
+        yr, n_path, size, lo = self._yr, self._n_path, self._leaf_size, self._first_leaf
+        cols = [yr[lo + q : lo + n_path : size] for q in range(size)]
+        stage_lows = array("l", [4 * y - 2 for y in map(min, zip(*cols))])
+        lows = array("l", [0]) * n_path
+        for q in range(size):
+            lows[q::size] = stage_lows
         highs = array("l", [4 * len(yr) - 3]) * n_path
         cols = [array("l", map(yr.__getitem__, col[n_path:])) for col in self._edges.columns()]
         y_min, y_max = map(min, zip(*cols)), map(max, zip(*cols))
@@ -258,38 +259,35 @@ class BoxIndex:
     rank windows of the sorted x- and y-coordinates, and the box holds
     exactly the points in both windows.
 
-    Besides the two orders and their rank arrays, the index keeps one
-    block array: the x-order cut into blocks of ``block`` = isqrt(n) ranks,
-    each block's y-ranks sorted, the runs laid end to end (n ints).  A box
-    whose y-window is shorter than its x-window and at most one block long
-    scans its y-window and sorts the hits by x-rank.  Any other box scans
-    the partial blocks at the two ends of its x-window, and in each whole
-    block between them bisects the sorted run for the y-window, so a long
-    x-window costs O(√n) scanned ranks plus one bisect per block.  Indexed
-    from the rank arrays of a built realization, or by one sort of any
-    other point list's coordinates."""
+    Besides ``yx`` (the y-ranks in x-order), ``y_ids`` and the rank
+    arrays, the index keeps one block array: ``yx`` cut into blocks of
+    ``block`` = isqrt(n) ranks, each sorted.  A box whose y-window is
+    shorter than its x-window and at most one block long scans its
+    y-window and sorts the hits by x-rank.  Any other box scans ``yx``
+    over the partial blocks at the two ends of its x-window, and in each
+    whole block between them bisects the sorted run for the y-window, so
+    a long x-window costs O(√n) scanned ranks plus one bisect per block.
+    Indexed from a built drawing's arrays, or by one sort of any other
+    point list's coordinates."""
 
     def __init__(self, points: Sequence[Point2]):
         n = len(points)
         if isinstance(points, _RankPoints):
-            self.x_ids, self.y_ids = points.x_ids, points.y_ids
+            self.yx, self.y_ids = points.yx, points.y_ids
             self.x_rank, self.y_rank = points.x_rank, points.y_rank
             self._xs = self._ys = range(0, 4 * n, 4)
         else:
-            self.x_ids = sorted(range(n), key=lambda i: points[i].x)
+            x_ids = sorted(range(n), key=lambda i: points[i].x)
             self.y_ids = sorted(range(n), key=lambda i: points[i].y)
-            self.x_rank = _inverse(self.x_ids)
+            self.x_rank = _inverse(x_ids)
             self.y_rank = _inverse(self.y_ids)
-            self._xs = [points[i].x for i in self.x_ids]
+            self.yx = array("l", map(self.y_rank.__getitem__, x_ids))
+            self._xs = [points[i].x for i in x_ids]
             self._ys = [points[i].y for i in self.y_ids]
         self.block = B = max(1, isqrt(n))
         self._runs = runs = array("l")
-        x_ids, y_rank = self.x_ids, self.y_rank
         for b in range(0, n, B):
-            blk = x_ids[b : b + B]
-            # itemgetter of one index returns the bare item, not a tuple
-            ys = itemgetter(*blk)(y_rank)
-            runs.extend(sorted(ys) if len(blk) > 1 else (ys,))
+            runs.fromlist(sorted(self.yx[b : b + B]))
 
     def x_window(self, rect: Rect) -> range:
         """x-ranks of the points whose x lies in the box's x-extent."""
@@ -313,15 +311,15 @@ class BoxIndex:
         lo, hi = -(-i0 // B) * B, i1 // B * B
         if lo > hi:
             lo = hi = i1
-        y_rank, x_ids, runs = self.y_rank, self.x_ids, self._runs
-        inside = [v for v in x_ids[i0:lo] if j0 <= y_rank[v] < j1]
+        yx, y_ids, runs = self.yx, self.y_ids, self._runs
+        inside = [y_ids[j] for j in yx[i0:lo] if j0 <= j < j1]
         hits = []
         for b in range(lo, hi, B):
             hits += runs[bisect_left(runs, j0, b, b + B) : bisect_left(runs, j1, b, b + B)]
-        hits = [self.y_ids[j] for j in hits]
+        hits = [y_ids[j] for j in hits]
         hits.sort(key=x_rank.__getitem__)
         inside += hits
-        inside += [v for v in x_ids[hi:i1] if j0 <= y_rank[v] < j1]
+        inside += [y_ids[j] for j in yx[hi:i1] if j0 <= j < j1]
         return inside
 
 
@@ -486,18 +484,17 @@ def _sibling_grids(kids: array, size: int, ident: array) -> list:
 
 
 def _x_order(S: StagedHypergraph, ident: array):
-    """(x_ids, x_rank): the post-order of the parent forest, children in
-    id order, and its inverse, both written by arithmetic runs.
+    """The post-order of the parent forest, children in id order, as
+    arithmetic runs (p, dp, v, dv, count): vertex v + i·dv has x-rank
+    p + i·dp for i < count.
 
-    A run is ``count`` vertices of one level with ids v, v + dv, … whose
-    subtrees start at x-positions s, s + dp, …; dv is a multiple of the
-    stage size, so they share one stage offset and one subtree shape
-    (stage t repeats stage 0's children shifted by t·span, which
-    ``_check_periodic`` makes sure).  A run is written by one strided
-    slice pair, each vertex at the end of its subtree.  Its children come
-    from the offset's sibling list, cut into grids (``_sibling_grids``):
-    a grid and the run span three arithmetic axes, and the longest becomes
-    the new runs' axis.  Subtree sizes and grids come level by level from
+    A run's vertices lie on one level and dv is a multiple of the stage
+    size, so they share one stage offset and one subtree shape (stage t
+    repeats stage 0's children shifted by t·span, which
+    ``_check_periodic`` makes sure); each sits at the end of its subtree.
+    Its children come from the offset's sibling list, cut into grids
+    (``_sibling_grids``): a grid and the run span three arithmetic axes,
+    and the longest becomes the new runs' axis.  Subtree sizes and grids come level by level from
     the leaves up, from stage 0's children grouped by parent."""
     parent, levels, n = S.parent, S.levels, S.n
     last = len(levels) - 1
@@ -523,20 +520,17 @@ def _x_order(S: StagedHypergraph, ident: array):
             grids[j].append(kept)
             sizes[j].append(q + 1)
 
-    x_ids, x_rank = array("l", [0]) * n, array("l", [0]) * n
     top = levels[0]
-    runs, s, stage_total = [], 0, sum(sizes[0])
+    todo, s, stage_total = [], 0, sum(sizes[0])
     for o in range(top.stage_size):
-        runs.append((0, top.first_vertex + o, top.stage_size, s, stage_total, top.n_stages))
+        todo.append((0, top.first_vertex + o, top.stage_size, s, stage_total, top.n_stages))
         s += sizes[0][o]
-    placed = 0
-    while runs:
-        j, v, dv, s, dp, count = runs.pop()
+    runs, placed = [], 0
+    while todo:
+        j, v, dv, s, dp, count = todo.pop()
         li = levels[j]
         t, o = divmod(v - li.first_vertex, li.stage_size)
-        p = s + sizes[j][o] - 1
-        x_ids[p : p + count * dp : dp] = ident[v : v + count * dv : dv]
-        x_rank[v : v + count * dv : dv] = ident[p : p + count * dp : dp]
+        runs.append((s + sizes[j][o] - 1, dp, v, dv, count))
         placed += count
         if j == last:
             continue
@@ -548,11 +542,11 @@ def _x_order(S: StagedHypergraph, ident: array):
             (n2, dv2, dp2), (n3, dv3, dp3) = (own, longer) if longer[0] > count else (longer, own)
             for a in range(n1):
                 for b in range(n2):
-                    runs.append((j + 1, u + shift + a * dv1 + b * dv2, dv3, s + q + a * dp1 + b * dp2, dp3, n3))
+                    todo.append((j + 1, u + shift + a * dv1 + b * dv2, dv3, s + q + a * dp1 + b * dp2, dp3, n3))
     # a child of stage 0 whose parent lies outside stage 0 was left out
     if placed != n:
         raise VerificationError("placement list does not cover all points")
-    return x_ids, x_rank
+    return runs
 
 
 def _y_order(S: StagedHypergraph, ident: array):
@@ -642,17 +636,24 @@ def _y_order(S: StagedHypergraph, ident: array):
 
 
 def _orders(S: StagedHypergraph):
-    """(x_ids, y_ids, (x_rank, y_rank)): the vertices left to right and
-    bottom to top, and the two orders' inverses."""
+    """(yx, y_ids, (x_rank, y_rank)): the y-ranks in x-order, the vertices
+    bottom to top, and the two orders' inverses.  The x-order's runs are
+    planned before the y-order exists, then each is written by one slice
+    pair into ``yx`` and one into ``x_rank``."""
     ident = _identity(S.n)
-    x_ids, x_rank = _x_order(S, ident)
+    runs = _x_order(S, ident)
     y_ids, y_rank = _y_order(S, ident)
-    return x_ids, y_ids, (x_rank, y_rank)
+    yx, x_rank = array("l", [0]) * S.n, array("l", [0]) * S.n
+    for p, dp, v, dv, count in runs:
+        ps, vs = slice(p, p + count * dp, dp), slice(v, v + count * dv, dv)
+        yx[ps] = y_rank[vs]
+        x_rank[vs] = ident[ps]
+    return yx, y_ids, (x_rank, y_rank)
 
 
 def _realize(S: StagedHypergraph, nested: bool) -> Realization:
-    x_ids, y_ids, ranks = _orders(S)
-    points = _RankPoints(x_ids, y_ids, *ranks)
+    yx, y_ids, ranks = _orders(S)
+    points = _RankPoints(yx, y_ids, *ranks)
     edges = S.base.edges
     leaf_stages = None
     if nested:

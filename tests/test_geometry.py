@@ -280,8 +280,8 @@ class TestBulkYWindows:
     def test_equal_rect_views_on_seeded_h32_sample(self):
         S = build_Hkc(3, 2)
         last = S.levels[-1]
-        x_ids, y_ids, ranks = geometry._orders(S)
-        points = geometry._RankPoints(x_ids, y_ids, *ranks)
+        yx, y_ids, ranks = geometry._orders(S)
+        points = geometry._RankPoints(yx, y_ids, *ranks)
         leaf_stages = (S.n_path_edges, last.first_vertex, last.stage_size)
         for stages in (leaf_stages, None):
             R = Realization(points, geometry._RankRects(S.base.edges, points, stages), None)
@@ -462,7 +462,8 @@ class TestOrders:
     @pytest.mark.parametrize("kind,a,b", ORDER_INSTANCES)
     def test_equal_placement_reference(self, kind, a, b):
         S = _order_instance(kind, a, b)
-        x_ids, y_ids, _ = geometry._orders(S)
+        yx, y_ids, _ = geometry._orders(S)
+        x_ids = [y_ids[j] for j in yx]
         assert (list(x_ids), list(y_ids)) == _placement_orders(S)
 
     def test_random_providers_vary_child_counts(self):
@@ -475,7 +476,8 @@ class TestOrders:
     def test_h32_digests(self):
         # the only three-level instance: the y-order recurses above the
         # sibling-family fold.  Digests of the placement-list orders.
-        x_ids, y_ids, _ = geometry._orders(build_Hkc(3, 2))
+        yx, y_ids, _ = geometry._orders(build_Hkc(3, 2))
+        x_ids = [y_ids[j] for j in yx]
         assert _digest(x_ids) == "460f917e8cdcdba3621ed6b71be1ac77fd28b2753c56aff46e78e5cb36e7a7a9"
         assert _digest(y_ids) == "b2fedc9a73f7aabe0b8669d8b9032b1d8f7cf352039298579f8d90c7e1543335"
 
@@ -487,7 +489,8 @@ class TestOrders:
         # sibling groups, and the x-order repeats stage 0 on several levels.
         S = _hkc(k, 2, build_Hkc(m, 1), _hkc_levels(k, m, 10**6))
         assert len(S.levels) == k
-        x_ids, y_ids, (_, y_rank) = geometry._orders(S)
+        yx, y_ids, (_, y_rank) = geometry._orders(S)
+        x_ids = [y_ids[j] for j in yx]
         assert (list(x_ids), list(y_ids)) == _placement_orders(S)
         assert y_rank == geometry._inverse(y_ids)
 
@@ -500,13 +503,20 @@ class TestOrders:
             assert y_rank == geometry._inverse(y_ids)
 
     def test_x_rank_is_inverse(self):
-        # the x-order writes its inverse by the slice pairs that write the
-        # ids; H(3, 2)'s sibling lists are grids, and the deeper layouts
-        # carry runs through more than one level of children
-        deeper = [_hkc(k, 2, build_Hkc(m, 1), _hkc_levels(k, m, 10**6)) for k, m in [(4, 2), (5, 1)]]
-        for S in [_order_instance(*case) for case in ORDER_INSTANCES] + [build_Hkc(3, 2)] + deeper:
-            x_ids, _, (x_rank, _) = geometry._orders(S)
-            assert x_rank == geometry._inverse(x_ids)
+        # each x-order run writes its x-ranks by the slice pair that writes
+        # its y-ranks into yx; H(3, 2)'s sibling lists are grids, and the
+        # deeper layouts carry runs through more than one level of children
+        for S in _rank_instances():
+            yx, y_ids, (x_rank, _) = geometry._orders(S)
+            assert x_rank == geometry._inverse([y_ids[j] for j in yx])
+
+    def test_yx_is_y_rank_in_x_order(self):
+        # the drawing as one permutation: position x_rank[v] of yx holds v's
+        # y-rank, for every vertex v
+        for S in _rank_instances():
+            yx, _, (x_rank, y_rank) = geometry._orders(S)
+            assert sorted(x_rank) == list(range(S.n))
+            assert array("l", map(yx.__getitem__, x_rank)) == y_rank
 
     def test_sibling_grids(self):
         # stages of 3 vertices: a 2 × 3 grid (rows at stride 30, ids at
@@ -551,6 +561,13 @@ class TestOrders:
         parent[leaf.first_vertex] = prev.first_vertex + prev.stage_size
         with pytest.raises(VerificationError):
             geometry._orders(_with_parents(S, parent))
+
+
+def _rank_instances():
+    """Every order instance, H(3, 2), and the (4, 2) and (5, 1) deeper
+    layouts."""
+    deeper = [_hkc(k, 2, build_Hkc(m, 1), _hkc_levels(k, m, 10**6)) for k, m in [(4, 2), (5, 1)]]
+    return [_order_instance(*case) for case in ORDER_INSTANCES] + [build_Hkc(3, 2)] + deeper
 
 
 def _with_parents(S, parent):
@@ -660,24 +677,28 @@ class TestBoxIndex:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17])
     def test_block_array_equals_sorted_reference(self, n):
-        # blocks of isqrt(n) points gathered by one itemgetter each: n <= 3
-        # has one-point blocks only, and n = 17 (blocks of 4) ends in one
+        # blocks of isqrt(n) points, each sorted by y-rank: n <= 3 has
+        # one-point blocks only, and n = 17 (blocks of 4) ends in one.  The
+        # x-order is the test's own: the shuffled ids of the rank points,
+        # and a stable sort of the loaded points by x (ties by id)
         rng = random.Random(n)
         x_ids, y_ids = array("l", range(n)), array("l", range(n))
         rng.shuffle(x_ids)
         rng.shuffle(y_ids)
-        rank_points = geometry._RankPoints(
-            x_ids, y_ids, geometry._inverse(x_ids), geometry._inverse(y_ids)
-        )
+        y_rank = geometry._inverse(y_ids)
+        yx = array("l", map(y_rank.__getitem__, x_ids))
+        rank_points = geometry._RankPoints(yx, y_ids, geometry._inverse(x_ids), y_rank)
         loaded = [Point2(F(rng.randrange(50), 2), F(rng.randrange(50), 3)) for _ in range(n)]
-        for points in (rank_points, loaded):
+        loaded_x_ids = sorted(range(n), key=lambda v: loaded[v].x)
+        for points, order in ((rank_points, x_ids), (loaded, loaded_x_ids)):
             index = BoxIndex(points)
             B = index.block
+            y_of = {v: y for y, v in enumerate(sorted(range(n), key=lambda v: points[v].y))}
             expected = array("l")
             for b in range(0, n, B):
-                expected.extend(sorted(map(index.y_rank.__getitem__, index.x_ids[b : b + B])))
+                expected.extend(sorted(y_of[v] for v in order[b : b + B]))
             assert index._runs == expected
-            assert len(index.x_ids[(n - 1) // B * B :]) == 1  # the last block
+            assert len(order[(n - 1) // B * B :]) == 1  # the last block
             rect = Rect(-1, 4 * n + 25, -1, 4 * n + 25)
             assert index.members(rect) == x_order_members(points, rect)
 
