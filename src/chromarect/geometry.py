@@ -638,8 +638,8 @@ def _y_order(S: StagedHypergraph, ident: array):
 def _orders(S: StagedHypergraph):
     """(yx, y_ids, (x_rank, y_rank)): the y-ranks in x-order, the vertices
     bottom to top, and the two orders' inverses.  The x-order's runs are
-    planned before the y-order exists, then each is written by one slice
-    pair into ``yx`` and one into ``x_rank``."""
+    planned first, so their temporaries are freed before the y-order's
+    arrays exist; each run writes a slice of ``yx`` and ``x_rank``."""
     ident = _identity(S.n)
     runs = _x_order(S, ident)
     y_ids, y_rank = _y_order(S, ident)
