@@ -494,8 +494,9 @@ def _x_order(S: StagedHypergraph, ident: array):
     ``_check_periodic`` makes sure); each sits at the end of its subtree.
     Its children come from the offset's sibling list, cut into grids
     (``_sibling_grids``): a grid and the run span three arithmetic axes,
-    and the longest becomes the new runs' axis.  Subtree sizes and grids come level by level from
-    the leaves up, from stage 0's children grouped by parent."""
+    and the longest becomes the new runs' axis.  Subtree sizes and grids
+    come level by level from the leaves up, from stage 0's children
+    grouped by parent."""
     parent, levels, n = S.parent, S.levels, S.n
     last = len(levels) - 1
     # per level: the subtree size and the children's grids, per stage offset
