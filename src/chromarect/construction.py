@@ -64,6 +64,14 @@ from .hypergraph import (
 
 DEFAULT_MAX_VERTICES = 10**7
 
+# Every array of vertex ids, ranks or rank coordinates has this typecode:
+# 4 bytes, and one typecode throughout, because extended-slice assignment
+# between arrays of two typecodes raises TypeError.  The largest entry is
+# a nested drawing's top coordinate, 4·n − 3, so no instance may have more
+# than MAX_TYPECODE_VERTICES vertices (2**29 at 4 bytes).
+TYPECODE = "i"
+MAX_TYPECODE_VERTICES = (2 ** (8 * array(TYPECODE).itemsize - 1) + 2) // 4
+
 
 @dataclass(frozen=True)
 class LevelInfo:
@@ -130,27 +138,28 @@ class _StagedEdges(_LazySequence):
     def __iter__(self):
         return zip(*self.columns())
 
-    def columns(self) -> list:
-        """The k edge columns as ``array('l')``: column j holds member j
-        of every edge, in edge order.  The leaf column is a range, the
-        next a slice of the parent array, and each further one a C-level
-        parent lookup on the one before; transversal columns interleave
-        one strided range per template edge."""
-        lo, parent = self._first_leaf, self._parent
-        cols = [array("l", range(lo, len(parent)))]
+    def columns(self, first: int = 0) -> list:
+        """The k edge columns as ``TYPECODE`` arrays: column j holds member
+        j of every edge from edge ``first`` on, in edge order.  The leaf
+        column is a range, the next a slice of the parent array, and each
+        further one a C-level parent lookup on the one before; transversal
+        columns interleave one strided range per template edge."""
+        parent, skip = self._parent, first - self._n_path
+        lo = self._first_leaf + min(first, self._n_path)
+        cols = [array(TYPECODE, range(lo, len(parent)))]
         if self._k > 1:
             cols.append(parent[lo:])
         for _ in range(self._k - 2):
-            cols.append(array("l", map(parent.__getitem__, cols[-1])))
+            cols.append(array(TYPECODE, map(parent.__getitem__, cols[-1])))
         cols.reverse()
         per_copy, stride = len(self._template), self._stride
         span = self._n_blocks * stride
         for col, members in zip(cols, zip(*self._template)):
-            part = array("l", [0]) * (self._n_blocks * per_copy)
+            part = array(TYPECODE, [0]) * (self._n_blocks * per_copy)
             for t, u in enumerate(members):
                 start = self._origin + u
-                part[t::per_copy] = array("l", range(start, start + span, stride))
-            col.extend(part)
+                part[t::per_copy] = array(TYPECODE, range(start, start + span, stride))
+            col.extend(part[skip:] if skip > 0 else part)
         return cols
 
 
@@ -252,6 +261,7 @@ class StagedHypergraph:
             or not set(map(type, parents)) <= {int, type(None)}
         ):
             raise DomainError("parents must hold one int or null per vertex", n=n)
+        _check_width(n)
         if c == 1:
             if not k == m == n:
                 raise DomainError("a c = 1 instance has k = m = n", k=k, m=m, n=n)
@@ -333,12 +343,13 @@ def _staged(kind, k, c, m, parent, levels, template) -> StagedHypergraph:
 
 
 def _identity(n: int) -> array:
-    """``array("l", range(n))``, written one byte plane at a time.  Byte j
-    of entry i is (i >> 8·j) & 255: over all entries, a plane in which
-    each byte value repeats 256**j times and the pattern cycles.  Each
-    plane that is not all zero is one strided assignment through a byte
-    view of the array, so no Python work is done per entry."""
-    ident = array("l", [0]) * n
+    """``array(TYPECODE, range(n))``, written one byte plane at a time.
+    Byte j of entry i is (i >> 8·j) & 255: over all entries, a plane in
+    which each byte value repeats 256**j times and the pattern cycles.
+    Each plane that is not all zero (at most four at 4 bytes) is one
+    strided assignment through a byte view of the array, so no Python
+    work is done per entry."""
+    ident = array(TYPECODE, [0]) * n
     view, width = memoryview(ident).cast("B"), ident.itemsize
     rep = 1
     for j in range(width):
@@ -358,10 +369,21 @@ def _vertex_count(levels: Sequence[LevelInfo]) -> int:
     return last.first_vertex + last.n_stages * last.stage_size
 
 
+def _check_width(n: int) -> None:
+    """Raise SizeLimitExceeded if an instance of n vertices has entries
+    past what ``TYPECODE`` holds; checked before anything is allocated."""
+    if n > MAX_TYPECODE_VERTICES:
+        raise SizeLimitExceeded(
+            "predicted vertex count exceeds what the 4-byte vertex arrays hold",
+            predicted_vertices=n,
+            max_typecode_vertices=MAX_TYPECODE_VERTICES,
+        )
+
+
 def _base_instance(kind: str, k: int) -> StagedHypergraph:
     """The c = 1 instance: one edge on k vertices, one stage holding one
     block."""
-    parent = array("l", [-1]) * k
+    parent = array(TYPECODE, [-1]) * k
     return _staged(kind, k, 1, k, parent, [LevelInfo(1, 0, k, 1, 0)], None)
 
 
@@ -435,6 +457,7 @@ def build_Hkc(
             predicted_vertices=f"> {ceiling}" if size is None else size[0],
             max_vertices=max_vertices,
         )
+    _check_width(size[0])
     if c == 1:
         return _base_instance("hkc", k)
     return _hkc(k, c, build_Hkc(k, c - 1, max_vertices), size[1])
@@ -456,16 +479,16 @@ def _hkc(k: int, c: int, template: StagedHypergraph, levels: list) -> StagedHype
     t times the stage size, so each child offset of stage 0 is copied
     across the level by one strided slice of an identity array."""
     m = template.n
-    parent = array("l", [-1]) * _vertex_count(levels)
+    parent = array(TYPECODE, [-1]) * _vertex_count(levels)
     ident = _identity(levels[-1].first_vertex)  # every parent lies above the last level
     for li, child in zip(levels, levels[1:]):
         lo, blocks = child.first_vertex, li.blocks_per_stage
         span = li.children_per_stage * blocks
         for b in range(blocks):
             first = li.first_vertex + b * m
-            column = array("l")
+            column = array(TYPECODE)
             for v in range(first, first + m):
-                column += array("l", [v]) * m ** (blocks - 1 - b)
+                column += array(TYPECODE, [v]) * m ** (blocks - 1 - b)
             parent[lo + b : lo + span : blocks] = column * m**b
         N, size = li.n_stages, li.stage_size
         if N > 1:
@@ -588,12 +611,16 @@ def _is_cycle(H: OrderedHypergraph) -> bool:
     return all(seen)
 
 
+def _odd_length(g: int) -> int:
+    """g', the smallest odd length >= max(g, 3)."""
+    return max(g | 1, 3)
+
+
 def _odd_cycle(g: int) -> OrderedHypergraph:
-    """The auxiliary graph of G(2, g): the cycle C_g' for the smallest odd
-    g' >= max(g, 3), checked to be C_g' (so its girth is g') and to have
-    no proper 2-coloring."""
-    gp = g if g % 2 else g + 1
-    gp = max(gp, 3)
+    """The auxiliary graph of G(2, g): the cycle C_g' (g' =
+    :func:`_odd_length`), checked to be C_g' (so its girth is g') and to
+    have no proper 2-coloring."""
+    gp = _odd_length(g)
     edges = [(i, i + 1) for i in range(gp - 1)] + [(0, gp - 1)]
     H = OrderedHypergraph(gp, edges)
     assert H.n == gp and _is_cycle(H)
@@ -626,15 +653,18 @@ def build_Gcg(c: int, g: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Stage
         return _base_instance("gcg", 2)
 
     template = build_Gcg(c - 1, g, max_vertices)
-    aux = _odd_cycle(g)
-    n = aux.n + len(aux.edges) * template.n
+    # the auxiliary C_g' has g' vertices and g' edges, each spawning a stage
+    # of template.n vertices; counted before the cycle is built
+    gp = _odd_length(g)
+    n = gp + gp * template.n
     if n > max_vertices:
         raise SizeLimitExceeded(
             "predicted vertex count exceeds the limit",
             predicted_vertices=n,
             max_vertices=max_vertices,
         )
-    return _gcg(c, template, aux)
+    _check_width(n)
+    return _gcg(c, template, _odd_cycle(g))
 
 
 def _gcg(c: int, template: StagedHypergraph, aux: OrderedHypergraph) -> StagedHypergraph:
@@ -655,6 +685,6 @@ def _gcg(c: int, template: StagedHypergraph, aux: OrderedHypergraph) -> StagedHy
         LevelInfo(1, 0, n_h, 0, n_edges_h),
         LevelInfo(n_edges_h, n_h, m, 1, 0),
     ]
-    parent = array("l", [-1]) * n_h
+    parent = array(TYPECODE, [-1]) * n_h
     parent.extend(chain.from_iterable(aux.edges))
     return _staged("gcg", 2, c, m, parent, levels, template)

@@ -28,31 +28,25 @@ offset's sibling list, cut into grids of arithmetic ids; on H(3,2) every
 sibling list is one grid, and 4,857 runs place all 1,771,497 vertices.
 The plan checks the shift it relies on (one strided compare per child
 offset) and that its runs cover every vertex, and raises
-:class:`VerificationError` if not.  The y-order and its
-inverse are written by strided slices of one identity array, one per
-entry of a sibling group's chunk (each one stage's leaf family and
-band).  The identity array is written one byte plane at a time
-(:func:`~chromarect.construction._identity`), with no Python work per
-vertex.
+:class:`VerificationError` if not.  The y-order and its inverse are
+written by strided slices of one identity array, one per entry of a
+sibling group's chunk (one stage's leaf family and band).
 
 A built drawing is the two rank arrays, the y-order ``y_ids``, and one
 permutation ``yx``: yx[i] is the y-rank of the point at x-rank i, one
 slice per x-order run.  Vertex v is the point
 (4·x_rank[v], 4·y_rank[v]), and an edge's rectangle is its members' rank
 window with each side one unit outside the extreme members.  Every
-coordinate a builder emits is an integer; a loaded realization may still
-carry arbitrary ``fractions.Fraction`` values.  No floating point is
-involved anywhere except SVG output formatting.  The builder verifies
-its own incidence before returning, with the sample :func:`default_sample`
-picks (every rectangle unless the instance is too large for a full pass).
+id, rank and rank-coordinate array has the 4-byte
+``construction.TYPECODE``; the builders refuse instances it cannot hold.
+A loaded realization may carry arbitrary ``fractions.Fraction`` values.
+No floating point is involved except in SVG output.  The builder
+verifies its own incidence before returning, with the sample
+:func:`default_sample` picks.
 
-Every box-membership question goes through :class:`BoxIndex`: a box is
-the pair of its x- and y-rank windows.  Besides the drawing's arrays the
-index keeps one block array: ``yx`` cut into blocks of isqrt(n) ranks,
-each block sorted.  A box whose y-window is shorter than its x-window and
-at most one block long scans the y-window; every other box scans ``yx``
-over the partial blocks at the ends of its x-window and bisects each
-whole block between them for the y-window.  On H(3,2) the transversal
+Every box-membership question goes through :class:`BoxIndex`, by the
+box's x- and y-rank windows (arithmetic on a built drawing) and one
+block array of sorted slices of ``yx``.  On H(3,2) the transversal
 rectangles have y-windows of three ranks, and a path rectangle's
 x-window of some 33k ranks costs about 25 bisects plus two partial
 blocks of at most 1331 ranks, so neither kind pays for its wide side.
@@ -70,7 +64,7 @@ from fractions import Fraction
 from math import isfinite, isqrt
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
-from .construction import StagedHypergraph, _identity
+from .construction import TYPECODE, StagedHypergraph, _identity
 from .errors import DomainError, VerificationError
 from .hypergraph import Coloring, OrderedHypergraph, _LazySequence
 
@@ -132,7 +126,7 @@ class Interval(NamedTuple):
 
 def _inverse(ids) -> array:
     """rank[v] = position of v in ``ids``."""
-    rank = array("l", [0]) * len(ids)
+    rank = array(TYPECODE, [0]) * len(ids)
     for i, v in enumerate(ids):
         rank[v] = i
     return rank
@@ -191,15 +185,16 @@ class _RankRects(_LazySequence):
         two arrays and without building the rectangles.  A nested path
         rectangle takes its leaf stage's lowest point (one strided column
         of y-ranks per stage offset); any other rectangle takes its
-        members' y-ranks, read from the edge columns at C level."""
+        members' y-ranks, read at C level from the edge columns past
+        the path edges."""
         yr, n_path, size, lo = self._yr, self._n_path, self._leaf_size, self._first_leaf
         cols = [yr[lo + q : lo + n_path : size] for q in range(size)]
-        stage_lows = array("l", [4 * y - 2 for y in map(min, zip(*cols))])
-        lows = array("l", [0]) * n_path
+        stage_lows = array(TYPECODE, [4 * y - 2 for y in map(min, zip(*cols))])
+        lows = array(TYPECODE, [0]) * n_path
         for q in range(size):
             lows[q::size] = stage_lows
-        highs = array("l", [4 * len(yr) - 3]) * n_path
-        cols = [array("l", map(yr.__getitem__, col[n_path:])) for col in self._edges.columns()]
+        highs = array(TYPECODE, [4 * len(yr) - 3]) * n_path
+        cols = [array(TYPECODE, map(yr.__getitem__, col)) for col in self._edges.columns(n_path)]
         y_min, y_max = map(min, zip(*cols)), map(max, zip(*cols))
         lows.extend(4 * y - 1 for y in y_min)
         highs.extend(4 * y + 1 for y in y_max)
@@ -255,9 +250,10 @@ class Realization:
 
 
 class BoxIndex:
-    """Which points lie in which closed box.  A box's sides bisect into
-    rank windows of the sorted x- and y-coordinates, and the box holds
-    exactly the points in both windows.
+    """Which points lie in which closed box.  A box's sides give rank
+    windows of the x- and y-coordinates, and the box holds exactly the
+    points in both windows.  A built drawing's coordinates are 4·rank, so
+    its windows are arithmetic; other points bisect sorted coordinates.
 
     Besides ``yx`` (the y-ranks in x-order), ``y_ids`` and the rank
     arrays, the index keeps one block array: ``yx`` cut into blocks of
@@ -275,27 +271,33 @@ class BoxIndex:
         if isinstance(points, _RankPoints):
             self.yx, self.y_ids = points.yx, points.y_ids
             self.x_rank, self.y_rank = points.x_rank, points.y_rank
-            self._xs = self._ys = range(0, 4 * n, 4)
+            self._xs = self._ys = None
         else:
             x_ids = sorted(range(n), key=lambda i: points[i].x)
-            self.y_ids = sorted(range(n), key=lambda i: points[i].y)
+            self.y_ids = array(TYPECODE, sorted(range(n), key=lambda i: points[i].y))
             self.x_rank = _inverse(x_ids)
             self.y_rank = _inverse(self.y_ids)
-            self.yx = array("l", map(self.y_rank.__getitem__, x_ids))
+            self.yx = array(TYPECODE, map(self.y_rank.__getitem__, x_ids))
             self._xs = [points[i].x for i in x_ids]
             self._ys = [points[i].y for i in self.y_ids]
         self.block = B = max(1, isqrt(n))
-        self._runs = runs = array("l")
+        self._runs = runs = array(TYPECODE)
         for b in range(0, n, B):
             runs.fromlist(sorted(self.yx[b : b + B]))
 
     def x_window(self, rect: Rect) -> range:
         """x-ranks of the points whose x lies in the box's x-extent."""
-        return range(bisect_left(self._xs, rect.x_lo), bisect_right(self._xs, rect.x_hi))
+        return self._window(self._xs, rect.x_lo, rect.x_hi)
 
     def y_window(self, rect: Rect) -> range:
         """y-ranks of the points whose y lies in the box's y-extent."""
-        return range(bisect_left(self._ys, rect.y_lo), bisect_right(self._ys, rect.y_hi))
+        return self._window(self._ys, rect.y_lo, rect.y_hi)
+
+    def _window(self, cs, lo, hi) -> range:
+        if cs is None:  # ranks ceil(lo / 4) through floor(hi / 4)
+            n = len(self.yx)
+            return range(min(max(-(-lo // 4), 0), n), min(max(hi // 4 + 1, 0), n))
+        return range(bisect_left(cs, lo), bisect_right(cs, hi))
 
     def members(self, rect: Rect) -> List[int]:
         """Ids of the points inside ``rect``, in x-order."""
@@ -506,7 +508,7 @@ def _x_order(S: StagedHypergraph, ident: array):
         prev, li = levels[j], levels[j + 1]
         _check_periodic(parent, prev, li, ident)
         off, lo, span = prev.first_vertex, li.first_vertex, prev.children_per_stage * li.stage_size
-        grouped = array("l", sorted(range(lo, lo + span), key=parent.__getitem__))
+        grouped = array(TYPECODE, sorted(range(lo, lo + span), key=parent.__getitem__))
         # stage 0's parent o has grouped children cut[o]..cut[o + 1] - 1
         cut = [bisect_left(grouped, off + o, key=parent.__getitem__) for o in range(prev.stage_size + 1)]
         below, sizes[j], grids[j] = sizes[j + 1], [], []
@@ -573,14 +575,14 @@ def _y_order(S: StagedHypergraph, ident: array):
             )
         else:
             bands.append(list(range(li.stage_size)))  # one flat band
-    y_ids, y_rank = array("l", [0]) * S.n, array("l", [0]) * S.n
+    y_ids, y_rank = array(TYPECODE, [0]) * S.n, array(TYPECODE, [0]) * S.n
     at = 0  # the next y-rank to write
 
     def put(ids: list) -> None:
         nonlocal at
         for i, v in enumerate(ids, at):
             y_rank[v] = i
-        y_ids[at : at + len(ids)] = array("l", ids)
+        y_ids[at : at + len(ids)] = array(TYPECODE, ids)
         at += len(ids)
 
     def band(j: int, pos: int) -> None:
@@ -644,7 +646,7 @@ def _orders(S: StagedHypergraph):
     ident = _identity(S.n)
     runs = _x_order(S, ident)
     y_ids, y_rank = _y_order(S, ident)
-    yx, x_rank = array("l", [0]) * S.n, array("l", [0]) * S.n
+    yx, x_rank = array(TYPECODE, [0]) * S.n, array(TYPECODE, [0]) * S.n
     for p, dp, v, dv, count in runs:
         ps, vs = slice(p, p + count * dp, dp), slice(v, v + count * dv, dv)
         yx[ps] = y_rank[vs]

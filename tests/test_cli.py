@@ -13,7 +13,7 @@ import pytest
 
 from chromarect import cli as cli_module
 from chromarect.cli import run
-from chromarect.construction import StagedHypergraph, build_Gcg
+from chromarect.construction import MAX_TYPECODE_VERTICES, StagedHypergraph, build_Gcg
 from chromarect import hypergraph
 from chromarect.hypergraph import CyclesReport, Infinite, OrderedHypergraph
 
@@ -436,6 +436,26 @@ class TestErrorContract:
                       "--max-vertices", "1000")
         assert code == 2
         assert err_json(capsys)["error"] == "size-limit-exceeded"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a cycle of 10**7 + 1 edges was built before the count was
+            # compared (45 s, 3.2 GB)
+            ("gcg", "--c", "2", "--g", "10000001"),
+            # 144 + 12**13 vertices pass the 4-byte typecode's bound, not
+            # the vertex limit (was a MemoryError traceback)
+            ("hkc", "--k", "2", "--c", "3", "--max-vertices", str(10**15)),
+            ("gcg", "--c", "2", "--g", str(MAX_TYPECODE_VERTICES // 3 + 1), "--max-vertices", str(10**15)),
+        ],
+        ids=["gcg-limit", "hkc-typecode", "gcg-typecode"],
+    )
+    def test_count_past_a_bound_is_exit_2_at_once(self, argv, capsys):
+        start = time.perf_counter()
+        code, out = cli("construct", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, b"")
+        assert one_error(capsys)["error"] == "size-limit-exceeded"
 
     def test_astronomical_instance_rejected_fast(self, capsys):
         code, _ = cli("construct", "hkc", "--k", "3", "--c", "3")

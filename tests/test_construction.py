@@ -15,15 +15,20 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chromarect import construction
 from chromarect.construction import (
+    MAX_TYPECODE_VERTICES,
+    TYPECODE,
     LevelInfo,
     StagedHypergraph,
+    _check_width,
     _gcg,
     _hkc,
     _hkc_levels,
@@ -128,12 +133,76 @@ def test_identity_equals_range(n):
 
 def test_identity_other_byte_order(monkeypatch):
     # with the byte order flipped, every entry is written byte-reversed: the
-    # other byte order's planes land where that order puts them
+    # other byte order's planes land where that order puts them, in entries
+    # of the typecode's 4 bytes
     flipped = "big" if sys.byteorder == "little" else "little"
     monkeypatch.setattr(sys, "byteorder", flipped)
     ident = _identity(65537)
+    assert (ident.typecode, ident.itemsize) == (TYPECODE, 4)
+    assert ident.tobytes() == b"".join(i.to_bytes(4, flipped) for i in range(65537))
     ident.byteswap()
     assert ident == array("l", range(65537))
+
+
+def test_typecode_bound_is_the_largest_count_that_fits():
+    # the largest entry of any vertex array is a nested drawing's top
+    # coordinate, 4·n − 3
+    top = 4 * MAX_TYPECODE_VERTICES - 3
+    assert array(TYPECODE, [top])[0] == top
+    with pytest.raises(OverflowError):
+        array(TYPECODE, [top + 4])
+    _check_width(MAX_TYPECODE_VERTICES)
+    with pytest.raises(SizeLimitExceeded) as ei:
+        _check_width(MAX_TYPECODE_VERTICES + 1)
+    assert ei.value.details == {
+        "predicted_vertices": MAX_TYPECODE_VERTICES + 1,
+        "max_typecode_vertices": MAX_TYPECODE_VERTICES,
+    }
+
+
+def _refused_by_count(build, *args):
+    """The SizeLimitExceeded that build(*args) raises, checked to come
+    within a second and with under 1 MB allocated."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(SizeLimitExceeded) as ei:
+            build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 10**6
+    return ei.value
+
+
+def test_counts_past_the_typecode_refused_before_allocation():
+    # under a vertex limit of 10**15, H(2,3) (144 + 12**13 vertices; its
+    # parent allocation was a MemoryError) and G(2, g) with 3·g' just past
+    # the bound are refused by the typecode's bound
+    err = _refused_by_count(build_Hkc, 2, 3, 10**15)
+    assert err.details["predicted_vertices"] == 144 + 12**13
+    assert err.details["max_typecode_vertices"] == MAX_TYPECODE_VERTICES
+    g = (MAX_TYPECODE_VERTICES // 3 + 1) | 1
+    err = _refused_by_count(build_Gcg, 2, g, 10**15)
+    assert err.details["predicted_vertices"] == 3 * g > MAX_TYPECODE_VERTICES
+
+
+def test_gcg_counted_before_its_cycle_is_built():
+    # the count, 3·g' for g' = 10**9 + 1, is refused before the cycle's
+    # billion edges are listed
+    err = _refused_by_count(build_Gcg, 2, 10**9)
+    assert err.details["predicted_vertices"] == 3 * (10**9 + 1)
+    assert err.details["max_vertices"] == 10**7
+
+
+def test_loader_refuses_counts_past_the_typecode(monkeypatch, h22):
+    d = h22.to_json_dict()
+    monkeypatch.setattr(construction, "MAX_TYPECODE_VERTICES", 11)
+    with pytest.raises(SizeLimitExceeded):
+        StagedHypergraph.from_json_dict(d)
+    monkeypatch.setattr(construction, "MAX_TYPECODE_VERTICES", 12)
+    assert StagedHypergraph.from_json_dict(d).parent == h22.parent
 
 
 def test_h22_counts_and_edges(h22):
@@ -613,7 +682,12 @@ def test_edges_equal_materialized_reference(kind, a, b):
     assert len(edges) == len(expected)
     assert edges == expected and expected == edges
     assert not edges != expected
-    assert edges.columns() == [array("l", col) for col in zip(*expected)]
+    columns = edges.columns()
+    assert columns == [array("l", col) for col in zip(*expected)]
+    # from a first edge on: inside the path edges, at and past their end
+    n_path = S.n_path_edges
+    for first in {n_path // 2, n_path, n_path + 1, len(expected)}:
+        assert edges.columns(first) == [col[first:] for col in columns]
     step = max(1, len(expected) // 997)  # every item when small, a spread sample when not
     for i in range(0, len(expected), step):
         assert edges[i] == expected[i] and edges[i - len(expected)] == expected[i]

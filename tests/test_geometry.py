@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from fractions import Fraction as F
 from functools import lru_cache
@@ -15,6 +16,7 @@ from hypothesis import Phase, assume, given, settings, strategies as st
 
 from chromarect import geometry
 from chromarect.construction import (
+    TYPECODE,
     StagedHypergraph,
     _StagedEdges,
     _gcg,
@@ -594,6 +596,21 @@ def _r2_51():
 
 
 class TestBoxIndex:
+    def test_built_windows_equal_bisect_on_the_coordinates(self):
+        # a built drawing's points sit at 0, 4, …, 4(n − 1) on each axis;
+        # bounds negative, past 4n, on multiples of 4 and between them, as
+        # ints and as Fractions
+        index = BoxIndex(_r25().points)
+        n = len(index.yx)
+        coords = range(0, 4 * n, 4)
+        bounds = [-9, -4, -3, -1, 0, 1, 3, 4, 5, 8, 4 * n - 5, 4 * n - 4, 4 * n - 3, 4 * n, 4 * n + 7]
+        bounds += [F(b, 3) for b in range(-13, 12 * n + 13)]
+        for lo, hi in itertools.product(bounds, repeat=2):
+            want = (bisect_left(coords, lo), bisect_right(coords, hi))
+            for window in (index.x_window, index.y_window):
+                got = window(Rect(lo, hi, lo, hi))
+                assert (got.start, got.stop) == want
+
     def test_built_matches_containment_scan(self):
         # built H(2,2), nested H(2,2), G(2,5) and G(2,51), on their rank
         # points and on the same points loaded back from JSON
@@ -1159,3 +1176,35 @@ class TestOrderInvariance:
         before = incidence_hypergraph(R.points, rects)
         after = incidence_hypergraph(pts2, rects2)
         assert before == after
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _h22,
+        lambda: build_Gcg(2, 5),
+        lambda: build_Hkc(3, 2),
+        lambda: _hkc(4, 2, build_Hkc(2, 1), _hkc_levels(4, 2, 10**6)),
+    ],
+    ids=["H(2,2)", "G(2,5)", "H(3,2)", "(4,2)"],
+)
+def test_every_vertex_array_has_the_typecode(make):
+    # one 4-byte typecode throughout, so slice assignment between any two
+    # of them works; H(3,2)'s points are indexed as built only, as a point
+    # list they would take some 200 MB
+    S = make()
+    yx, y_ids, ranks = geometry._orders(S)
+    points = geometry._RankPoints(yx, y_ids, *ranks)
+    arrays = [yx, y_ids, *ranks, *S.base.edges.columns(), *S.base.edges.columns(S.n_path_edges)]
+    T = S
+    while T is not None:
+        arrays.append(T.parent)
+        T = T.copy_template
+    indexes = [BoxIndex(points)] + ([BoxIndex(list(points))] if S.n < 10**5 else [])
+    for index in indexes:
+        arrays += [index.yx, index.y_ids, index.x_rank, index.y_rank, index._runs]
+    if S.kind == "hkc":
+        last = S.levels[-1]
+        stages = (S.n_path_edges, last.first_vertex, last.stage_size)
+        arrays += geometry._RankRects(S.base.edges, points, stages).y_windows()
+    assert all(type(a) is array and (a.typecode, a.itemsize) == (TYPECODE, 4) for a in arrays)
