@@ -22,15 +22,15 @@ Both orders are built from the level records.  Every stage of a level
 has the same shape, and stage t's children are stage 0's shifted by t
 times the child count of one stage, so each level does Python work for
 stage 0 only, and a subtree's size depends only on its level and stage
-offset.  The x-order is planned as arithmetic runs: vertices with ids
-v, v + dv, … at x-ranks p, p + dp, ….  A run's children come from its
-offset's sibling list, cut into grids of arithmetic ids; on H(3,2) every
-sibling list is one grid, and 4,857 runs place all 1,771,497 vertices.
-The plan checks the shift it relies on (one strided compare per child
-offset) and that its runs cover every vertex, and raises
-:class:`VerificationError` if not.  The y-order and its inverse are
-written by strided slices of one identity array, one per entry of a
-sibling group's chunk (one stage's leaf family and band).
+offset.  Both orders are planned as arithmetic runs: vertices with ids
+v, v + dv, … at ranks p, p + dp, …, and one loop writes each run and
+its inverse as a pair of strided slices.  An x-run's children come from
+its offset's sibling list, cut into grids of arithmetic ids; on H(3,2)
+every sibling list is one grid, and 4,857 runs place all 1,771,497
+vertices.  The plan checks the shift it relies on (one strided compare
+per child offset) and that its runs cover every vertex, and raises
+:class:`VerificationError` if not.  A y-run is one band entry of a run
+of stages; 117 place H(3,2).
 
 A built drawing is the two rank arrays, the y-order ``y_ids``, and one
 permutation ``yx``: yx[i] is the y-rank of the point at x-rank i, one
@@ -552,105 +552,64 @@ def _x_order(S: StagedHypergraph, ident: array):
     return runs
 
 
-def _y_order(S: StagedHypergraph, ident: array):
-    """(y_ids, y_rank): the reverse pre-order of the stage tree, child
-    subtrees last to first and then the stage's own band, and its inverse.
+def _y_order(S: StagedHypergraph):
+    """The reverse pre-order of the stage tree, child subtrees last to
+    first and then the stage's own band, as runs (p, dp, v, dv, count) in
+    the x-order's format: vertex v + i·dv has y-rank p + i·dp.
 
-    A stage on level last − 1 emits one chunk, its child stages' bands
-    (its leaf family) and then its own band, and entry i of the chunk of
-    stage pos is a_i + pos·step_i.  Sibling chunks are consecutive and
-    reversed, so a sibling group's chunks are written, ids and ranks, by
-    one strided slice of ``ident`` per chunk entry.  The stages above
-    level last − 1 (one stage on every buildable instance) are emitted one
-    by one."""
+    It is planned level by level, as stage runs (s, ds, y, dy, count):
+    stage s + i·ds of the level has its subtree from y-rank y + i·dy, and
+    a subtree's size depends only on its level.  Each entry of a stage's
+    band (its blocks from last to first, each in the copy's own y-order)
+    is one vertex run of the stage run, above the child subtrees.  Child
+    t of stage s is stage s·r + t, so a stage run's children span the
+    run's own axis and the sibling axis (last child lowest), and the
+    longer one carries the next level's stage runs."""
     levels, m = S.levels, S.m
-    within = _y_order(S.copy_template, ident)[0] if S.copy_template is not None else range(m)
-    # one stage's band, relative to its first vertex: blocks from the lowest
-    # sub-band up, each block in its copy's own y-order
-    bands = []
-    for li in levels:
-        if li.blocks_per_stage:
-            bands.append(
-                [b * m + p for b in range(li.blocks_per_stage - 1, -1, -1) for p in within]
-            )
-        else:
-            bands.append(list(range(li.stage_size)))  # one flat band
-    y_ids, y_rank = array(TYPECODE, [0]) * S.n, array(TYPECODE, [0]) * S.n
-    at = 0  # the next y-rank to write
+    within = _orders(S.copy_template)[1] if S.copy_template is not None else range(m)
+    sizes = [0]  # subtree size per level, and 0 below the last
+    for li in reversed(levels):
+        sizes.insert(0, li.stage_size + li.children_per_stage * sizes[0])
+    runs, stages = [], [(0, 1, 0, sizes[0], 1)]  # level 0 is one stage
+    for j, li in enumerate(levels):
+        r, size = li.children_per_stage, li.stage_size
+        blocks = range(li.blocks_per_stage - 1, -1, -1)
+        band = [b * m + p for b in blocks for p in within] if blocks else range(size)
+        below, nxt = r * sizes[j + 1], []
+        for s, ds, y, dy, count in stages:
+            v = li.first_vertex + s * size
+            runs += [(y + below + e, dy, v + p, ds * size, count) for e, p in enumerate(band)]
+            own, sib = (count, ds * r, dy), (r, -1, sizes[j + 1])
+            (n1, ds1, dy1), (n2, ds2, dy2) = (own, sib) if r > count else (sib, own)
+            nxt += [(s * r + r - 1 + a * ds1, ds2, y + a * dy1, dy2, n2) for a in range(n1)]
+        stages = nxt
+    return runs
 
-    def put(ids: list) -> None:
-        nonlocal at
-        for i, v in enumerate(ids, at):
-            y_rank[v] = i
-        y_ids[at : at + len(ids)] = array(TYPECODE, ids)
-        at += len(ids)
 
-    def band(j: int, pos: int) -> None:
-        base = levels[j].first_vertex + pos * levels[j].stage_size
-        put([base + p for p in bands[j]])
-
-    last = len(levels) - 1
-    if not last:
-        band(0, 0)
-        return y_ids, y_rank
-    li, leaf = levels[last - 1], levels[last]
-    r, size = li.children_per_stage, leaf.stage_size
-    # (a_i, step_i) per chunk entry: the family's stages last to first, then the band
-    chunk = [
-        (leaf.first_vertex + t * size + p, r * size)
-        for t in range(r - 1, -1, -1)
-        for p in bands[last]
-    ]
-    chunk += [(li.first_vertex + p, li.stage_size) for p in bands[last - 1]]
-    width = len(chunk)
-
-    def group(lo: int, count: int) -> None:
-        # the chunks of stages lo + count - 1 down to lo
-        nonlocal at
-        if count == 1:
-            put([a + lo * step for a, step in chunk])
-            return
-        end = at + count * width
-        for i, (a, step) in enumerate(chunk):
-            ids = slice(a + lo * step, a + (lo + count) * step, step)
-            ranks = ident[at + i : end : width]
-            ranks.reverse()
-            y_rank[ids] = ranks
-            y_ids[at + i : end : width] = ident[ids][::-1]
-        at = end
-
-    if last == 1:
-        group(0, levels[0].n_stages)
-        return y_ids, y_rank
-    # the stages above level last − 1, each after its child subtrees
-    # (last child first): (j, pos, whether its children are emitted)
-    todo = [(0, 0, False)]
-    while todo:
-        j, pos, expanded = todo.pop()
-        r = levels[j].children_per_stage
-        if not expanded and j + 1 < last - 1:
-            todo.append((j, pos, True))
-            todo += [(j + 1, t, False) for t in range(pos * r, (pos + 1) * r)]
-            continue
-        if not expanded:
-            group(pos * r, r)
-        band(j, pos)
-    return y_ids, y_rank
+def _run(start: int, step: int, count: int) -> slice:
+    """The indices start + i·step for i < count, as a slice; a descending
+    run that ends at index 0 stops at None, since a stop of −1 would
+    count from the end."""
+    stop = start + count * step
+    return slice(start, stop if stop >= 0 else None, step)
 
 
 def _orders(S: StagedHypergraph):
     """(yx, y_ids, (x_rank, y_rank)): the y-ranks in x-order, the vertices
-    bottom to top, and the two orders' inverses.  The x-order's runs are
-    planned first, so their temporaries are freed before the y-order's
-    arrays exist; each run writes a slice of ``yx`` and ``x_rank``."""
+    bottom to top, and the two orders' inverses.  Both orders are planned
+    as runs, the x-order's first so that its temporaries are freed before
+    the arrays exist, and one loop writes them: each y-run a slice of
+    ``y_ids`` and of ``y_rank``, then each x-run a slice of ``yx`` and of
+    ``x_rank``."""
     ident = _identity(S.n)
-    runs = _x_order(S, ident)
-    y_ids, y_rank = _y_order(S, ident)
-    yx, x_rank = array(TYPECODE, [0]) * S.n, array(TYPECODE, [0]) * S.n
-    for p, dp, v, dv, count in runs:
-        ps, vs = slice(p, p + count * dp, dp), slice(v, v + count * dv, dv)
-        yx[ps] = y_rank[vs]
-        x_rank[vs] = ident[ps]
+    x_runs = _x_order(S, ident)
+    y_runs = _y_order(S)
+    y_ids, y_rank, yx, x_rank = (array(TYPECODE, [0]) * S.n for _ in range(4))
+    for runs, ordered, rank, source in ((y_runs, y_ids, y_rank, ident), (x_runs, yx, x_rank, y_rank)):
+        for p, dp, v, dv, count in runs:
+            ps, vs = _run(p, dp, count), _run(v, dv, count)
+            ordered[ps] = source[vs]
+            rank[vs] = ident[ps]
     return yx, y_ids, (x_rank, y_rank)
 
 

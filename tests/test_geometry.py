@@ -476,8 +476,8 @@ class TestOrders:
             assert len(counts) > 1
 
     def test_h32_digests(self):
-        # the only three-level instance: the y-order recurses above the
-        # sibling-family fold.  Digests of the placement-list orders.
+        # the only three-level instance: its level-2 y-runs follow the
+        # parent runs' own axis.  Digests of the placement-list orders.
         yx, y_ids, _ = geometry._orders(build_Hkc(3, 2))
         x_ids = [y_ids[j] for j in yx]
         assert _digest(x_ids) == "460f917e8cdcdba3621ed6b71be1ac77fd28b2753c56aff46e78e5cb36e7a7a9"
@@ -487,8 +487,8 @@ class TestOrders:
     def test_deeper_layouts(self, k, m):
         # every buildable instance has at most three levels (H(4, 2)'s
         # level-0 stage has 4**64 child stages).  H(k, 2)'s layout around an
-        # m-vertex template has k levels: the y-order recurses above the
-        # sibling groups, and the x-order repeats stage 0 on several levels.
+        # m-vertex template has k levels: the y-order plans stage runs on
+        # each, and the x-order repeats stage 0 on several levels.
         S = _hkc(k, 2, build_Hkc(m, 1), _hkc_levels(k, m, 10**6))
         assert len(S.levels) == k
         yx, y_ids, (_, y_rank) = geometry._orders(S)
@@ -496,10 +496,22 @@ class TestOrders:
         assert (list(x_ids), list(y_ids)) == _placement_orders(S)
         assert y_rank == geometry._inverse(y_ids)
 
+    def test_bands_take_the_copy_y_order(self):
+        # every buildable template has the identity y-order, so the bands
+        # are checked around two that do not: one level of stages around
+        # H(2, 2), and G(2, 5) copies under a seeded 15-uniform auxiliary
+        T, rng = build_Gcg(2, 5), random.Random(0)
+        aux = OrderedHypergraph(20, [rng.sample(range(20), T.n) for _ in range(3)])
+        for S in (_hkc(1, 3, build_Hkc(2, 2), _hkc_levels(1, 12, 10**6)), _gcg(3, T, aux)):
+            within = geometry._orders(S.copy_template)[1]
+            assert list(within) != sorted(within)
+            yx, y_ids, _ = geometry._orders(S)
+            assert ([y_ids[j] for j in yx], list(y_ids)) == _placement_orders(S)
+
     def test_y_rank_is_inverse(self):
         # the y-order writes its inverse by the slices that write the ids;
-        # H(3, 2) is the buildable instance whose sibling groups hold more
-        # than one stage
+        # H(3, 2) is the buildable instance whose stage runs hold more than
+        # one stage on both axes
         for S in [_order_instance(*case) for case in ORDER_INSTANCES] + [build_Hkc(3, 2)]:
             _, y_ids, (_, y_rank) = geometry._orders(S)
             assert y_rank == geometry._inverse(y_ids)
@@ -519,6 +531,34 @@ class TestOrders:
             yx, _, (x_rank, y_rank) = geometry._orders(S)
             assert sorted(x_rank) == list(range(S.n))
             assert array("l", map(yx.__getitem__, x_rank)) == y_rank
+
+    def test_y_runs_cover_every_vertex_and_rank(self):
+        # the run counts sum to n, and each run's vertices, and separately
+        # its y-ranks, stepped one by one mark all n entries: no run
+        # overlaps another or leaves [0, n)
+        for S in _rank_instances():
+            runs = geometry._y_order(S)
+            assert sum(run[4] for run in runs) == S.n
+            for side in (0, 2):
+                marked = bytearray(S.n)
+                for run in runs:
+                    steps = range(run[side], run[side] + run[4] * run[side + 1], run[side + 1])
+                    assert 0 <= min(steps[0], steps[-1]) and max(steps[0], steps[-1]) < S.n
+                    for i in steps:
+                        marked[i] = 1
+                assert marked == b"\x01" * S.n
+
+    def test_h32_y_runs(self):
+        # one run per band entry of a stage run, not one per vertex:
+        # 27 + 9 + 27 · 3 on levels 0, 1 and 2
+        assert len(geometry._y_order(build_Hkc(3, 2))) <= 117
+
+    def test_descending_run_ends_at_index_0(self):
+        # a stop of -1 would count from the end: the slice would hold one
+        # index and the assignment would raise
+        a = array(TYPECODE, [0]) * 7
+        a[geometry._run(6, -3, 3)] = array(TYPECODE, [1, 2, 3])
+        assert list(a) == [3, 0, 0, 2, 0, 0, 1]
 
     def test_sibling_grids(self):
         # stages of 3 vertices: a 2 × 3 grid (rows at stride 30, ids at
