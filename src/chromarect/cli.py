@@ -70,8 +70,7 @@ from .hypergraph import (
     DEFAULT_NODE_BUDGET,
     Coloring,
     OrderedHypergraph,
-    chromatic_number,
-    is_c_colorable,
+    _least_coloring,
     is_proper_coloring,
 )
 
@@ -291,11 +290,10 @@ def _load_hypergraph(args) -> OrderedHypergraph:
 
 def _cmd_chromatic(args, stdout) -> int:
     H = _load_hypergraph(args)
-    k = chromatic_number(H, node_budget=args.node_budget)
-    col = is_c_colorable(H, k, node_budget=args.node_budget)
-    if col is None or not is_proper_coloring(H, col):
-        raise VerificationError("search returned an improper coloring", c=k)
-    payload = {"chromatic_number": k, "witness": col.to_json_dict()}
+    col = _least_coloring(H, node_budget=args.node_budget)
+    if not is_proper_coloring(H, col):
+        raise VerificationError("search returned an improper coloring", c=col.c)
+    payload = {"chromatic_number": col.c, "witness": col.to_json_dict()}
     _write_artifact(args.out, _canonical_json(payload), stdout)
     return 0
 

@@ -272,6 +272,13 @@ def chromatic_number(
     Edges of size <= 1 are rejected: they are monochromatic under every
     coloring, so no finite palette works and the minimum is undefined.
     """
+    return _least_coloring(H, node_budget).c
+
+
+def _least_coloring(H: OrderedHypergraph, node_budget: int = DEFAULT_NODE_BUDGET) -> Coloring:
+    """:func:`is_c_colorable`'s coloring for the least c that has one,
+    found by trying c = 1, 2, … once each; the search
+    :func:`chromatic_number` reports."""
     for e in H.edges:
         if len(e) <= 1:
             raise DomainError(
@@ -280,8 +287,9 @@ def chromatic_number(
             )
     c = 1
     while True:
-        if is_c_colorable(H, c, node_budget=node_budget) is not None:
-            return c
+        col = is_c_colorable(H, c, node_budget=node_budget)
+        if col is not None:
+            return col
         c += 1
 
 

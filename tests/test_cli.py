@@ -276,6 +276,16 @@ class TestSmallCommands:
         d = json.loads(cli_ok("chromatic", "--input", str(h)))
         assert d["chromatic_number"] == 3
 
+    def test_chromatic_searches_once(self, h22_file, monkeypatch):
+        # the witness comes from the search that finds the least c: one
+        # is_c_colorable call per palette tried, c = 1, 2, 3 on H(2, 2)
+        calls, search = [], hypergraph.is_c_colorable
+        monkeypatch.setattr(
+            hypergraph, "is_c_colorable", lambda H, c, **kw: calls.append(c) or search(H, c, **kw)
+        )
+        d = json.loads(cli_ok("chromatic", "--input", str(h22_file)))
+        assert (d["chromatic_number"], calls) == (3, [1, 2, 3])
+
     def test_chromatic_undefined_on_singleton_edge(self, tmp_path, capsys):
         h = tmp_path / "loop.json"
         h.write_text(json.dumps({"n": 2, "edges": [[0]]}))
