@@ -586,7 +586,7 @@ def _y_order(S: StagedHypergraph):
     return runs
 
 
-def _run(start: int, step: int, count: int) -> slice:
+def _run_slice(start: int, step: int, count: int) -> slice:
     """The indices start + i·step for i < count, as a slice; a descending
     run that ends at index 0 stops at None, since a stop of −1 would
     count from the end."""
@@ -607,7 +607,7 @@ def _orders(S: StagedHypergraph):
     y_ids, y_rank, yx, x_rank = (array(TYPECODE, [0]) * S.n for _ in range(4))
     for runs, ordered, rank, source in ((y_runs, y_ids, y_rank, ident), (x_runs, yx, x_rank, y_rank)):
         for p, dp, v, dv, count in runs:
-            ps, vs = _run(p, dp, count), _run(v, dv, count)
+            ps, vs = _run_slice(p, dp, count), _run_slice(v, dv, count)
             ordered[ps] = source[vs]
             rank[vs] = ident[ps]
     return yx, y_ids, (x_rank, y_rank)

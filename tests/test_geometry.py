@@ -557,7 +557,7 @@ class TestOrders:
         # a stop of -1 would count from the end: the slice would hold one
         # index and the assignment would raise
         a = array(TYPECODE, [0]) * 7
-        a[geometry._run(6, -3, 3)] = array(TYPECODE, [1, 2, 3])
+        a[geometry._run_slice(6, -3, 3)] = array(TYPECODE, [1, 2, 3])
         assert list(a) == [3, 0, 0, 2, 0, 0, 1]
 
     def test_sibling_grids(self):
