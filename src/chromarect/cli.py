@@ -51,11 +51,11 @@ from .errors import (
     VerificationError,
 )
 from .geometry import (
+    SVG_WIDTH,
     BoxIndex,
     Point2,
     Realization,
     Rect,
-    SvgStyle,
     default_sample,
     dominance_hasse,
     emit_svg,
@@ -412,10 +412,10 @@ def _cmd_vdc(args, stdout) -> int:
     return 0
 
 
-def _checked_svg(R: Realization, style: SvgStyle = SvgStyle()) -> bytes:
+def _checked_svg(R: Realization, width: float = SVG_WIDTH) -> bytes:
     from xml.etree import ElementTree
 
-    data = emit_svg(R, style)
+    data = emit_svg(R, width)
     try:
         ElementTree.fromstring(data)
     except ElementTree.ParseError as exc:
@@ -425,8 +425,7 @@ def _checked_svg(R: Realization, style: SvgStyle = SvgStyle()) -> bytes:
 
 def _cmd_svg(args, stdout) -> int:
     R = Realization.from_json_dict(_load_json(args.input))
-    style = SvgStyle() if args.width is None else SvgStyle(width=args.width)
-    _write_artifact(args.out, _checked_svg(R, style), stdout)
+    _write_artifact(args.out, _checked_svg(R, args.width), stdout)
     return 0
 
 
@@ -577,7 +576,7 @@ def _build_parser() -> _Parser:
     sv = sub.add_parser("svg", help="render a realization")
     sv.add_argument("--input", required=True, help="realization JSON")
     sv.add_argument("--out", help="output path (default stdout)")
-    sv.add_argument("--width", type=float, default=None)
+    sv.add_argument("--width", type=float, default=SVG_WIDTH)
     sv.set_defaults(handler=_cmd_svg)
 
     em = sub.add_parser("embed", help="lift integers to sequence points")

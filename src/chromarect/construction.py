@@ -463,38 +463,51 @@ def build_Hkc(
     return _hkc(k, c, build_Hkc(k, c - 1, max_vertices), size[1])
 
 
-def _hkc(k: int, c: int, template: StagedHypergraph, levels: list) -> StagedHypergraph:
-    """H(k, c) on its level layout, around ``template`` = H(k, c - 1).  The
-    child stages of a stage take one vertex from each of its blocks, in
-    lexicographic order of the picks (the f_m choice tuples), and those
-    picks are the children's parents.
+def _parent_rule(levels: Sequence[LevelInfo], m: int):
+    """H(k, c)'s parent array on its level layout, stated by the digit
+    rule as (slice, parents) pairs that between them cover every vertex
+    once: level 0's roots (parent -1), then per level stage 0's children
+    and their copies across the level.
 
-    The parents are written into one preallocated array, a level at a
-    time, by C-level slices.  Child stage r of a stage picks vertex
-    digit_b(r) of block b, digit_b(r) being r's b-th base-m digit, most
-    significant first.  So over stage 0's children, the parents of child
-    offset b form a column in which each vertex of block b repeats
-    m**(blocks - 1 - b) times and the pattern cycles; it is written by one
-    strided slice.  Stage t's children take stage 0's parents shifted by
-    t times the stage size, so each child offset of stage 0 is copied
-    across the level by one strided slice of an identity array."""
-    m = template.n
-    parent = array(TYPECODE, [-1]) * _vertex_count(levels)
+    Child stage r of a stage picks vertex digit_b(r) of block b,
+    digit_b(r) being r's b-th base-m digit, most significant first.  So
+    over stage 0's children, the parents of child offset b form a column
+    in which each vertex of block b repeats m**(blocks - 1 - b) times and
+    the pattern cycles: one strided slice.  Stage t's children take stage
+    0's parents shifted by t times the stage size, so each child of stage
+    0 is copied across the level by one strided slice of an identity
+    array."""
+    n0 = levels[0].stage_size
+    yield slice(0, n0), array(TYPECODE, [-1]) * n0
     ident = _identity(levels[-1].first_vertex)  # every parent lies above the last level
     for li, child in zip(levels, levels[1:]):
         lo, blocks = child.first_vertex, li.blocks_per_stage
         span = li.children_per_stage * blocks
+        columns = []
         for b in range(blocks):
             first = li.first_vertex + b * m
             column = array(TYPECODE)
             for v in range(first, first + m):
                 column += array(TYPECODE, [v]) * m ** (blocks - 1 - b)
-            parent[lo + b : lo + span : blocks] = column * m**b
+            columns.append(column * m**b)
+            yield slice(lo + b, lo + span, blocks), columns[-1]
         N, size = li.n_stages, li.stage_size
         if N > 1:
-            for q, p in enumerate(parent[lo : lo + span]):
-                parent[lo + q : lo + N * span : span] = ident[p : p + N * size : size]
-    return _staged("hkc", k, c, m, parent, levels, template)
+            for q in range(span):
+                p = columns[q % blocks][q // blocks] + size  # in stage 1
+                yield slice(lo + span + q, lo + N * span, span), ident[p : p + (N - 1) * size : size]
+
+
+def _hkc(k: int, c: int, template: StagedHypergraph, levels: list) -> StagedHypergraph:
+    """H(k, c) on its level layout, around ``template`` = H(k, c - 1).  The
+    child stages of a stage take one vertex from each of its blocks, in
+    lexicographic order of the picks (the f_m choice tuples), and those
+    picks are the children's parents.  They are written into one
+    preallocated array by the C-level slices of :func:`_parent_rule`."""
+    parent = array(TYPECODE, [0]) * _vertex_count(levels)
+    for where, parents in _parent_rule(levels, template.n):
+        parent[where] = parents
+    return _staged("hkc", k, c, template.n, parent, levels, template)
 
 
 # ---------------------------------------------------------------------------

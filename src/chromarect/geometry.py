@@ -18,19 +18,19 @@ orders and nothing else:
   first, each block ordered like the embedded copy's own y-order
   (identity order when there is no copy).
 
-Both orders are built from the level records.  Every stage of a level
-has the same shape, and stage t's children are stage 0's shifted by t
-times the child count of one stage, so each level does Python work for
-stage 0 only, and a subtree's size depends only on its level and stage
-offset.  Both orders are planned as arithmetic runs: vertices with ids
-v, v + dv, … at ranks p, p + dp, …, and one loop writes each run and
-its inverse as a pair of strided slices.  An x-run's children come from
-its offset's sibling list, cut into grids of arithmetic ids; on H(3,2)
-every sibling list is one grid, and 4,857 runs place all 1,771,497
-vertices.  The plan checks the shift it relies on (one strided compare
-per child offset) and that its runs cover every vertex, and raises
-:class:`VerificationError` if not.  A y-run is one band entry of a run
-of stages; 117 place H(3,2).
+Both orders are planned from the level records, as arithmetic runs:
+vertices with ids v, v + dv, … at ranks p, p + dp, …, and one loop
+writes each run and its inverse as a pair of strided slices.  Every
+stage of a level has the same shape, and a subtree's size depends only
+on its level.  H(k,c)'s children follow from the digit rule the
+builder writes its parents by (``construction._parent_rule``), so its
+x-order reads no parent, and the realizer first checks, by strided
+compares, that the parents are the rule's; 4,857 x-runs place all
+1,771,497 vertices of H(3,2).  G(c,g)'s forest has depth one, and one
+sort by parent gives its x-order.  The x-order checks that its runs
+cover every vertex; it and the parent check raise
+:class:`VerificationError` where they fail.  A y-run is one band entry
+of a run of stages; 117 place H(3,2).
 
 A built drawing is the two rank arrays, the y-order ``y_ids``, and one
 permutation ``yx``: yx[i] is the y-rank of the point at x-rank i, one
@@ -64,7 +64,7 @@ from fractions import Fraction
 from math import isfinite, isqrt
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
-from .construction import TYPECODE, StagedHypergraph, _identity
+from .construction import TYPECODE, StagedHypergraph, _identity, _parent_rule
 from .errors import DomainError, VerificationError
 from .hypergraph import Coloring, OrderedHypergraph, _LazySequence
 
@@ -410,144 +410,63 @@ def verify_realization(
 # the rank-space realizer
 
 
-def _check_periodic(parent: array, prev, li, ident: array) -> None:
-    """Raise VerificationError unless level ``li``'s parents repeat stage
-    0's pattern: with span the child count of one ``prev`` stage, vertex
-    ``li.first_vertex + t·span + q`` has parent p_q + t·prev.stage_size,
-    where p_q is the parent of child q of stage 0.  One strided compare
-    per child offset q."""
-    lo, span = li.first_vertex, prev.children_per_stage * li.stage_size
-    N, size = prev.n_stages, prev.stage_size
-    if N == 1:
-        return
-    for q, p in enumerate(parent[lo : lo + span]):
-        if parent[lo + q : lo + N * span : span] != ident[p : p + N * size : size]:
-            raise VerificationError(
-                "a stage's children are not stage 0's children shifted",
-                level_first=lo,
-                child_offset=q,
-            )
-
-
-def _longest(fits, lo: int, hi: int) -> int:
-    """The largest m in [lo, hi] with fits(m), for a predicate that holds
-    at lo and, once false, stays false: doubling steps, then bisection."""
-    while lo < hi:
-        m = min(2 * lo, hi)
-        if not fits(m):
-            hi = m - 1
-            break
-        lo = m
-    while lo < hi:
-        m = (lo + hi + 1) // 2
-        if fits(m):
-            lo = m
-        else:
-            hi = m - 1
-    return lo
-
-
-def _sibling_grids(kids: array, size: int, ident: array) -> list:
-    """Cut a sibling list (child ids ascending, on a level of stages of
-    ``size`` vertices) into grids (u, du, ell, R, rows): the ids
-    u + a·R + b·du for a < rows and b < ell, row by row.  du and R are
-    multiples of ``size``, so a grid's vertices share one stage offset; a
-    lone id is a 1 × 1 grid.  A row grows as long as its ids stay
-    arithmetic, and a grid as long as further rows repeat the first at a
-    fixed stride, each tried by strided compares against ``ident``."""
-    grids, i, c = [], 0, len(kids)
-    while i < c:
-        u = kids[i]
-        du = kids[i + 1] - u if i + 1 < c else size
-        if du % size:
-            grids.append((u, size, 1, size, 1))
-            i += 1
-            continue
-        ell = _longest(lambda m: kids[i : i + m] == ident[u : u + m * du : du], 1, c - i)
-        R, rows = size, 1
-        if i + ell < c and (kids[i + ell] - u) % size == 0:
-            R = kids[i + ell] - u
-
-            def fits(m: int) -> bool:
-                if m <= ell:  # m rows of ell ids, or ell columns of m ids
-                    return all(
-                        kids[i + a * ell : i + a * ell + ell] == ident[u + a * R : u + a * R + ell * du : du]
-                        for a in range(m)
-                    )
-                return all(
-                    kids[i + b : i + m * ell : ell] == ident[u + b * du : u + b * du + m * R : R]
-                    for b in range(ell)
-                )
-
-            rows = _longest(fits, 1, (c - i) // ell)
-        grids.append((u, du, ell, R, rows))
-        i += rows * ell
-    return grids
-
-
-def _x_order(S: StagedHypergraph, ident: array):
+def _x_order(S: StagedHypergraph):
     """The post-order of the parent forest, children in id order, as
     arithmetic runs (p, dp, v, dv, count): vertex v + i·dv has x-rank
-    p + i·dp for i < count.
+    p + i·dp for i < count.  A one-level instance is in id order.
 
-    A run's vertices lie on one level and dv is a multiple of the stage
-    size, so they share one stage offset and one subtree shape (stage t
-    repeats stage 0's children shifted by t·span, which
-    ``_check_periodic`` makes sure); each sits at the end of its subtree.
-    Its children come from the offset's sibling list, cut into grids
-    (``_sibling_grids``): a grid and the run span three arithmetic axes,
-    and the longest becomes the new runs' axis.  Subtree sizes and grids
-    come level by level from the leaves up, from stage 0's children
-    grouped by parent."""
-    parent, levels, n = S.parent, S.levels, S.n
-    last = len(levels) - 1
-    # per level: the subtree size and the children's grids, per stage offset
-    sizes = [None] * last + [[1] * levels[last].stage_size]
-    grids = [None] * last
-    for j in range(last - 1, -1, -1):
-        prev, li = levels[j], levels[j + 1]
-        _check_periodic(parent, prev, li, ident)
-        off, lo, span = prev.first_vertex, li.first_vertex, prev.children_per_stage * li.stage_size
-        grouped = array(TYPECODE, sorted(range(lo, lo + span), key=parent.__getitem__))
-        # stage 0's parent o has grouped children cut[o]..cut[o + 1] - 1
-        cut = [bisect_left(grouped, off + o, key=parent.__getitem__) for o in range(prev.stage_size + 1)]
-        below, sizes[j], grids[j] = sizes[j + 1], [], []
-        for o in range(prev.stage_size):
-            q, kept = 0, []  # q: where the next grid starts in o's subtree
-            for u, du, ell, R, rows in _sibling_grids(grouped[cut[o] : cut[o + 1]], li.stage_size, ident):
-                size = below[(u - lo) % li.stage_size]
-                # its two axes as (count, id stride, position stride), longer first
-                down, across = (rows, R, ell * size), (ell, du, size)
-                kept.append((u, q, down, across) if rows > ell else (u, q, across, down))
-                q += rows * ell * size
-            grids[j].append(kept)
-            sizes[j].append(q + 1)
+    H(k, c) is planned level by level from its level records, as runs of
+    vertices that share one level and stage offset (dv is a multiple of
+    the stage size), each at the end of its subtree.  A subtree's size
+    depends only on its level, so level 0, one stage of roots, is one run
+    per root.  By the digit rule (the one ``construction._parent_rule``
+    writes), the children of a vertex in block b with digit d are child
+    offset b of the child stages hi·m**(B - b) + d·m**(B - 1 - b) + lo, B
+    the blocks per stage, in order of (hi, lo).  A run's own axis, the lo
+    axis and the hi axis are three arithmetic axes, and the longest
+    carries the next level's runs.  The realizer checks the parents
+    against that rule.
 
-    top = levels[0]
-    todo, s, stage_total = [], 0, sum(sizes[0])
-    for o in range(top.stage_size):
-        todo.append((0, top.first_vertex + o, top.stage_size, s, stage_total, top.n_stages))
-        s += sizes[0][o]
-    runs, placed = [], 0
-    while todo:
-        j, v, dv, s, dp, count = todo.pop()
-        li = levels[j]
-        t, o = divmod(v - li.first_vertex, li.stage_size)
-        runs.append((s + sizes[j][o] - 1, dp, v, dv, count))
-        placed += count
-        if j == last:
-            continue
-        span = li.children_per_stage * levels[j + 1].stage_size
-        shift, step = t * span, dv // li.stage_size * span
-        for u, q, longer, (n1, dv1, dp1) in grids[j][o]:
-            # the run's own axis and the grid's two: the longest carries the new runs
-            own = (count, step, dp)
-            (n2, dv2, dp2), (n3, dv3, dp3) = (own, longer) if longer[0] > count else (longer, own)
-            for a in range(n1):
-                for b in range(n2):
-                    todo.append((j + 1, u + shift + a * dv1 + b * dv2, dv3, s + q + a * dp1 + b * dp2, dp3, n3))
-    # a child of stage 0 whose parent lies outside stage 0 was left out
-    if placed != n:
+    G(c, g)'s forest has depth one: each root comes right after its
+    children, which one sort of the non-roots by parent groups, one run
+    per vertex.  A non-root whose parent is no root raises
+    :class:`VerificationError`."""
+    levels, n = S.levels, S.n
+    if len(levels) == 1:
+        runs = [(0, 1, 0, 1, n)]
+    elif S.kind == "gcg":
+        parent, roots = S.parent, levels[0].stage_size
+        leaf_parents = parent[roots:]
+        if leaf_parents and not 0 <= min(leaf_parents) <= max(leaf_parents) < roots:
+            raise VerificationError("a leaf's parent is not a root")
+        # a leaf sorts by its parent, then id, and root o right after its leaves
+        order = sorted(range(n), key=lambda v: 2 * parent[v] if v >= roots else 2 * v + 1)
+        runs = [(p, 1, v, 1, 1) for p, v in enumerate(order)]
+    else:
+        m, top = S.m, levels[0]
+        sizes = [1]  # subtree size per level
+        for li in reversed(levels[:-1]):
+            sizes.insert(0, 1 + li.children_per_stage // m * sizes[0])
+        level = [((o + 1) * sizes[0] - 1, n, o, top.stage_size, 1) for o in range(top.stage_size)]
+        runs = list(level)
+        for j, (li, child) in enumerate(zip(levels, levels[1:])):
+            B, r, size, below = li.blocks_per_stage, li.children_per_stage, child.stage_size, sizes[j + 1]
+            nxt = []
+            for p, dp, v, dv, count in level:
+                t, o = divmod(v - li.first_vertex, li.stage_size)
+                b, d = divmod(o, m)
+                lo_n = m ** (B - 1 - b)
+                # (count, id step, rank step) of the run's own axis and of
+                # its children's lo and hi axes; the longest carries the runs
+                own = (count, dv // li.stage_size * r * size, dp)
+                lo, hi = (lo_n, size, below), (m**b, m * lo_n * size, lo_n * below)
+                (n1, dv1, dp1), (n2, dv2, dp2), (n3, dv3, dp3) = sorted((own, lo, hi), key=lambda x: x[0])
+                u, s = child.first_vertex + (t * r + d * lo_n) * size + b, p - sizes[j] + below
+                for a in range(n1):
+                    nxt += [(s + a * dp1 + c * dp2, dp3, u + a * dv1 + c * dv2, dv3, n3) for c in range(n2)]
+            runs += nxt
+            level = nxt
+    if sum(run[4] for run in runs) != n:
         raise VerificationError("placement list does not cover all points")
     return runs
 
@@ -602,7 +521,7 @@ def _orders(S: StagedHypergraph):
     ``y_ids`` and of ``y_rank``, then each x-run a slice of ``yx`` and of
     ``x_rank``."""
     ident = _identity(S.n)
-    x_runs = _x_order(S, ident)
+    x_runs = _x_order(S)
     y_runs = _y_order(S)
     y_ids, y_rank, yx, x_rank = (array(TYPECODE, [0]) * S.n for _ in range(4))
     for runs, ordered, rank, source in ((y_runs, y_ids, y_rank, ident), (x_runs, yx, x_rank, y_rank)):
@@ -614,6 +533,14 @@ def _orders(S: StagedHypergraph):
 
 
 def _realize(S: StagedHypergraph, nested: bool) -> Realization:
+    if S.kind == "hkc":
+        # the x-order is planned from the level records, so the parents
+        # the edges come from must be the digit rule's
+        for where, parents in _parent_rule(S.levels, S.m):
+            if S.parent[where] != parents:
+                raise VerificationError(
+                    "parents differ from the digit rule", first=where.start, step=where.step
+                )
     yx, y_ids, ranks = _orders(S)
     points = _RankPoints(yx, y_ids, *ranks)
     edges = S.base.edges
@@ -933,24 +860,22 @@ def monochromatic_increasing_path(
 # SVG
 
 
-@dataclass(frozen=True)
-class SvgStyle:
-    width: float = 900.0
-    margin: float = 40.0
-    point_radius: float = 3.0
-    stroke_width: float = 1.2
-    point_color: str = "#c4442a"
-    rect_color: str = "#2a6fc4"
+SVG_WIDTH = 900.0
+_SVG_MARGIN = 40.0
+_POINT_RADIUS = 3.0
+_STROKE_WIDTH = 1.2
+_POINT_COLOR = "#c4442a"
+_RECT_COLOR = "#2a6fc4"
 
 
-def emit_svg(R: Realization, style: SvgStyle = SvgStyle()) -> bytes:
+def emit_svg(R: Realization, width: float = SVG_WIDTH) -> bytes:
     """Deterministic SVG: circles for points, hollow strokes for
     rectangles, viewport fitted to the drawing's bounds."""
-    if not (isfinite(style.width) and style.width > 2 * style.margin):
+    if not (isfinite(width) and width > 2 * _SVG_MARGIN):
         raise DomainError(
             "SVG width must be finite and above twice the margin",
-            width=str(style.width),
-            margin=str(style.margin),
+            width=str(width),
+            margin=str(_SVG_MARGIN),
         )
     if not R.points:
         raise DomainError("cannot draw an empty realization")
@@ -964,35 +889,35 @@ def emit_svg(R: Realization, style: SvgStyle = SvgStyle()) -> bytes:
         raise DomainError("cannot draw a coordinate that does not fit in a float")
     span_x = (x1 - x0) or 1.0
     span_y = (y1 - y0) or 1.0
-    inner = style.width - 2 * style.margin
+    inner = width - 2 * _SVG_MARGIN
     scale = inner / span_x
-    height = span_y * scale + 2 * style.margin
+    height = span_y * scale + 2 * _SVG_MARGIN
     if not all(map(isfinite, (span_x, span_y, scale, height))):
         raise DomainError("cannot draw a drawing whose extent or scale does not fit in a float")
 
     def fx(v: Fraction) -> str:
-        return f"{style.margin + (float(v) - x0) * scale:.6f}"
+        return f"{_SVG_MARGIN + (float(v) - x0) * scale:.6f}"
 
     def fy(v: Fraction) -> str:
-        return f"{style.margin + (y1 - float(v)) * scale:.6f}"
+        return f"{_SVG_MARGIN + (y1 - float(v)) * scale:.6f}"
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{style.width:.6f}" height="{height:.6f}" '
-        f'viewBox="0 0 {style.width:.6f} {height:.6f}">'
+        f'width="{width:.6f}" height="{height:.6f}" '
+        f'viewBox="0 0 {width:.6f} {height:.6f}">'
     ]
     for r in rects:
         w = f"{(float(r.x_hi) - float(r.x_lo)) * scale:.6f}"
         h = f"{(float(r.y_hi) - float(r.y_lo)) * scale:.6f}"
         out.append(
             f'<rect x="{fx(r.x_lo)}" y="{fy(r.y_hi)}" width="{w}" height="{h}" '
-            f'fill="none" stroke="{style.rect_color}" '
-            f'stroke-width="{style.stroke_width:.6f}"/>'
+            f'fill="none" stroke="{_RECT_COLOR}" '
+            f'stroke-width="{_STROKE_WIDTH:.6f}"/>'
         )
     for p in R.points:
         out.append(
             f'<circle cx="{fx(p.x)}" cy="{fy(p.y)}" '
-            f'r="{style.point_radius:.6f}" fill="{style.point_color}"/>'
+            f'r="{_POINT_RADIUS:.6f}" fill="{_POINT_COLOR}"/>'
         )
     out.append("</svg>")
     return "\n".join(out).encode("utf-8")

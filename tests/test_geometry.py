@@ -33,7 +33,6 @@ from chromarect.geometry import (
     Point2,
     Realization,
     Rect,
-    SvgStyle,
     dominance_hasse,
     emit_svg,
     extend_to_perfect_nested,
@@ -518,8 +517,8 @@ class TestOrders:
 
     def test_x_rank_is_inverse(self):
         # each x-order run writes its x-ranks by the slice pair that writes
-        # its y-ranks into yx; H(3, 2)'s sibling lists are grids, and the
-        # deeper layouts carry runs through more than one level of children
+        # its y-ranks into yx; H(3, 2)'s children span two digit axes, and
+        # the deeper layouts carry runs through more than one level of children
         for S in _rank_instances():
             yx, y_ids, (x_rank, _) = geometry._orders(S)
             assert x_rank == geometry._inverse([y_ids[j] for j in yx])
@@ -533,25 +532,30 @@ class TestOrders:
             assert array("l", map(yx.__getitem__, x_rank)) == y_rank
 
     def test_y_runs_cover_every_vertex_and_rank(self):
-        # the run counts sum to n, and each run's vertices, and separately
-        # its y-ranks, stepped one by one mark all n entries: no run
-        # overlaps another or leaves [0, n)
+        # for both planners, the run counts sum to n, and each run's
+        # vertices, and separately its ranks, stepped one by one mark all n
+        # entries: no run overlaps another or leaves [0, n)
         for S in _rank_instances():
-            runs = geometry._y_order(S)
-            assert sum(run[4] for run in runs) == S.n
-            for side in (0, 2):
-                marked = bytearray(S.n)
-                for run in runs:
-                    steps = range(run[side], run[side] + run[4] * run[side + 1], run[side + 1])
-                    assert 0 <= min(steps[0], steps[-1]) and max(steps[0], steps[-1]) < S.n
-                    for i in steps:
-                        marked[i] = 1
-                assert marked == b"\x01" * S.n
+            for runs in (geometry._x_order(S), geometry._y_order(S)):
+                assert sum(run[4] for run in runs) == S.n
+                for side in (0, 2):
+                    marked = bytearray(S.n)
+                    for run in runs:
+                        steps = range(run[side], run[side] + run[4] * run[side + 1], run[side + 1])
+                        assert 0 <= min(steps[0], steps[-1]) and max(steps[0], steps[-1]) < S.n
+                        for i in steps:
+                            marked[i] = 1
+                    assert marked == b"\x01" * S.n
 
     def test_h32_y_runs(self):
         # one run per band entry of a stage run, not one per vertex:
         # 27 + 9 + 27 · 3 on levels 0, 1 and 2
         assert len(geometry._y_order(build_Hkc(3, 2))) <= 117
+
+    def test_h32_x_runs(self):
+        # one run per root, then per parent run the product of the two
+        # shorter of its three axes: 27 + 483 + 483 · 9 on levels 0, 1 and 2
+        assert len(geometry._x_order(build_Hkc(3, 2))) <= 4857
 
     def test_descending_run_ends_at_index_0(self):
         # a stop of -1 would count from the end: the slice would hold one
@@ -560,49 +564,39 @@ class TestOrders:
         a[geometry._run_slice(6, -3, 3)] = array(TYPECODE, [1, 2, 3])
         assert list(a) == [3, 0, 0, 2, 0, 0, 1]
 
-    def test_sibling_grids(self):
-        # stages of 3 vertices: a 2 × 3 grid (rows at stride 30, ids at
-        # stride 6), an arithmetic row whose successor keeps no offset,
-        # then two ids one apart, each alone
-        kids = array("l", [10, 16, 22, 40, 46, 52, 100, 103, 106, 109, 150, 151])
-        assert geometry._sibling_grids(kids, 3, array("l", range(200))) == [
-            (10, 6, 3, 30, 2),
-            (100, 3, 4, 3, 1),
-            (150, 3, 1, 3, 1),
-            (151, 3, 1, 3, 1),
-        ]
-
     def test_child_outside_stage_0_rejected(self):
-        # below a one-stage level no periodicity is checked: a child whose
-        # parent lies outside that stage is in no run, so the run counts
-        # miss n
+        # G(2, g)'s x-order groups the leaves by parent, so a leaf whose
+        # parent is not a root, another leaf or none (-1), raises there
         S = build_Gcg(2, 5)
-        parent = array("l", S.parent)
         leaf = S.levels[1]
-        parent[leaf.first_vertex] = leaf.first_vertex + 1
-        with pytest.raises(VerificationError):
-            geometry._orders(_with_parents(S, parent))
+        for p in (leaf.first_vertex + 1, -1):
+            parent = array("l", S.parent)
+            parent[leaf.first_vertex] = p
+            with pytest.raises(VerificationError):
+                geometry._orders(_with_parents(S, parent))
 
     def test_stages_not_repeating_stage_0_rejected(self):
-        # the x-order groups only stage 0's children by parent and shifts
-        # that grouping across the level, so each level-1 stage must have
-        # stage 0's children shifted.  Two of one stage's children swap
-        # parents, in stage 1, a middle stage and the last; or a child of
-        # stage 0 takes a parent in stage 1.
+        # the x-order is planned from the level records, so the realizer
+        # checks H(k, c)'s parents against the digit rule.  Two of one
+        # stage's children swap parents, in stage 1, a middle stage, the
+        # last, or every stage (a periodic array, which only the digit
+        # rule tells apart); or a child of stage 0 takes a parent in
+        # stage 1.
         S = build_Hkc(3, 2)
         prev, leaf = S.levels[1], S.levels[2]
         span = prev.children_per_stage * leaf.stage_size
-        for t in (1, prev.n_stages // 2, prev.n_stages - 1):
+        for stages in ([1], [prev.n_stages // 2], [prev.n_stages - 1], range(prev.n_stages)):
             parent = array("l", S.parent)
-            a, b = leaf.first_vertex + t * span, leaf.first_vertex + t * span + 1
-            assert parent[a] != parent[b]
-            parent[a], parent[b] = parent[b], parent[a]
+            for t in stages:
+                a, b = leaf.first_vertex + t * span, leaf.first_vertex + t * span + 1
+                assert parent[a] != parent[b]
+                parent[a], parent[b] = parent[b], parent[a]
             with pytest.raises(VerificationError):
-                geometry._orders(_with_parents(S, parent))
+                realize_Hkc(_with_parents(S, parent))
         parent = array("l", S.parent)
         parent[leaf.first_vertex] = prev.first_vertex + prev.stage_size
         with pytest.raises(VerificationError):
-            geometry._orders(_with_parents(S, parent))
+            realize_Hkc(_with_parents(S, parent))
 
 
 def _rank_instances():
@@ -1143,8 +1137,9 @@ class TestSvg:
 
     def test_style_changes_output(self):
         a = emit_svg(_r22())
-        b = emit_svg(_r22(), SvgStyle(point_radius=5.0))
+        b = emit_svg(_r22(), width=500.0)
         assert a != b
+        assert a == emit_svg(_r22(), width=900.0)
 
     def test_empty_rejected(self):
         empty = Realization([], [], [], OrderedHypergraph(0, []))
