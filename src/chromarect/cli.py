@@ -60,7 +60,7 @@ from .geometry import (
     dominance_hasse,
     emit_svg,
     monochromatic_increasing_path,
-    parse_coord,
+    parse_points,
     realize_Gcg,
     realize_Hkc,
     realize_Hkc_nested,
@@ -133,14 +133,11 @@ def _parse_int_list(text: str) -> List[int]:
     return vals
 
 
-def _parse_points(d) -> List[Point2]:
-    """Points from either a realization payload or a bare points payload."""
+def _parse_points(d) -> Sequence[Point2]:
+    """The rank view of a realization's or a bare payload's points."""
     if not isinstance(d, dict) or "points" not in d:
         raise DomainError('input must be a JSON object with a "points" field')
-    try:
-        return [Point2(parse_coord(x), parse_coord(y)) for x, y in d["points"]]
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"malformed point list: {exc}")
+    return parse_points(d["points"])
 
 
 def _load_staged(path: str) -> StagedHypergraph:
@@ -228,7 +225,7 @@ def _resolve_difference_set(spec_text: str):
     if spec_text in _STREAM_NAMES:
         return difference_stream(spec_text)
     payload = _load_json(spec_text)
-    if not isinstance(payload, list) or not all(isinstance(v, int) for v in payload):
+    if not isinstance(payload, list) or not all(type(v) is int for v in payload):
         raise DomainError(
             "difference-set file must hold a JSON array of integers",
             path=spec_text,

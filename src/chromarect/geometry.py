@@ -32,20 +32,20 @@ cover every vertex; it and the parent check raise
 :class:`VerificationError` where they fail.  A y-run is one band entry
 of a run of stages; 117 place H(3,2).
 
-A built drawing is the two rank arrays, the y-order ``y_ids``, and one
-permutation ``yx``: yx[i] is the y-rank of the point at x-rank i, one
-slice per x-order run.  Vertex v is the point
-(4·x_rank[v], 4·y_rank[v]), and an edge's rectangle is its members' rank
-window with each side one unit outside the extreme members.  Every
-id, rank and rank-coordinate array has the 4-byte
+A point set, built, loaded or bare, is one rank view: the two rank
+arrays, the y-order ``y_ids``, the permutation ``yx`` (yx[i] is the
+y-rank of the point at x-rank i, one slice per x-order run when built)
+and the sorted coordinates ``xs``, ``ys`` (0, 4, 8, … when built), so
+vertex v is (xs[x_rank[v]], ys[y_rank[v]]).  An edge's rectangle is its
+members' rank window with each side one unit outside the extreme
+members.  Every id, rank and rank-coordinate array has the 4-byte
 ``construction.TYPECODE``; the builders refuse instances it cannot hold.
-A loaded realization may carry arbitrary ``fractions.Fraction`` values.
 No floating point is involved except in SVG output.  The builder
 verifies its own incidence before returning, with the sample
 :func:`default_sample` picks.
 
 Every box-membership question goes through :class:`BoxIndex`, by the
-box's x- and y-rank windows (arithmetic on a built drawing) and one
+box's x- and y-rank windows (a bisect of ``xs`` and of ``ys``) and one
 block array of sorted slices of ``yx``.  On H(3,2) the transversal
 rectangles have y-windows of three ranks, and a path rectangle's
 x-window of some 33k ranks costs about 25 bisects plus two partial
@@ -103,8 +103,25 @@ def parse_coord(value) -> Fraction:
     string such as ``"-7/2"``.  Nothing else reaches ``Fraction``, which
     would expand an exponent such as ``"1e100000000"`` digit by digit."""
     if type(value) is int or type(value) is str and _COORD_TEXT.fullmatch(value):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise DomainError("coordinate has a zero denominator")
+        except ValueError as exc:  # more digits than the interpreter converts
+            raise DomainError(f"coordinate too long: {exc}")
     raise DomainError("coordinate must be an int or a string p or p/q of decimal digits")
+
+
+def _coord_rows(rows, width: int) -> List[list]:
+    """JSON rows of ``width`` coordinates each, parsed by :func:`parse_coord`."""
+    if type(rows) is not list or any(type(row) is not list or len(row) != width for row in rows):
+        raise DomainError(f"expected a JSON list of rows of {width} coordinates")
+    return [[parse_coord(c) for c in row] for row in rows]
+
+
+def parse_points(rows) -> _RankPoints:
+    """The point set of JSON rows [x, y], as a rank view."""
+    return _RankPoints.of([Point2(*row) for row in _coord_rows(rows, 2)])
 
 
 def make_rect(x_lo, x_hi, y_lo, y_hi) -> Rect:
@@ -121,7 +138,7 @@ class Interval(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# the integer views of a built realization
+# the rank views of a point set and of a built drawing's rectangles
 
 
 def _inverse(ids) -> array:
@@ -133,20 +150,36 @@ def _inverse(ids) -> array:
 
 
 class _RankPoints(_LazySequence):
-    """Vertex v at (4·x_rank[v], 4·y_rank[v]); ``yx`` (the y-ranks in
-    x-order) and ``y_ids`` ride along for :class:`BoxIndex`."""
+    """Vertex v at (xs[x_rank[v]], ys[y_rank[v]]), the coordinates sorted
+    (a built drawing's 0, 4, 8, …); ``yx`` (the y-ranks in x-order) and
+    ``y_ids`` ride along for :class:`BoxIndex` and the dominance sweep."""
 
-    def __init__(self, yx: array, y_ids: array, x_rank: array, y_rank: array):
+    def __init__(self, yx: array, y_ids: array, x_rank: array, y_rank: array, xs=None, ys=None):
         self.yx = yx
         self.y_ids = y_ids
         self.x_rank = x_rank
         self.y_rank = y_rank
+        self.xs = range(0, 4 * len(yx), 4) if xs is None else xs
+        self.ys = self.xs if ys is None else ys
+
+    @classmethod
+    def of(cls, points: Sequence[Point2]) -> _RankPoints:
+        """``points`` if a view, else its view: one stable sort per axis."""
+        if isinstance(points, cls):
+            return points
+        n = len(points)
+        x_ids = sorted(range(n), key=lambda i: points[i].x)
+        y_ids = array(TYPECODE, sorted(range(n), key=lambda i: points[i].y))
+        y_rank = _inverse(y_ids)
+        yx = array(TYPECODE, map(y_rank.__getitem__, x_ids))
+        xs, ys = [points[i].x for i in x_ids], [points[i].y for i in y_ids]
+        return cls(yx, y_ids, _inverse(x_ids), y_rank, xs, ys)
 
     def __len__(self) -> int:
         return len(self.yx)
 
     def _item(self, v: int) -> Point2:
-        return Point2(4 * self.x_rank[v], 4 * self.y_rank[v])
+        return Point2(self.xs[self.x_rank[v]], self.ys[self.y_rank[v]])
 
 
 class _RankRects(_LazySequence):
@@ -208,8 +241,8 @@ class Realization:
     The central invariant — for every edge e, ``rects[r] ∩ points`` is
     exactly e's vertex set, where ``edge_of_rect[r] == e`` — is established
     by the builder running :func:`verify_realization`, never assumed.
-    A builder's points and rects are integer views over its two rank
-    arrays; a loaded realization holds plain lists.
+    Its points, built or loaded, are a rank view; a builder's rects are
+    a view over the same rank arrays, a loaded realization's a list.
     """
 
     __slots__ = ("points", "rects", "edge_of_rect", "hypergraph")
@@ -233,10 +266,10 @@ class Realization:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Realization":
         try:
-            points = [Point2(parse_coord(x), parse_coord(y)) for x, y in d["points"]]
-            rects = [make_rect(*map(parse_coord, (a, b, c, e))) for a, b, c, e in d["rects"]]
+            points = parse_points(d["points"])
+            rects = [make_rect(*row) for row in _coord_rows(d["rects"], 4)]
             edge_of_rect = list(d["edge_of_rect"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed realization JSON: {exc}")
         if any(type(i) is not int for i in edge_of_rect):
             raise DomainError("edge_of_rect entries must be ints")
@@ -250,36 +283,25 @@ class Realization:
 
 
 class BoxIndex:
-    """Which points lie in which closed box.  A box's sides give rank
-    windows of the x- and y-coordinates, and the box holds exactly the
-    points in both windows.  A built drawing's coordinates are 4·rank, so
-    its windows are arithmetic; other points bisect sorted coordinates.
+    """Which points lie in which closed box, asked of the points' rank
+    view (:meth:`_RankPoints.of`).  A box's sides give rank windows, one
+    bisect each of the sorted ``xs`` and ``ys``, and the box holds exactly
+    the points in both windows.
 
-    Besides ``yx`` (the y-ranks in x-order), ``y_ids`` and the rank
+    Besides the view's ``yx`` (the y-ranks in x-order), ``y_ids`` and rank
     arrays, the index keeps one block array: ``yx`` cut into blocks of
     ``block`` = isqrt(n) ranks, each sorted.  A box whose y-window is
     shorter than its x-window and at most one block long scans its
     y-window and sorts the hits by x-rank.  Any other box scans ``yx``
     over the partial blocks at the two ends of its x-window, and in each
     whole block between them bisects the sorted run for the y-window, so
-    a long x-window costs O(√n) scanned ranks plus one bisect per block.
-    Indexed from a built drawing's arrays, or by one sort of any other
-    point list's coordinates."""
+    a long x-window costs O(√n) scanned ranks plus one bisect per block."""
 
     def __init__(self, points: Sequence[Point2]):
-        n = len(points)
-        if isinstance(points, _RankPoints):
-            self.yx, self.y_ids = points.yx, points.y_ids
-            self.x_rank, self.y_rank = points.x_rank, points.y_rank
-            self._xs = self._ys = None
-        else:
-            x_ids = sorted(range(n), key=lambda i: points[i].x)
-            self.y_ids = array(TYPECODE, sorted(range(n), key=lambda i: points[i].y))
-            self.x_rank = _inverse(x_ids)
-            self.y_rank = _inverse(self.y_ids)
-            self.yx = array(TYPECODE, map(self.y_rank.__getitem__, x_ids))
-            self._xs = [points[i].x for i in x_ids]
-            self._ys = [points[i].y for i in self.y_ids]
+        P = _RankPoints.of(points)
+        self.xs, self.ys, self.yx, self.y_ids = P.xs, P.ys, P.yx, P.y_ids
+        self.x_rank, self.y_rank = P.x_rank, P.y_rank
+        n = len(P)
         self.block = B = max(1, isqrt(n))
         self._runs = runs = array(TYPECODE)
         for b in range(0, n, B):
@@ -287,17 +309,11 @@ class BoxIndex:
 
     def x_window(self, rect: Rect) -> range:
         """x-ranks of the points whose x lies in the box's x-extent."""
-        return self._window(self._xs, rect.x_lo, rect.x_hi)
+        return range(bisect_left(self.xs, rect.x_lo), bisect_right(self.xs, rect.x_hi))
 
     def y_window(self, rect: Rect) -> range:
         """y-ranks of the points whose y lies in the box's y-extent."""
-        return self._window(self._ys, rect.y_lo, rect.y_hi)
-
-    def _window(self, cs, lo, hi) -> range:
-        if cs is None:  # ranks ceil(lo / 4) through floor(hi / 4)
-            n = len(self.yx)
-            return range(min(max(-(-lo // 4), 0), n), min(max(hi // 4 + 1, 0), n))
-        return range(bisect_left(cs, lo), bisect_right(cs, hi))
+        return range(bisect_left(self.ys, rect.y_lo), bisect_right(self.ys, rect.y_hi))
 
     def members(self, rect: Rect) -> List[int]:
         """Ids of the points inside ``rect``, in x-order."""
@@ -792,31 +808,31 @@ def _leaf_label(root: _Node, y: Fraction, depth: int) -> str:
 # dominance posets
 
 
-def _check_general_position(points: Sequence[Point2]) -> None:
-    if len({p.x for p in points}) != len(points) or len({p.y for p in points}) != len(points):
+def _check_general_position(points: Sequence[Point2]) -> _RankPoints:
+    """The rank view of ``points``, whose x and y must be pairwise distinct."""
+    P = _RankPoints.of(points)
+    if len(set(P.xs)) != len(P) or len(set(P.ys)) != len(P):
         raise DomainError("points must have pairwise distinct x and y coordinates")
+    return P
 
 
 def dominance_hasse(points: Sequence[Point2]) -> OrderedHypergraph:
     """Cover pairs of the dominance order p < q (x and y both smaller):
     the pairs with no third point strictly inside their spanning box.
 
-    One O(n²) sweep over integer y-ranks in x-order: q covers p exactly
-    when q comes after p in x-order and p.y < q.y < the lowest y above p.y
-    among the points between them.  Each pair is (smaller index, larger
-    index), and the pairs are sorted."""
-    _check_general_position(points)
-    n = len(points)
-    x_ids = sorted(range(n), key=lambda i: points[i].x)
-    y_rank = _inverse(sorted(range(n), key=lambda i: points[i].y))
-    ys = [y_rank[v] for v in x_ids]
+    One O(n²) sweep over the view's ``yx``, the y-ranks in x-order: q
+    covers p exactly when q comes after p in x-order and p.y < q.y < the
+    lowest y above p.y among the points between them.  Each pair is
+    (smaller index, larger index), and the pairs are sorted."""
+    points = _check_general_position(points)
+    n, ys, y_ids = len(points), points.yx, points.y_ids
     edges = []
     for i, yp in enumerate(ys):
         bound = n  # lowest y-rank above yp seen so far
         for j in range(i + 1, n):
             if yp < ys[j] < bound:
                 bound = ys[j]
-                a, b = x_ids[i], x_ids[j]
+                a, b = y_ids[yp], y_ids[bound]
                 edges.append((a, b) if a < b else (b, a))
     edges.sort()
     return OrderedHypergraph(n, edges)
@@ -827,23 +843,22 @@ def monochromatic_increasing_path(
 ) -> Optional[List[int]]:
     """A chain of k same-colored points, consecutive in the dominance
     Hasse diagram, or None.  k counts vertices.  Found by longest-path
-    dynamic programming per color class, scanning in x-order."""
-    _check_general_position(points)
+    dynamic programming per color class, scanning the view in x-order."""
+    points = _check_general_position(points)
     if k < 1:
         raise DomainError("chain length must be positive", k=k)
     if len(col.colors) != len(points):
         raise DomainError("coloring length does not match point count")
     hasse = dominance_hasse(points)
-    n = len(points)
+    n, x_rank = len(points), points.x_rank
     preds = [[] for _ in range(n)]
     for a, b in hasse.edges:
-        lo, hi = (a, b) if points[a].x < points[b].x else (b, a)
+        lo, hi = (a, b) if x_rank[a] < x_rank[b] else (b, a)
         if col.colors[lo] == col.colors[hi]:
             preds[hi].append(lo)
-    order = sorted(range(n), key=lambda i: points[i].x)
     best = [1] * n
     back = [-1] * n
-    for v in order:
+    for v in map(points.y_ids.__getitem__, points.yx):
         for u in preds[v]:
             if best[u] + 1 > best[v]:
                 best[v] = best[u] + 1

@@ -219,6 +219,17 @@ class TestToAps:
         assert code == 1
         err_json(capsys)
 
+    def test_boolean_difference_refused(self, r22n_file, tmp_path, capsys):
+        # [false, true, …] was read as [0, 1, …] and exited 0
+        ints, bools = tmp_path / "ints.json", tmp_path / "bools.json"
+        ints.write_text(json.dumps([0, 1] + [2**i for i in range(1, 80)]))
+        bools.write_text(json.dumps([False, True] + [2**i for i in range(1, 80)]))
+        argv = ["to-aps", "--input", str(r22n_file), "--mode", "general", "--difference-set"]
+        cli_ok(*argv, str(ints))
+        code, out = cli(*argv, str(bools))
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "domain-error"
+
     def test_short_file_stream_exhausts(self, r22n_file, tmp_path, capsys):
         dfile = tmp_path / "short.json"
         dfile.write_text("[2, 3, 5]")
@@ -806,6 +817,52 @@ class TestErrorContract:
         good = tmp_path / "good.json"
         good.write_text(json.dumps(d))
         cli_ok(*_coord_argv(command, good, h22_file, tmp_path))
+
+    @pytest.mark.parametrize("shape", ["strings", "dict"])
+    @pytest.mark.parametrize(
+        "command,field",
+        # hasse and mono-path read no rectangles
+        [(c, "points") for c in ("hasse", "mono-path", "verify", "svg", "to-aps")]
+        + [(c, "rects") for c in ("verify", "svg", "to-aps")],
+    )
+    def test_row_of_the_wrong_shape_rejected(self, command, field, shape, tmp_path, capsys):
+        # one-digit coordinates: the string row "13" was read as the row
+        # ["1", "3"], and a dict as its keys, so every command exited 0
+        d = {
+            "points": [["1", "1"], ["3", "3"]],
+            "rects": [["0", "2", "0", "2"], ["0", "4", "0", "4"]],
+            "edge_of_rect": [0, 1],
+        }
+        files = {name: tmp_path / f"{name}.json" for name in ("good", "bad", "h", "col")}
+        files["h"].write_text(json.dumps({"n": 2, "edges": [[0], [0, 1]]}))
+        files["col"].write_text(json.dumps({"c": 1, "colors": [0, 0]}))
+        files["good"].write_text(json.dumps(d))
+        rows = ["".join(row) for row in d[field]]
+        d[field] = rows if shape == "strings" else {row: i for i, row in enumerate(rows)}
+        files["bad"].write_text(json.dumps(d))
+        argv = {
+            "hasse": ["hasse"],
+            "mono-path": ["mono-path", "--coloring", str(files["col"]), "--k", "2"],
+            "verify": ["verify", "--hypergraph", str(files["h"])],
+            "svg": ["svg"],
+            "to-aps": ["to-aps", "--mode", "pow2"],
+        }[command]
+        flag = "--realization" if command == "verify" else "--input"
+        cli_ok(*argv, flag, str(files["good"]))
+        code, out = cli(*argv, flag, str(files["bad"]))
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "domain-error"
+
+    @pytest.mark.parametrize("command", ["hasse", "mono-path"])
+    def test_bare_string_points_rejected(self, command, tmp_path, capsys):
+        # exited 0 with a 3-point diagram, and mono-path with {"path":[0,1]}
+        bad, col = tmp_path / "bad.json", tmp_path / "col.json"
+        bad.write_text(json.dumps({"points": ["12", "34", "56"]}))
+        col.write_text(json.dumps({"c": 1, "colors": [0, 0, 0]}))
+        argv = {"hasse": [], "mono-path": ["--coloring", str(col), "--k", "2"]}[command]
+        code, out = cli(command, "--input", str(bad), *argv)
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "domain-error"
 
     @pytest.mark.parametrize("coord", [0.5, False, 2.0])
     def test_non_rational_rect_bound_rejected(self, coord, h22_file, r22n_file, tmp_path, capsys):

@@ -1175,6 +1175,64 @@ class TestRealizationJson:
         with pytest.raises(DomainError):
             make_rect(F(1), F(0), F(0), F(1))
 
+    @pytest.mark.parametrize("R", [_r22, _r22_nested, _r25], ids=["plain", "nested", "G(2,5)"])
+    def test_loaded_points_are_the_built_rank_view(self, R):
+        # the built points sit in general position, so the loaded view's
+        # one sort per axis finds the builder's own orders
+        R = R()
+        back = Realization.from_json_dict(R.to_json_dict()).points
+        assert type(back) is geometry._RankPoints and back == R.points
+        for name in ("yx", "y_ids", "x_rank", "y_rank"):
+            assert list(getattr(back, name)) == list(getattr(R.points, name))
+        assert [int(x) for x in back.xs] == list(R.points.xs) == list(range(0, 4 * len(back), 4))
+
+    @pytest.mark.parametrize(
+        "field,rows",
+        [
+            ("points", ["00", "44"]),  # a string row was read character by character
+            ("points", {"00": 0, "44": 1}),
+            ("points", [["0", "0", "0"], ["4", "4", "4"]]),
+            ("points", [["0"], ["4"]]),
+            ("rects", ["0011"]),
+            ("rects", [["0", "1", "0"]]),
+            ("rects", [("0", "1", "0", "1", "2")]),
+        ],
+    )
+    def test_rows_must_be_lists_of_two_or_four(self, field, rows):
+        d = {"points": [["0", "0"], ["4", "4"]], "rects": [["0", "1", "0", "1"]], "edge_of_rect": [0]}
+        Realization.from_json_dict(d)
+        d[field] = rows
+        with pytest.raises(DomainError, match="rows of"):
+            Realization.from_json_dict(d)
+
+    @pytest.mark.parametrize("text", ["1/0", "3/00", "-0/0"])
+    def test_zero_denominator_refused_by_parse_coord(self, text):
+        with pytest.raises(DomainError, match="zero denominator"):
+            geometry.parse_coord(text)
+
+
+class TestRankPoints:
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=24))
+    @settings(max_examples=150, deadline=None)
+    def test_view_of_a_list_with_ties(self, coords):
+        pts = [Point2(F(x, 2), F(y, 3)) for x, y in coords]
+        P = geometry._RankPoints.of(pts)
+        assert list(P) == pts and len(P) == len(pts)
+        assert geometry._RankPoints.of(P) is P
+        assert list(P.xs) == sorted(p.x for p in pts) and list(P.ys) == sorted(p.y for p in pts)
+        # the ranks invert the stable x- and y-orders, ties by id
+        x_ids = sorted(range(len(pts)), key=lambda v: pts[v].x)
+        y_ids = sorted(range(len(pts)), key=lambda v: pts[v].y)
+        assert P.x_rank == geometry._inverse(x_ids) and P.y_rank == geometry._inverse(y_ids)
+        assert list(P.y_ids) == y_ids and list(P.yx) == [P.y_rank[v] for v in x_ids]
+        for a in (P.yx, P.y_ids, P.x_rank, P.y_rank):
+            assert type(a) is array and a.typecode == TYPECODE
+
+    def test_built_view_sits_on_the_grid_of_fours(self):
+        P = _r25().points
+        assert P.xs == P.ys == range(0, 4 * len(P), 4)
+        assert list(P) == [Point2(4 * P.x_rank[v], 4 * P.y_rank[v]) for v in range(len(P))]
+
 
 def _monotone_map(values, gaps):
     """Strictly increasing map defined on a finite value set."""
