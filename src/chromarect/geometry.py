@@ -112,11 +112,12 @@ def parse_coord(value) -> Fraction:
     raise DomainError("coordinate must be an int or a string p or p/q of decimal digits")
 
 
-def _coord_rows(rows, width: int) -> List[list]:
-    """JSON rows of ``width`` coordinates each, parsed by :func:`parse_coord`."""
+def _coord_rows(rows, width: int) -> Iterable[list]:
+    """JSON rows of ``width`` coordinates each, parsed by :func:`parse_coord`
+    one row at a time once every row's shape is checked."""
     if type(rows) is not list or any(type(row) is not list or len(row) != width for row in rows):
         raise DomainError(f"expected a JSON list of rows of {width} coordinates")
-    return [[parse_coord(c) for c in row] for row in rows]
+    return ([parse_coord(c) for c in row] for row in rows)
 
 
 def parse_points(rows) -> _RankPoints:
@@ -825,7 +826,7 @@ def dominance_hasse(points: Sequence[Point2]) -> OrderedHypergraph:
     lowest y above p.y among the points between them.  Each pair is
     (smaller index, larger index), and the pairs are sorted."""
     points = _check_general_position(points)
-    n, ys, y_ids = len(points), points.yx, points.y_ids
+    n, ys, y_ids = len(points), points.yx.tolist(), points.y_ids  # an array boxes each read
     edges = []
     for i, yp in enumerate(ys):
         bound = n  # lowest y-rank above yp seen so far
