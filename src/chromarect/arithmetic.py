@@ -474,24 +474,14 @@ class APRealization:
         return cls(V, aps, edges, offset)
 
 
-def _windows_and_members(R: Realization):
-    """x-order of the points and, per rectangle, its x-window rank span
-    and the x-ranks of the points it holds."""
-    _check_general_position(R.points)
-    index = BoxIndex(R.points)
-    windows = []
-    members = []
-    for rect in R.rects:
-        xw = index.x_window(rect)
-        windows.append((xw.start, xw.stop - 1))
-        members.append(tuple(index.x_rank[v] for v in index.members(rect)))
-    return [index.y_ids[j] for j in index.yx], windows, members
-
-
 def _emit_aps(R, fam, point_value, diff_and_residue) -> APRealization:
-    order, windows, members = _windows_and_members(R)
+    """One progression per nonempty rectangle, clamped to the values at the
+    ends of its rank window's x-side, checked against the drawing."""
+    P = _check_general_position(R.points)
+    index = BoxIndex(P)
     labels = fam.point_labels
-    V = [point_value(labels[idx], rank + 1) for rank, idx in enumerate(order)]
+    # the point at x-rank i gets the (i + 1)-th value
+    V = [point_value(labels[P.y_ids[j]], i + 1) for i, j in enumerate(P.yx)]
     if any(a >= b for a, b in zip(V, V[1:])):
         raise VerificationError("integer values are not strictly increasing")
     aps: List[FiniteAP] = []
@@ -499,13 +489,13 @@ def _emit_aps(R, fam, point_value, diff_and_residue) -> APRealization:
     expected: List[tuple] = []
     flagged: List[int] = []
     for r in range(len(R.rects)):
-        mem = members[r]
+        w = R.window(r)
+        mem = tuple(P.x_rank[v] for v in index.members(w))
         if not mem:
             flagged.append(r)
             continue
         d, res = diff_and_residue(fam.input_labels[r])
-        i0, i1 = windows[r]
-        lo, hi = V[i0], V[i1]
+        lo, hi = V[w[0]], V[w[1] - 1]
         start = lo + (res - lo) % d
         end = hi - (hi - res) % d
         if start > end:

@@ -55,7 +55,6 @@ from .geometry import (
     BoxIndex,
     Point2,
     Realization,
-    Rect,
     default_sample,
     dominance_hasse,
     emit_svg,
@@ -357,13 +356,14 @@ def _cmd_find_mono(args, stdout) -> int:
 
 def _check_covers(points: Sequence[Point2], pairs) -> None:
     """Each pair of point indices must be a cover of the dominance order:
-    its closed box holds exactly its two endpoints.  Coordinates are
-    pairwise distinct, so no other point sits on the boundary, and an
-    incomparable pair spans an empty box."""
+    the rank window from its left point to its right one holds exactly
+    its two endpoints.  Coordinates are pairwise distinct, so ranks order
+    as they do, and an incomparable pair's y-window is empty."""
     index = BoxIndex(points)
+    xr, yr = index.x_rank, index.y_rank
     for u, v in pairs:
-        p, q = sorted((points[u], points[v]))
-        if sorted(index.members(Rect(p.x, q.x, p.y, q.y))) != sorted((u, v)):
+        a, b = (u, v) if xr[u] < xr[v] else (v, u)
+        if sorted(index.members((xr[a], xr[b] + 1, yr[a], yr[b] + 1))) != sorted((u, v)):
             raise VerificationError(
                 "pair is not a cover of the dominance order", pair=[u, v]
             )

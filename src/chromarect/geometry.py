@@ -36,20 +36,21 @@ A point set, built, loaded or bare, is one rank view: the two rank
 arrays, the y-order ``y_ids``, the permutation ``yx`` (yx[i] is the
 y-rank of the point at x-rank i, one slice per x-order run when built)
 and the sorted coordinates ``xs``, ``ys`` (0, 4, 8, … when built), so
-vertex v is (xs[x_rank[v]], ys[y_rank[v]]).  An edge's rectangle is its
-members' rank window with each side one unit outside the extreme
-members.  Every id, rank and rank-coordinate array has the 4-byte
-``construction.TYPECODE``; the builders refuse instances it cannot hold.
-No floating point is involved except in SVG output.  The builder
-verifies its own incidence before returning, with the sample
-:func:`default_sample` picks.
+vertex v is (xs[x_rank[v]], ys[y_rank[v]]).  A box is a rank window
+(x0, x1, y0, y1), half-open; an edge's window is its members' ranks,
+and its rectangle lies one unit outside it on each side.  Every id,
+rank and rank-coordinate array has the 4-byte ``construction.TYPECODE``;
+the builders refuse instances it cannot hold.  No floating point is
+involved except in SVG output.  The builder verifies its own incidence
+before returning, with the sample :func:`default_sample` picks.
 
-Every box-membership question goes through :class:`BoxIndex`, by the
-box's x- and y-rank windows (a bisect of ``xs`` and of ``ys``) and one
-block array of sorted slices of ``yx``.  On H(3,2) the transversal
-rectangles have y-windows of three ranks, and a path rectangle's
-x-window of some 33k ranks costs about 25 bisects plus two partial
-blocks of at most 1331 ranks, so neither kind pays for its wide side.
+Every box-membership question goes through :class:`BoxIndex`, which
+reads rank windows only, and one block array of sorted slices of ``yx``;
+:meth:`_RankPoints.window`, a bisect of ``xs`` and of ``ys``, is the one
+place coordinates become ranks.  On H(3,2) the transversal rectangles
+have y-windows of three ranks, and a path rectangle's x-window of some
+33k ranks costs about 25 bisects plus two partial blocks of at most
+1331 ranks, so neither kind pays for its wide side.
 """
 
 from __future__ import annotations
@@ -153,7 +154,8 @@ def _inverse(ids) -> array:
 class _RankPoints(_LazySequence):
     """Vertex v at (xs[x_rank[v]], ys[y_rank[v]]), the coordinates sorted
     (a built drawing's 0, 4, 8, …); ``yx`` (the y-ranks in x-order) and
-    ``y_ids`` ride along for :class:`BoxIndex` and the dominance sweep."""
+    ``y_ids`` ride along for :class:`BoxIndex` and the dominance sweep.
+    :meth:`window` turns a box's coordinates into ranks."""
 
     def __init__(self, yx: array, y_ids: array, x_rank: array, y_rank: array, xs=None, ys=None):
         self.yx = yx
@@ -182,16 +184,22 @@ class _RankPoints(_LazySequence):
     def _item(self, v: int) -> Point2:
         return Point2(self.xs[self.x_rank[v]], self.ys[self.y_rank[v]])
 
+    def window(self, rect: Rect) -> tuple:
+        """The rank window (x0, x1, y0, y1) of the points inside the closed
+        box: x-ranks [x0, x1) and y-ranks [y0, y1), one bisect per side."""
+        x0, x1 = bisect_left(self.xs, rect.x_lo), bisect_right(self.xs, rect.x_hi)
+        return x0, x1, bisect_left(self.ys, rect.y_lo), bisect_right(self.ys, rect.y_hi)
+
 
 class _RankRects(_LazySequence):
     """One rectangle per edge of a staged instance (``edges`` is its
-    computed edge sequence), computed on demand: the rank window of the
-    edge's members with each side one unit outside the extreme members.
+    computed edge sequence), computed on demand from the edge's rank
+    window, each side one unit outside the extreme members.
 
     ``leaf_stages`` (the nested variant) is (path edge count, first leaf
-    vertex, leaf stage size).  Path edge e's rectangle then spans y from
-    just below the lowest point of its leaf's stage up to a top shared by
-    all path rectangles and above every point."""
+    vertex, leaf stage size).  Path edge e's y-window then spans from
+    the lowest point of its leaf's stage to the top, and its rectangle
+    to a top shared by all path rectangles and above every point."""
 
     def __init__(self, edges, points: _RankPoints, leaf_stages=None):
         self._edges = edges
@@ -202,17 +210,23 @@ class _RankRects(_LazySequence):
     def __len__(self) -> int:
         return len(self._edges)
 
-    def _item(self, e: int) -> Rect:
+    def window(self, e: int) -> tuple:
+        """Edge e's rank window (x0, x1, y0, y1), read from its members'
+        ranks (a nested path edge's y-window from its leaf stage's)."""
         members = self._edges[e]
         xr, yr = self._xr, self._yr
         xw = [xr[u] for u in members]
-        x_lo, x_hi = 4 * min(xw) - 1, 4 * max(xw) + 1
         if e < self._n_path:
             size = self._leaf_size
             lo = self._first_leaf + e // size * size
-            return Rect(x_lo, x_hi, 4 * min(yr[lo : lo + size]) - 2, 4 * len(yr) - 3)
+            return min(xw), max(xw) + 1, min(yr[lo : lo + size]), len(yr)
         yw = [yr[u] for u in members]
-        return Rect(x_lo, x_hi, 4 * min(yw) - 1, 4 * max(yw) + 1)
+        return min(xw), max(xw) + 1, min(yw), max(yw) + 1
+
+    def _item(self, e: int) -> Rect:
+        x0, x1, y0, y1 = self.window(e)
+        y_lo = 4 * y0 - (2 if e < self._n_path else 1)  # one unit lower on a nested path
+        return Rect(4 * x0 - 1, 4 * x1 - 3, y_lo, 4 * y1 - 3)
 
     def y_windows(self):
         """(y_lo, y_hi) of every rectangle, as ``_item`` gives them, in
@@ -242,14 +256,14 @@ class Realization:
     The central invariant — for every edge e, ``rects[r] ∩ points`` is
     exactly e's vertex set, where ``edge_of_rect[r] == e`` — is established
     by the builder running :func:`verify_realization`, never assumed.
-    Its points, built or loaded, are a rank view; a builder's rects are
-    a view over the same rank arrays, a loaded realization's a list.
+    Its points are a rank view, built, loaded or given; a builder's rects
+    are a view over the same rank arrays, and any other rects a list.
     """
 
     __slots__ = ("points", "rects", "edge_of_rect", "hypergraph")
 
     def __init__(self, points, rects, edge_of_rect, hypergraph=None):
-        self.points = points
+        self.points = _RankPoints.of(points)
         self.rects = rects
         self.edge_of_rect = edge_of_rect
         self.hypergraph = hypergraph
@@ -263,6 +277,13 @@ class Realization:
             ],
             "edge_of_rect": list(self.edge_of_rect),
         }
+
+    def window(self, r: int) -> tuple:
+        """Rectangle r's rank window: a builder's from its edge's member
+        ranks, any other's from its coordinates."""
+        if isinstance(self.rects, _RankRects):
+            return self.rects.window(r)
+        return self.points.window(self.rects[r])
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Realization":
@@ -284,44 +305,34 @@ class Realization:
 
 
 class BoxIndex:
-    """Which points lie in which closed box, asked of the points' rank
-    view (:meth:`_RankPoints.of`).  A box's sides give rank windows, one
-    bisect each of the sorted ``xs`` and ``ys``, and the box holds exactly
-    the points in both windows.
+    """Which points lie in which rank window (x0, x1, y0, y1), asked of the
+    points' rank view (:meth:`_RankPoints.of`): the points with x-rank in
+    [x0, x1) and y-rank in [y0, y1).  The index reads no coordinate; a
+    closed box's window comes from :meth:`_RankPoints.window`.
 
     Besides the view's ``yx`` (the y-ranks in x-order), ``y_ids`` and rank
     arrays, the index keeps one block array: ``yx`` cut into blocks of
-    ``block`` = isqrt(n) ranks, each sorted.  A box whose y-window is
-    shorter than its x-window and at most one block long scans its
-    y-window and sorts the hits by x-rank.  Any other box scans ``yx``
-    over the partial blocks at the two ends of its x-window, and in each
-    whole block between them bisects the sorted run for the y-window, so
-    a long x-window costs O(√n) scanned ranks plus one bisect per block."""
+    ``block`` = isqrt(n) ranks, each sorted.  A window whose y-side is
+    shorter than its x-side and at most one block long scans its y-ranks
+    and sorts the hits by x-rank.  Any other window scans ``yx`` over the
+    partial blocks at the two ends of its x-side, and in each whole block
+    between them bisects the sorted run for the y-side, so a long x-side
+    costs O(√n) scanned ranks plus one bisect per block."""
 
     def __init__(self, points: Sequence[Point2]):
         P = _RankPoints.of(points)
-        self.xs, self.ys, self.yx, self.y_ids = P.xs, P.ys, P.yx, P.y_ids
-        self.x_rank, self.y_rank = P.x_rank, P.y_rank
+        self.yx, self.y_ids, self.x_rank, self.y_rank = P.yx, P.y_ids, P.x_rank, P.y_rank
         n = len(P)
         self.block = B = max(1, isqrt(n))
         self._runs = runs = array(TYPECODE)
         for b in range(0, n, B):
             runs.fromlist(sorted(self.yx[b : b + B]))
 
-    def x_window(self, rect: Rect) -> range:
-        """x-ranks of the points whose x lies in the box's x-extent."""
-        return range(bisect_left(self.xs, rect.x_lo), bisect_right(self.xs, rect.x_hi))
-
-    def y_window(self, rect: Rect) -> range:
-        """y-ranks of the points whose y lies in the box's y-extent."""
-        return range(bisect_left(self.ys, rect.y_lo), bisect_right(self.ys, rect.y_hi))
-
-    def members(self, rect: Rect) -> List[int]:
-        """Ids of the points inside ``rect``, in x-order."""
-        xw, yw = self.x_window(rect), self.y_window(rect)
-        i0, i1, j0, j1 = xw.start, xw.stop, yw.start, yw.stop
+    def members(self, window) -> List[int]:
+        """Ids of the points inside the rank window, in x-order."""
+        i0, i1, j0, j1 = window
         B, x_rank = self.block, self.x_rank
-        if len(yw) < len(xw) and len(yw) <= B:
+        if j1 - j0 < i1 - i0 and j1 - j0 <= B:
             inside = [v for v in self.y_ids[j0:j1] if i0 <= x_rank[v] < i1]
             inside.sort(key=x_rank.__getitem__)
             return inside
@@ -411,7 +422,7 @@ def verify_realization(
     for r in indices:
         e = R.edge_of_rect[r]
         expect = tuple(H.edges[e])
-        got = tuple(sorted(index.members(R.rects[r])))
+        got = tuple(sorted(index.members(R.window(r))))
         if got != expect:
             raise VerificationError(
                 "rectangle does not capture its edge exactly",
@@ -723,12 +734,9 @@ def extend_to_perfect_nested(
 
     pts = sorted(set(points_y))
     depth = _complete(root, pts)
-    _pad_uniform(root, depth)
-    _assign_labels(root, "")
-
     interval_of: Dict[str, Interval] = {}
     input_labels: List[Optional[str]] = [None] * len(ivs)
-    _collect(root, interval_of, input_labels)
+    _finish(root, "", depth, interval_of, input_labels)
     point_labels = [_leaf_label(root, y, depth) for y in points_y]
     return PerfectNestedFamily(depth + 1, interval_of, input_labels, point_labels)
 
@@ -768,27 +776,18 @@ def _complete(node: _Node, pts: List[Fraction]) -> int:
     return 1 + max(h for h, _ in kids)
 
 
-def _pad_uniform(node: _Node, depth: int) -> None:
-    if depth == 0:
-        return
-    if not node.children:
+def _finish(node: _Node, label: str, depth: int, interval_of, input_labels) -> None:
+    """In pre-order: pad a leaf with a left chain while ``depth`` levels
+    remain below it, label the node, and record its interval and the
+    inputs that landed on it."""
+    if depth > 0 and not node.children:
         node.children = [_Node(node.lo, node.hi), _Node(node.hi, node.hi)]
-    for c in node.children:
-        _pad_uniform(c, depth - 1)
-
-
-def _assign_labels(node: _Node, label: str) -> None:
     node.label = label
-    for bit, c in zip("01", node.children):
-        _assign_labels(c, label + bit)
-
-
-def _collect(node: _Node, interval_of, input_labels) -> None:
-    interval_of[node.label] = Interval(node.lo, node.hi)
+    interval_of[label] = Interval(node.lo, node.hi)
     for i in node.inputs:
-        input_labels[i] = node.label
-    for c in node.children:
-        _collect(c, interval_of, input_labels)
+        input_labels[i] = label
+    for bit, c in zip("01", node.children):
+        _finish(c, label + bit, depth - 1, interval_of, input_labels)
 
 
 def _leaf_label(root: _Node, y: Fraction, depth: int) -> str:

@@ -101,6 +101,8 @@ class OrderedHypergraph:
     def from_json_dict(cls, d: dict) -> "OrderedHypergraph":
         try:
             n, edges = d["n"], d["edges"]
+            if type(edges) is not list or any(type(e) is not list for e in edges):
+                raise DomainError("edges must be a JSON list of lists of vertex ids")
             if type(n) is not int or any(type(v) is not int for e in edges for v in e):
                 raise DomainError("vertex count and vertex ids must be ints")
             return cls(n, edges)
@@ -125,9 +127,11 @@ class Coloring:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Coloring":
         try:
-            c, colors = d["c"], list(d["colors"])
+            c, colors = d["c"], d["colors"]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed coloring JSON: {exc}")
+        if type(colors) is not list:
+            raise DomainError("colors must be a JSON list")
         if type(c) is not int or c < 1:
             raise DomainError("palette size must be an int >= 1", c=c)
         for v, x in enumerate(colors):

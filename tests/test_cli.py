@@ -14,6 +14,8 @@ import pytest
 from chromarect import cli as cli_module
 from chromarect.cli import run
 from chromarect.construction import MAX_TYPECODE_VERTICES, StagedHypergraph, build_Gcg
+from chromarect.errors import VerificationError
+from chromarect.geometry import parse_points
 from chromarect import hypergraph
 from chromarect.hypergraph import CyclesReport, Infinite, OrderedHypergraph
 
@@ -864,6 +866,37 @@ class TestErrorContract:
         assert (code, out) == (1, b"")
         assert one_error(capsys)["error"] == "domain-error"
 
+    @pytest.mark.parametrize(
+        "command,payload",
+        [
+            ("girth", {"n": 3, "edges": {}}),
+            ("girth", {"n": 3, "edges": [{}]}),  # an object read as an empty edge
+            ("chromatic", {"n": 3, "edges": {}}),
+            ("verify", {"n": 0, "edges": {}}),
+            ("find-mono", {"c": 2, "colors": {}}),
+            ("mono-path", {"c": 2, "colors": {}}),
+        ],
+    )
+    def test_json_object_where_a_list_belongs_rejected(
+        self, command, payload, h22_file, tmp_path, capsys
+    ):
+        # an object was read as the list of its keys: all but find-mono
+        # exited 0, and find-mono refused the coloring for its length
+        bad, pts = tmp_path / "bad.json", tmp_path / "pts.json"
+        bad.write_text(json.dumps(payload))
+        pts.write_text(json.dumps({"points": [], "rects": [], "edge_of_rect": []}))
+        argv = {
+            "girth": ["--input", str(bad)],
+            "chromatic": ["--input", str(bad)],
+            "verify": ["--realization", str(pts), "--hypergraph", str(bad)],
+            "find-mono": ["--input", str(h22_file), "--coloring", str(bad)],
+            "mono-path": ["--input", str(pts), "--coloring", str(bad), "--k", "2"],
+        }[command]
+        code, out = cli(command, *argv)
+        assert (code, out) == (1, b"")
+        error = one_error(capsys)
+        assert error["error"] == "domain-error" and "JSON list" in error["message"]
+
     @pytest.mark.parametrize("coord", [0.5, False, 2.0])
     def test_non_rational_rect_bound_rejected(self, coord, h22_file, r22n_file, tmp_path, capsys):
         d = json.loads(r22n_file.read_bytes())
@@ -907,6 +940,15 @@ class TestErrorContract:
         code, out = cli(*argv)
         assert (code, out) == (1, b"")
         assert one_error(capsys)["error"] == "verification-failed"
+
+    def test_cover_check_refuses_a_pair_whose_y_window_runs_backwards(self):
+        # the left point of (0, 3) is the highest, so its y-window is
+        # [3, 1); (1, 2) is a cover
+        points = parse_points([[0, 3], [1, 1], [2, 2], [3, 0]])
+        cli_module._check_covers(points, [(1, 2), (2, 1)])
+        for pair in [(0, 3), (3, 0)]:
+            with pytest.raises(VerificationError, match="not a cover"):
+                cli_module._check_covers(points, [pair])
 
     def test_girth_recheck_rejects_infinite_on_cyclic(self, tmp_path, monkeypatch, capsys):
         h = tmp_path / "h.json"  # a triangle with a pendant edge

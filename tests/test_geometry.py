@@ -613,15 +613,15 @@ def _with_parents(S, parent):
     )
 
 
-def _branch(index, rect):
-    """How ``members`` answers a box, by the index's branch rule: "y" (the
-    y-window scan), "blocks" (the x-query with at least one whole block)
-    or "x" (the x-query over partial blocks only)."""
-    xw, yw = index.x_window(rect), index.y_window(rect)
+def _branch(index, window):
+    """How ``members`` answers a rank window, by the index's branch rule:
+    "y" (the y-window scan), "blocks" (the x-query with at least one
+    whole block) or "x" (the x-query over partial blocks only)."""
+    x0, x1, y0, y1 = window
     B = index.block
-    if len(yw) < len(xw) and len(yw) <= B:
+    if y1 - y0 < x1 - x0 and y1 - y0 <= B:
         return "y"
-    return "blocks" if xw.stop // B > -(-xw.start // B) else "x"
+    return "blocks" if x1 // B > -(-x0 // B) else "x"
 
 
 @lru_cache(maxsize=None)
@@ -634,16 +634,16 @@ class TestBoxIndex:
         # a built drawing's points sit at 0, 4, …, 4(n − 1) on each axis;
         # bounds negative, past 4n, on multiples of 4 and between them, as
         # ints and as Fractions
-        index = BoxIndex(_r25().points)
-        n = len(index.yx)
+        P = _r25().points
+        n = len(P)
         coords = range(0, 4 * n, 4)
         bounds = [-9, -4, -3, -1, 0, 1, 3, 4, 5, 8, 4 * n - 5, 4 * n - 4, 4 * n - 3, 4 * n, 4 * n + 7]
         bounds += [F(b, 3) for b in range(-13, 12 * n + 13)]
         for lo, hi in itertools.product(bounds, repeat=2):
             want = (bisect_left(coords, lo), bisect_right(coords, hi))
-            for window in (index.x_window, index.y_window):
-                got = window(Rect(lo, hi, lo, hi))
-                assert (got.start, got.stop) == want
+            got = P.window(Rect(lo, hi, lo, hi))
+            for side in (got[:2], got[2:]):
+                assert side == want
 
     def test_built_matches_containment_scan(self):
         # built H(2,2), nested H(2,2), G(2,5) and G(2,51), on their rank
@@ -655,9 +655,10 @@ class TestBoxIndex:
                 index = BoxIndex(points)
                 x_scans = 0
                 for rect in R.rects:
-                    assert index.members(rect) == x_order_members(points, rect)
-                    x_scans += len(index.x_window(rect)) <= len(index.y_window(rect))
-                    branches.add(_branch(index, rect))
+                    window = points.window(rect)
+                    assert index.members(window) == x_order_members(points, rect)
+                    x_scans += window[1] - window[0] <= window[3] - window[2]
+                    branches.add(_branch(index, window))
                 assert 0 < x_scans < len(R.rects)  # both scan directions ran
         # the y-window scan, and the x-query with and without whole blocks
         assert branches == {"y", "blocks", "x"}
@@ -683,7 +684,7 @@ class TestBoxIndex:
         # x-windows that start and end inside, on and across block
         # boundaries, on points with tied coordinates
         pts = [Point2(F(x, 2), F(y, 3)) for x, y in coords]
-        index = BoxIndex(pts)
+        index, P = BoxIndex(pts), geometry._RankPoints.of(pts)
         n, B = len(pts), index.block
         xs = sorted(p.x for p in pts)
         for b0, d0, b1, d1, y0, dy in boxes:
@@ -691,7 +692,7 @@ class TestBoxIndex:
             r1 = min(max(b1 * B + d1, 0), n - 1)
             x_lo, x_hi = sorted((xs[r0], xs[r1]))
             rect = Rect(x_lo, x_hi, F(y0, 3), F(y0 + dy, 3))
-            assert index.members(rect) == x_order_members(pts, rect)
+            assert index.members(P.window(rect)) == x_order_members(pts, rect)
 
     @given(
         st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=12),
@@ -700,10 +701,10 @@ class TestBoxIndex:
     @settings(max_examples=80, deadline=None)
     def test_loaded_matches_containment_scan_with_ties(self, coords, boxes):
         pts = [Point2(F(x, 2), F(y)) for x, y in coords]
-        index = BoxIndex(pts)
+        index, P = BoxIndex(pts), geometry._RankPoints.of(pts)
         for a, b, c, d in boxes:
             rect = Rect(F(min(a, b), 2), F(max(a, b), 2), min(c, d), max(c, d))
-            assert sorted(index.members(rect)) == list(brute_members(pts, rect))
+            assert sorted(index.members(P.window(rect))) == list(brute_members(pts, rect))
 
     @given(
         st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=16),
@@ -721,10 +722,10 @@ class TestBoxIndex:
     @settings(max_examples=150, deadline=None)
     def test_both_scans_match_containment_in_x_order(self, coords, boxes):
         pts = [Point2(F(x, 2), F(y, 3)) for x, y in coords]
-        index = BoxIndex(pts)
+        index, P = BoxIndex(pts), geometry._RankPoints.of(pts)
         for x0, dx, y0, dy in boxes:
             rect = Rect(F(x0, 2), F(x0 + dx, 2), F(y0, 3), F(y0 + dy, 3))
-            assert index.members(rect) == x_order_members(pts, rect)
+            assert index.members(P.window(rect)) == x_order_members(pts, rect)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17])
     def test_block_array_equals_sorted_reference(self, n):
@@ -751,7 +752,47 @@ class TestBoxIndex:
             assert index._runs == expected
             assert len(order[(n - 1) // B * B :]) == 1  # the last block
             rect = Rect(-1, 4 * n + 25, -1, 4 * n + 25)
-            assert index.members(rect) == x_order_members(points, rect)
+            window = geometry._RankPoints.of(points).window(rect)
+            assert index.members(window) == x_order_members(points, rect)
+
+
+class TestRankWindows:
+    """A built rectangle's rank window, read from its members' ranks,
+    against the window its coordinates give: the builder's verify reads
+    the former, and the files carry the latter."""
+
+    @pytest.mark.parametrize(
+        "R", [_r22, _r22_nested, _r25, _r2_51], ids=["plain", "nested", "G(2,5)", "G(2,51)"]
+    )
+    def test_member_windows_equal_coordinate_windows(self, R):
+        R = R()
+        for e in range(len(R.rects)):
+            assert R.rects.window(e) == R.points.window(R.rects[e]) == R.window(e)
+
+    def test_member_windows_equal_coordinate_windows_on_seeded_h32_sample(self):
+        S = build_Hkc(3, 2)
+        last = S.levels[-1]
+        yx, y_ids, ranks = geometry._orders(S)
+        points = geometry._RankPoints(yx, y_ids, *ranks)
+        leaf_stages = (S.n_path_edges, last.first_vertex, last.stage_size)
+        for stages in (leaf_stages, None):
+            rects = geometry._RankRects(S.base.edges, points, stages)
+            sample = random.Random(22).sample(range(len(rects)), 3000)
+            sample += [0, S.n_path_edges - 1, S.n_path_edges, len(rects) - 1]
+            for e in sample:
+                assert rects.window(e) == points.window(rects[e])
+
+    @pytest.mark.parametrize(
+        "R", [_r22, _r22_nested, _r25, _r2_51], ids=["plain", "nested", "G(2,5)", "G(2,51)"]
+    )
+    def test_loaded_and_hand_made_windows_equal_built(self, R):
+        R = R()
+        loaded = Realization.from_json_dict(R.to_json_dict())
+        hand_made = Realization(list(R.points), list(R.rects), list(R.edge_of_rect))
+        assert type(hand_made.points) is geometry._RankPoints
+        want = [R.window(r) for r in range(len(R.rects))]
+        for other in (loaded, hand_made):
+            assert [other.window(r) for r in range(len(R.rects))] == want
 
 
 class TestPredicates:
