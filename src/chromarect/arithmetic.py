@@ -480,7 +480,7 @@ def _emit_aps(R, fam, point_value, diff_and_residue) -> APRealization:
     P = _check_general_position(R.points)
     index = BoxIndex(P)
     labels = fam.point_labels
-    # the point at x-rank i gets the (i + 1)-th value
+    # yx is in x-order, so i is the point's x-rank
     V = [point_value(labels[P.y_ids[j]], i + 1) for i, j in enumerate(P.yx)]
     if any(a >= b for a, b in zip(V, V[1:])):
         raise VerificationError("integer values are not strictly increasing")
