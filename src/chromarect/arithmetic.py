@@ -17,10 +17,11 @@ returning.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, StreamExhausted, VerificationError
 from .geometry import (
@@ -160,29 +161,12 @@ class ResidueClass(NamedTuple):
     modulus: int
 
 
-class _UnsolvableType:
-    """Singleton marker: a congruence system with no solution."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Unsolvable"
-
-
-UNSOLVABLE = _UnsolvableType()
-
-
 def solve_modular_system(
     system: Iterable[Tuple[int, int]]
-) -> Union[ResidueClass, _UnsolvableType]:
+) -> Optional[ResidueClass]:
     """Merge congruences pairwise: x ≡ r1 (m1) and x ≡ r2 (m2) are jointly
     solvable iff r1 ≡ r2 mod gcd(m1, m2), with merged modulus lcm(m1, m2).
-    Returns the combined class, or the UNSOLVABLE value."""
+    Returns the combined class, or None when the system has no solution."""
     r, M = 0, 1
     for ri, mi in system:
         if mi < 1:
@@ -190,7 +174,7 @@ def solve_modular_system(
         ri %= mi
         g = gcd(M, mi)
         if (ri - r) % g:
-            return UNSOLVABLE
+            return None
         step = mi // g
         t = ((ri - r) // g * pow(M // g, -1, step)) % step if step > 1 else 0
         M2 = M // g * mi
@@ -236,42 +220,43 @@ class DifferenceSequence:
                 raise VerificationError("running lcm mismatch", index=j)
 
 
-def greedy_difference_sequence(D: Iterable[int], count: int) -> DifferenceSequence:
+def _first_greater(D):
+    """D's lookup of its least element above a bound: a stream's own
+    ``first_greater``, or a bisect over a list, which is checked whole
+    first.  A list's lookup returns None past its last element."""
+    if isinstance(D, (PrimeStream, GeometricStream)):
+        return D.first_greater
+    if type(D) is not list or any(type(v) is not int for v in D):
+        raise DomainError("a difference set is a named stream or a list of ints")
+    if any(a >= b for a, b in zip(D, D[1:])):
+        raise DomainError("difference set must be strictly increasing")
+
+    def first_greater(bound: int) -> Optional[int]:
+        i = bisect_right(D, bound)
+        return D[i] if i < len(D) else None
+
+    return first_greater
+
+
+def greedy_difference_sequence(D, count: int) -> DifferenceSequence:
     """First `count` terms of the growth subsequence of D: each term is the
-    least element exceeding 2^(i-1) times the running lcm.  D must be a
-    strictly increasing stream; a `first_greater(bound)` method, when
-    present, lets the stream jump instead of being scanned."""
+    least element exceeding 2^(i-1) times the running lcm.  D is a
+    difference stream (`difference_stream`) or a list of ints, strictly
+    increasing over its whole length; anything else is a DomainError.
+    Every term comes from one `first_greater(bound)` lookup, so a stream
+    jumps and a list bisects; a list that runs out raises StreamExhausted."""
     if count < 0:
         raise DomainError("count must be nonnegative", count=count)
+    first_greater = _first_greater(D)
     terms: List[int] = []
     lcms: List[int] = []
     L = 1
-    jump = getattr(D, "first_greater", None)
-    it = iter(D) if jump is None else None
-    last = None
     while len(terms) < count:
-        bound = (1 << len(terms)) * L
-        if jump is not None:
-            d = jump(bound)
-            if d is None:
-                raise StreamExhausted(
-                    "difference stream exhausted", have=len(terms), wanted=count
-                )
-        else:
-            while True:
-                try:
-                    d = next(it)
-                except StopIteration:
-                    raise StreamExhausted(
-                        "difference stream exhausted", have=len(terms), wanted=count
-                    ) from None
-                if last is not None and d <= last:
-                    raise DomainError(
-                        "difference stream must be strictly increasing", value=d
-                    )
-                last = d
-                if d > bound:
-                    break
+        d = first_greater((1 << len(terms)) * L)
+        if d is None:
+            raise StreamExhausted(
+                "difference stream exhausted", have=len(terms), wanted=count
+            )
         terms.append(d)
         L = lcm(L, d)
         lcms.append(L)
@@ -329,7 +314,7 @@ def build_residue_tree(seq: DifferenceSequence, depth: int) -> ResidueTree:
                 merged = solve_modular_system(
                     [(cls.residue, cls.modulus), (rho, d)]
                 )
-                if merged is UNSOLVABLE:
+                if merged is None:
                     raise AssertionError("extension residue produced an unsolvable system")
                 next_classes[label] = merged
         classes = next_classes
@@ -391,12 +376,6 @@ class PrimeStream:
             n += 2
         return n
 
-    def __iter__(self):
-        n = 1
-        while True:
-            n = self.first_greater(n)
-            yield n
-
 
 class GeometricStream:
     """base, base^2, base^3, ..."""
@@ -412,22 +391,16 @@ class GeometricStream:
             v *= self.base
         return v
 
-    def __iter__(self):
-        v = self.base
-        while True:
-            yield v
-            v *= self.base
+
+# the named streams the CLI exposes; each is stateless, so one instance serves
+STREAMS = {"primes": PrimeStream(), "pow2": GeometricStream(2), "pow3": GeometricStream(3)}
 
 
 def difference_stream(kind: str):
-    """Named streams the CLI exposes."""
-    if kind == "primes":
-        return PrimeStream()
-    if kind == "pow2":
-        return GeometricStream(2)
-    if kind == "pow3":
-        return GeometricStream(3)
-    raise DomainError("unknown difference set", kind=kind)
+    """The stream named `kind`, a key of STREAMS."""
+    if kind not in STREAMS:
+        raise DomainError("unknown difference set", kind=kind)
+    return STREAMS[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -458,20 +431,6 @@ class APRealization:
                 for a, e in zip(self.aps, self.edge_of_ap)
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "APRealization":
-        try:
-            V = [int(v) for v in d["V"]]
-            aps = [
-                FiniteAP(int(a["start"]), int(a["difference"]), int(a["length"]))
-                for a in d["aps"]
-            ]
-            edges = [int(a["edge"]) for a in d["aps"]]
-            offset = int(d.get("offset", 0))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed progression JSON: {exc}")
-        return cls(V, aps, edges, offset)
 
 
 def _emit_aps(R, fam, point_value, diff_and_residue) -> APRealization:
@@ -545,12 +504,14 @@ def rects_to_pow2_aps(R: Realization) -> APRealization:
     return _emit_aps(R, fam, value, diff_res)
 
 
-def rects_to_D_aps(R: Realization, D: Iterable[int]) -> APRealization:
+def rects_to_D_aps(R: Realization, D) -> APRealization:
     """General difference sets: the same translation with 2^r replaced by
     the r-th growth-sequence term and bit patterns by residue-tree classes;
     point values come from the leaf solutions, spaced by the running lcm.
-    The root is padded strictly so every rectangle sits at depth >= 1 and
-    has a difference to use.  Output re-verified against the drawing."""
+    D is what `greedy_difference_sequence` takes: a named stream, or a
+    strictly increasing list of ints, checked whole.  The root is padded
+    strictly so every rectangle sits at depth >= 1 and has a difference to
+    use.  Output re-verified against the drawing."""
     fam = extend_to_perfect_nested(
         y_projections(R), [p.y for p in R.points], strict_root=True
     )

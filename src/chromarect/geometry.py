@@ -290,9 +290,11 @@ class Realization:
         try:
             points = parse_points(d["points"])
             rects = [make_rect(*row) for row in _coord_rows(d["rects"], 4)]
-            edge_of_rect = list(d["edge_of_rect"])
+            edge_of_rect = d["edge_of_rect"]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed realization JSON: {exc}")
+        if type(edge_of_rect) is not list:
+            raise DomainError("edge_of_rect must be a JSON list")
         if any(type(i) is not int for i in edge_of_rect):
             raise DomainError("edge_of_rect entries must be ints")
         if len(rects) != len(edge_of_rect):
@@ -640,7 +642,7 @@ def y_projections(R: Realization) -> List[Interval]:
     """Half-open y-projections of the rectangles.  The conversion from
     closed boxes is safe only when no point sits on a projection endpoint;
     that is checked here."""
-    point_ys = {p.y for p in R.points}
+    point_ys = set(R.points.ys)
     out = []
     for r in R.rects:
         if r.y_hi in point_ys:

@@ -240,6 +240,15 @@ class TestToAps:
         assert code == 1
         assert err_json(capsys)["error"] == "stream-exhausted"
 
+    def test_descending_tail_refused(self, r22n_file, tmp_path, capsys):
+        # only the read prefix was checked: a trailing 1 exited 0
+        dfile = tmp_path / "tail.json"
+        dfile.write_text(json.dumps([2**i for i in range(1, 80)] + [1]))
+        code, out = cli("to-aps", "--input", str(r22n_file),
+                        "--mode", "general", "--difference-set", str(dfile))
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "domain-error"
+
 
 class TestSmallCommands:
     def test_vdc_prints_exact_fraction(self):
@@ -893,6 +902,16 @@ class TestErrorContract:
             "mono-path": ["--input", str(pts), "--coloring", str(bad), "--k", "2"],
         }[command]
         code, out = cli(command, *argv)
+        assert (code, out) == (1, b"")
+        error = one_error(capsys)
+        assert error["error"] == "domain-error" and "JSON list" in error["message"]
+
+    def test_edge_of_rect_object_rejected(self, tmp_path, capsys):
+        # {} was read as the empty list of its keys and verified
+        bad, hg = tmp_path / "bad.json", tmp_path / "hg.json"
+        bad.write_text(json.dumps({"points": [], "rects": [], "edge_of_rect": {}}))
+        hg.write_text(json.dumps({"n": 0, "edges": []}))
+        code, out = cli("verify", "--realization", str(bad), "--hypergraph", str(hg))
         assert (code, out) == (1, b"")
         error = one_error(capsys)
         assert error["error"] == "domain-error" and "JSON list" in error["message"]
