@@ -30,7 +30,6 @@ from .arithmetic import (
     STREAMS,
     FiniteAP,
     ap_capture_rectangle,
-    difference_stream,
     embed_integers,
     rects_to_D_aps,
     rects_to_pow2_aps,
@@ -222,7 +221,7 @@ def _cmd_verify(args, stdout) -> int:
 def _resolve_difference_set(spec_text: str):
     """A named stream, or the JSON a file holds; the translation checks it."""
     if spec_text in STREAMS:
-        return difference_stream(spec_text)
+        return STREAMS[spec_text]
     return _load_json(spec_text)
 
 
