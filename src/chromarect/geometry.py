@@ -30,7 +30,8 @@ compares, that the parents are the rule's; 4,857 x-runs place all
 sort by parent gives its x-order.  The x-order checks that its runs
 cover every vertex; it and the parent check raise
 :class:`VerificationError` where they fail.  A y-run is one band entry
-of a run of stages; 117 place H(3,2).
+of a run of stages, or one arithmetic stretch of the band of a lone
+stage; 99 place H(3,2), and 3 place G(2, 20001).
 
 A point set, built, loaded or bare, is one rank view: the two rank
 arrays, the y-order ``y_ids``, the permutation ``yx`` (yx[i] is the
@@ -510,9 +511,10 @@ def _y_order(S: StagedHypergraph):
     stage s + i·ds of the level has its subtree from y-rank y + i·dy, and
     a subtree's size depends only on its level.  Each entry of a stage's
     band (its blocks from last to first, each in the copy's own y-order)
-    is one vertex run of the stage run, above the child subtrees.  Child
-    t of stage s is stage s·r + t, so a stage run's children span the
-    run's own axis and the sibling axis (last child lowest), and the
+    is one vertex run of the stage run, above the child subtrees; a stage
+    run of one stage takes each arithmetic stretch of its band as one run.
+    Child t of stage s is stage s·r + t, so a stage run's children span
+    the run's own axis and the sibling axis (last child lowest), and the
     longer one carries the next level's stage runs."""
     levels, m = S.levels, S.m
     within = _orders(S.copy_template)[1] if S.copy_template is not None else range(m)
@@ -524,15 +526,32 @@ def _y_order(S: StagedHypergraph):
         r, size = li.children_per_stage, li.stage_size
         blocks = range(li.blocks_per_stage - 1, -1, -1)
         band = [b * m + p for b in blocks for p in within] if blocks else range(size)
-        below, nxt = r * sizes[j + 1], []
+        below, nxt, stretches = r * sizes[j + 1], [], _stretches(band)
         for s, ds, y, dy, count in stages:
             v = li.first_vertex + s * size
-            runs += [(y + below + e, dy, v + p, ds * size, count) for e, p in enumerate(band)]
+            if count == 1:
+                runs += [(y + below + e, 1, v + p, dp, k) for e, p, dp, k in stretches]
+            else:
+                runs += [(y + below + e, dy, v + p, ds * size, count) for e, p in enumerate(band)]
             own, sib = (count, ds * r, dy), (r, -1, sizes[j + 1])
             (n1, ds1, dy1), (n2, ds2, dy2) = (own, sib) if r > count else (sib, own)
             nxt += [(s * r + r - 1 + a * ds1, ds2, y + a * dy1, dy2, n2) for a in range(n1)]
         stages = nxt
     return runs
+
+
+def _stretches(seq):
+    """``seq`` cut greedily into maximal arithmetic stretches, as
+    (index, first item, step, length): item index + i is first + i·step."""
+    out, i, n = [], 0, len(seq)
+    while i < n:
+        step = seq[i + 1] - seq[i] if i + 1 < n else 1
+        j = i + 1
+        while j < n and seq[j] - seq[j - 1] == step:
+            j += 1
+        out.append((i, seq[i], step, j - i))
+        i = j
+    return out
 
 
 def _run_slice(start: int, step: int, count: int) -> slice:

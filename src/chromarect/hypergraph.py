@@ -357,13 +357,23 @@ def hypergraph_girth(H: OrderedHypergraph) -> CyclesReport:
     """Girth of ``H`` with a canonical witness.
 
     The girth is half the length of the shortest cycle of the bipartite
-    vertex-edge incidence graph, found by BFS from every vertex node
-    (Itai & Rodeh): O(n·(n + m + Σ|e|)) steps, plus O(L) to trace and
-    canonicalize each length-L cycle a search meets.  An acyclic
-    hypergraph reports the distinguished ``Infinite``.  Among the
-    minimum-length cycles the sweep discovers, the returned witness is the
-    lexicographically smallest canonical form (rotation + direction), which
-    makes golden tests deterministic.
+    vertex-edge incidence graph, found by BFS from the vertex nodes in id
+    order (Itai & Rodeh), each search cut once it is deeper than half the
+    shortest cycle so far.  An acyclic hypergraph reports the
+    distinguished ``Infinite``.  Among the minimum-length cycles the sweep
+    discovers, the returned witness is the lexicographically smallest
+    canonical form (rotation + direction), which makes golden tests
+    deterministic.
+
+    One linear pass first finds each component's cycle rank (arcs − nodes
+    + 1).  A root is skipped when its component has rank 0, or rank 1 and
+    its one cycle has been traced already: such a search could offer no
+    cycle or only that one again, which changes neither the girth, the
+    witness nor the depth cut of any later search.  The cost is
+    O(n + m + Σ|e|) for the pass plus, per search that runs, as much again
+    and O(L) to trace and canonicalize each length-L cycle it meets: at
+    most O(n·(n + m + Σ|e|)), and linear when every component holds at
+    most one cycle.
     """
     n = H.n
     adj = _incidence_adjacency(H)
@@ -371,12 +381,34 @@ def hypergraph_girth(H: OrderedHypergraph) -> CyclesReport:
     best_len = None  # incidence-graph cycle length (= 2 * girth)
     best_witness = None
 
+    # Each vertex's component and the component's cycle rank, arcs − nodes
+    # + 1 (edges are canonical, so no two arcs join the same pair).  A
+    # component whose searches can offer no new cycle gets rank 0.
+    comp = [-1] * total
+    rank = []
+    for s in range(n):
+        if comp[s] != -1:
+            continue
+        c = len(rank)
+        comp[s] = c
+        stack, nodes, ends = [s], 0, 0
+        while stack:
+            u = stack.pop()
+            nodes += 1
+            ends += len(adj[u])  # each arc counted from both of its ends
+            for w in adj[u]:
+                if comp[w] == -1:
+                    comp[w] = c
+                    stack.append(w)
+        rank.append(ends // 2 - nodes + 1)
+
     parent = [-1] * total
     stamp = [0] * total  # run in which the node was reached
     done = [0] * total  # run in which the node was expanded
     run = 0
     for root in range(n):
-        if not adj[root]:
+        c = comp[root]
+        if not rank[c]:
             continue
         run += 1
         parent[root] = -1
@@ -399,6 +431,10 @@ def hypergraph_girth(H: OrderedHypergraph) -> CyclesReport:
                         # first; the other end would trace the same cycle
                         cyc = _trace_cycle(parent, u, w)
                         clen = len(cyc)
+                        if rank[c] == 1:
+                            # the component's only cycle: later roots there
+                            # could only offer it again
+                            rank[c] = 0
                         if best_len is None or clen < best_len:
                             best_len = clen
                             best_witness = _canonical_witness(cyc, n)

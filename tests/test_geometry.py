@@ -548,9 +548,15 @@ class TestOrders:
                     assert marked == b"\x01" * S.n
 
     def test_h32_y_runs(self):
-        # one run per band entry of a stage run, not one per vertex:
-        # 27 + 9 + 27 · 3 on levels 0, 1 and 2
-        assert len(geometry._y_order(build_Hkc(3, 2))) <= 117
+        # one run per band entry of a stage run, not one per vertex, and
+        # one per block of level 0's single stage: 9 + 9 + 27 · 3 on levels
+        # 0, 1 and 2
+        assert len(geometry._y_order(build_Hkc(3, 2))) <= 99
+
+    def test_gcg_y_runs(self):
+        # G(2, g)'s flat band of g roots is one run, and each of the two
+        # leaf positions of the g leaf stages one more
+        assert len(geometry._y_order(build_Gcg(2, 201))) == 3
 
     def test_h32_x_runs(self):
         # one run per root, then per parent run the product of the two

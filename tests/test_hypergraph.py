@@ -14,7 +14,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chromarect import hypergraph
 from chromarect.construction import build_Gcg, build_Hkc
@@ -392,11 +392,66 @@ def test_girth_sweep_matches_frozen_sweep_on_random_hypergraphs(H):
     assert (rep.girth, rep.witness) == (ref.girth, ref.witness)
 
 
-@pytest.mark.parametrize("g", [5, 7, 9, 51, 71, 101])
+@pytest.mark.parametrize("g", [5, 7, 9, 51, 71, 101, 201])
 def test_girth_sweep_matches_frozen_sweep_on_girth_instances(g):
     H = build_Gcg(2, g).base
     rep, ref = hypergraph_girth(H), _girth_sweep_tracing_both_ends(H)
     assert (rep.girth, rep.witness) == (ref.girth, ref.witness)
+
+
+@st.composite
+def _sparse_hypergraphs(draw):
+    """A random forest on 1–20 vertices plus 0–3 extra edges of size 2–3,
+    so that most components hold at most one cycle.  Vertex ids are
+    shuffled, so components interleave; a vertex may stay isolated, and an
+    empty edge may ride along."""
+    n = draw(st.integers(1, 20))
+    ids = draw(st.permutations(range(n)))
+    edges = []
+    for i in range(1, n):
+        j = draw(st.integers(-1, i - 1))  # -1: vertex i starts a new tree
+        if j >= 0:
+            edges.append((ids[j], ids[i]))
+    if n >= 2:
+        extra = st.sets(st.integers(0, n - 1), min_size=2, max_size=min(3, n))
+        edges += draw(st.lists(extra, max_size=3))
+    edges += [()] * draw(st.integers(0, 1))
+    return OrderedHypergraph(n, draw(st.permutations(edges)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_hypergraphs())
+# isolated vertices, an empty edge and a doubled edge
+@example(OrderedHypergraph(6, [[], [1, 4], [1, 4]]))
+# pendant trees hanging off a 4-cycle, and an acyclic component before it
+@example(OrderedHypergraph(10, [[0, 9], [1, 2], [2, 3], [3, 4], [1, 4], [3, 5], [5, 6], [5, 8], [2, 7]]))
+# a 6-cycle on even ids, then a triangle in a component of higher ids
+@example(
+    OrderedHypergraph(
+        15, [[0, 2], [2, 4], [4, 6], [6, 8], [8, 10], [0, 10], [11, 13], [13, 14], [11, 14], [1, 11]]
+    )
+)
+# two triangles in one component (cycle rank 2) next to a 3-uniform cycle
+@example(OrderedHypergraph(9, [[0, 3], [3, 5], [0, 5], [5, 7], [7, 8], [5, 8], [1, 2, 4], [2, 4, 6]]))
+def test_girth_sweep_matches_frozen_sweep_on_sparse_hypergraphs(H):
+    rep, ref = hypergraph_girth(H), _girth_sweep_tracing_both_ends(H)
+    assert (rep.girth, rep.witness) == (ref.girth, ref.witness)
+
+
+def test_girth_sweep_traces_a_lone_cycle_once():
+    # G(2, 71) is one cycle of 213 vertices: the frozen sweep searches from
+    # every vertex and traces it 213 times or more, this sweep once
+    calls = []
+    trace = hypergraph._trace_cycle
+
+    def counted(parent, u, w):
+        calls.append((u, w))
+        return trace(parent, u, w)
+
+    with mock.patch.object(hypergraph, "_trace_cycle", counted):
+        rep = hypergraph_girth(build_Gcg(2, 71).base)
+    assert rep.girth == 213
+    assert 1 <= len(calls) <= 2
 
 
 # ---------------------------------------------------------------------------
