@@ -12,9 +12,9 @@ Run:  python3 demos/04_progressions.py
 
 from chromarect import build_Hkc, realize_Hkc_nested
 from chromarect.arithmetic import (
+    STREAMS,
     FiniteAP,
     ap_capture_rectangle,
-    difference_stream,
     embed_integers,
     rects_to_D_aps,
     rects_to_pow2_aps,
@@ -48,6 +48,6 @@ for ap in A2.aps[:4]:
 # Any difference stream whose next term outgrows 2^level * lcm(previous
 # terms) works the same way -- primes, powers of three, or a custom list.
 for kind in ("pow2", "primes", "pow3"):
-    A = rects_to_D_aps(R, difference_stream(kind))
+    A = rects_to_D_aps(R, STREAMS[kind])
     diffs = sorted({ap.difference for ap in A.aps})
     print(f"{kind:6s} differences used: {diffs}")

@@ -28,12 +28,12 @@ from time import perf_counter
 from typing import Callable, List, Optional, Sequence
 
 from .arithmetic import (
+    STREAMS,
     FiniteAP,
     ap_capture_rectangle,
     ap_incidence_hypergraph,
     bit_reverse,
     build_residue_tree,
-    difference_stream,
     embed_integers,
     greedy_difference_sequence,
     rects_to_D_aps,
@@ -354,7 +354,7 @@ def _c7() -> str:
     parts = []
     for name in ("pow2", "primes", "pow3"):
         t0 = perf_counter()
-        D = difference_stream(name)
+        D = STREAMS[name]
         A = rects_to_D_aps(R, D)
         if name == "pow2":
             assert all(_pow_of(2, ap.difference) for ap in A.aps)
@@ -373,7 +373,7 @@ def _c7() -> str:
             from .arithmetic import _is_probable_prime
 
             assert all(_is_probable_prime(ap.difference) for ap in A.aps)
-        depth = _verify_residue_tree(R, difference_stream(name))
+        depth = _verify_residue_tree(R, STREAMS[name])
         inc = ap_incidence_hypergraph(A.V, A.aps)
         assert edge_multiset_equal(inc, expected)
         for i, e in enumerate(A.edge_of_ap):
@@ -412,14 +412,14 @@ def _c8() -> str:
         "pow3": ([3**i for i in range(1, 40)], None),
     }
     for name, (members, literal) in cases.items():
-        got = tuple(greedy_difference_sequence(difference_stream(name), 3).terms)
+        got = tuple(greedy_difference_sequence(STREAMS[name], 3).terms)
         oracle = tuple(_greedy_oracle(members, 3))
         assert got == oracle
         if literal is not None:
             assert got == literal
     ten = {}
     for name in ("pow2", "primes", "pow3"):
-        seq = greedy_difference_sequence(difference_stream(name), 10)
+        seq = greedy_difference_sequence(STREAMS[name], 10)
         L = 1
         for j, d in enumerate(seq.terms):  # growth inequality, term by term
             assert d > (1 << j) * L

@@ -241,7 +241,7 @@ def _first_greater(D):
 def greedy_difference_sequence(D, count: int) -> DifferenceSequence:
     """First `count` terms of the growth subsequence of D: each term is the
     least element exceeding 2^(i-1) times the running lcm.  D is a
-    difference stream (`difference_stream`) or a list of ints, strictly
+    difference stream (a value of `STREAMS`) or a list of ints, strictly
     increasing over its whole length; anything else is a DomainError.
     Every term comes from one `first_greater(bound)` lookup, so a stream
     jumps and a list bisects; a list that runs out raises StreamExhausted."""
@@ -394,13 +394,6 @@ class GeometricStream:
 
 # the named streams the CLI exposes; each is stateless, so one instance serves
 STREAMS = {"primes": PrimeStream(), "pow2": GeometricStream(2), "pow3": GeometricStream(3)}
-
-
-def difference_stream(kind: str):
-    """The stream named `kind`, a key of STREAMS."""
-    if kind not in STREAMS:
-        raise DomainError("unknown difference set", kind=kind)
-    return STREAMS[kind]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -45,7 +46,6 @@ from .construction import (
 from .errors import (
     ChromarectError,
     DomainError,
-    NodeBudgetExceeded,
     ResourceLimitError,
     SizeLimitExceeded,
     VerificationError,
@@ -201,7 +201,7 @@ def _cmd_realize(args, stdout) -> int:
 
 def _cmd_verify(args, stdout) -> int:
     R = Realization.from_json_dict(_load_json(args.realization))
-    H = OrderedHypergraph.from_json_dict(_load_json(args.hypergraph))
+    H = _load_hypergraph(args.hypergraph)
     if len(R.points) != H.n:
         raise VerificationError(
             "point count differs from vertex count", points=len(R.points), n=H.n
@@ -264,21 +264,22 @@ def _cmd_ap_capture(args, stdout) -> int:
     return 0
 
 
-def _load_hypergraph(args) -> OrderedHypergraph:
-    """The --input hypergraph, refused above --max-vertices before any
-    per-vertex allocation.  A staged file (one with a ``kind``) must also
-    load as the staged instance its header names."""
-    d = _load_json(args.input)
-    H = OrderedHypergraph.from_json_dict(d)
-    if H.n > args.max_vertices:
-        raise SizeLimitExceeded("too many vertices", n=H.n, max_vertices=args.max_vertices)
-    if isinstance(d, dict) and "kind" in d:
-        StagedHypergraph.from_json_dict(d)
-    return H
+def _load_hypergraph(path: str, max_vertices: float = math.inf) -> OrderedHypergraph:
+    """The hypergraph a file holds, refused above ``max_vertices`` by its
+    header before any per-vertex allocation.  A staged file (one with a
+    ``kind``) loads as the staged instance its header names."""
+    d = _load_json(path)
+    if isinstance(d, dict):
+        n = d.get("n")
+        if type(n) is int and n > max_vertices:
+            raise SizeLimitExceeded("too many vertices", n=n, max_vertices=max_vertices)
+        if "kind" in d:
+            return StagedHypergraph.from_json_dict(d).base
+    return OrderedHypergraph.from_json_dict(d)
 
 
 def _cmd_chromatic(args, stdout) -> int:
-    H = _load_hypergraph(args)
+    H = _load_hypergraph(args.input, args.max_vertices)
     col = _least_coloring(H, node_budget=args.node_budget)
     if not is_proper_coloring(H, col):
         raise VerificationError("search returned an improper coloring", c=col.c)
@@ -321,17 +322,8 @@ def _verify_girth_report(H: OrderedHypergraph, report) -> None:
 def _cmd_girth(args, stdout) -> int:
     from .hypergraph import hypergraph_girth
 
-    H = _load_hypergraph(args)
-    # the sweep's own step bound: one breadth-first search per vertex over
-    # the incidence graph of n + m nodes and sum |e| arcs
-    steps = H.n * (H.n + len(H.edges) + sum(map(len, H.edges)))
-    if steps > args.node_budget:
-        raise NodeBudgetExceeded(
-            "girth sweep would exceed the node budget",
-            steps=steps,
-            node_budget=args.node_budget,
-        )
-    report = hypergraph_girth(H)
+    H = _load_hypergraph(args.input, args.max_vertices)
+    report = hypergraph_girth(H, node_budget=args.node_budget)
     _verify_girth_report(H, report)
     _write_artifact(args.out, _canonical_json(report.to_json_dict()), stdout)
     return 0
@@ -537,7 +529,7 @@ def _build_parser() -> _Parser:
     gi = sub.add_parser("girth", help="shortest alternating cycle")
     gi.add_argument("--input", required=True, help="hypergraph JSON")
     _limit(gi, "--max-vertices", "refuse inputs with more vertices")
-    _limit(gi, "--node-budget", "refuse inputs whose sweep bound n(n + m + sum |e|) is larger")
+    _limit(gi, "--node-budget", "refuse inputs whose girth-sweep step bound is larger")
     gi.add_argument("--out", help="output path (default stdout)")
     gi.set_defaults(handler=_cmd_girth)
 

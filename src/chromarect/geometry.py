@@ -718,10 +718,7 @@ def extend_to_perfect_nested(
     interval (so every input label has length ≥ 1), which the general
     difference-set translation needs.
     """
-    ivs = [Interval(lo, hi) for lo, hi in family]
-    if not is_nested(ivs):
-        raise DomainError("interval family is not nested")
-    nonempty = [(iv, i) for i, iv in enumerate(ivs) if iv.lo < iv.hi]
+    nonempty = [(Interval(lo, hi), i) for i, (lo, hi) in enumerate(family) if lo < hi]
     if not nonempty and not points_y:
         raise DomainError("nothing to extend: no intervals, no points")
 
@@ -736,12 +733,15 @@ def extend_to_perfect_nested(
         hi = hi + 1
 
     root = _Node(lo, hi)
-    # containment forest: sort by (lo asc, hi desc); a stack gives parents
+    # containment forest: sort by (lo asc, hi desc); a stack gives parents,
+    # and a top that overlaps iv without containing it breaks the nesting
     uniq: Dict[Interval, _Node] = {}
     order = sorted(set(iv for iv, _ in nonempty), key=lambda iv: (iv.lo, -iv.hi))
     stack = [root]
     for iv in order:
         while not (stack[-1].lo <= iv.lo and iv.hi <= stack[-1].hi):
+            if iv.lo < stack[-1].hi:
+                raise DomainError("interval family is not nested")
             stack.pop()
         if (iv.lo, iv.hi) == (stack[-1].lo, stack[-1].hi):
             uniq[iv] = stack[-1]  # duplicate of its parent: share the node
@@ -756,7 +756,7 @@ def extend_to_perfect_nested(
     pts = sorted(set(points_y))
     depth = _complete(root, pts)
     interval_of: Dict[str, Interval] = {}
-    input_labels: List[Optional[str]] = [None] * len(ivs)
+    input_labels: List[Optional[str]] = [None] * len(family)
     _finish(root, "", depth, interval_of, input_labels)
     point_labels = [_leaf_label(root, y, depth) for y in points_y]
     return PerfectNestedFamily(depth + 1, interval_of, input_labels, point_labels)

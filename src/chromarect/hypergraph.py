@@ -353,7 +353,7 @@ def _canonical_witness(cycle_nodes, n):
     )
 
 
-def hypergraph_girth(H: OrderedHypergraph) -> CyclesReport:
+def hypergraph_girth(H: OrderedHypergraph, node_budget: int = DEFAULT_NODE_BUDGET) -> CyclesReport:
     """Girth of ``H`` with a canonical witness.
 
     The girth is half the length of the shortest cycle of the bipartite
@@ -369,11 +369,17 @@ def hypergraph_girth(H: OrderedHypergraph) -> CyclesReport:
     + 1).  A root is skipped when its component has rank 0, or rank 1 and
     its one cycle has been traced already: such a search could offer no
     cycle or only that one again, which changes neither the girth, the
-    witness nor the depth cut of any later search.  The cost is
-    O(n + m + Σ|e|) for the pass plus, per search that runs, as much again
-    and O(L) to trace and canonicalize each length-L cycle it meets: at
-    most O(n·(n + m + Σ|e|)), and linear when every component holds at
-    most one cycle.
+    witness nor the depth cut of any later search.
+
+    Before the first search, the step bound Σ size_c·w_c over components
+    c (size_c its incidence nodes plus arcs, n_c its vertices) is checked
+    against ``node_budget``; past it, :class:`NodeBudgetExceeded`.  An
+    acyclic component is never searched: w_c = 0.  The first cyclic one, if
+    of rank 1, is searched once, uncut, and traces its cycle: w_c = 1.  Any
+    other may search from every root, since a later one-cycle component's
+    searches can all be cut short of its cycle: w_c = n_c.  A connected
+    input of rank >= 2 gets n·(n + m + Σ|e|).  Tracing and canonicalizing
+    each length-L cycle met costs O(L) more.
     """
     n = H.n
     adj = _incidence_adjacency(H)
@@ -386,21 +392,30 @@ def hypergraph_girth(H: OrderedHypergraph) -> CyclesReport:
     # component whose searches can offer no new cycle gets rank 0.
     comp = [-1] * total
     rank = []
+    steps = 0
     for s in range(n):
         if comp[s] != -1:
             continue
         c = len(rank)
         comp[s] = c
-        stack, nodes, ends = [s], 0, 0
+        stack, nodes, ends, verts = [s], 0, 0, 0
         while stack:
             u = stack.pop()
             nodes += 1
+            verts += u < n
             ends += len(adj[u])  # each arc counted from both of its ends
             for w in adj[u]:
                 if comp[w] == -1:
                     comp[w] = c
                     stack.append(w)
         rank.append(ends // 2 - nodes + 1)
+        if rank[c]:
+            # steps is 0 until the first cyclic component
+            steps += (nodes + ends // 2) * (1 if rank[c] == 1 and not steps else verts)
+    if steps > node_budget:
+        raise NodeBudgetExceeded(
+            "girth sweep would exceed the node budget", steps=steps, node_budget=node_budget
+        )
 
     parent = [-1] * total
     stamp = [0] * total  # run in which the node was reached

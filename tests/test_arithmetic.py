@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chromarect.arithmetic import (
+    STREAMS,
     DifferenceSequence,
     EmbeddedPoints,
     FiniteAP,
@@ -20,7 +21,6 @@ from chromarect.arithmetic import (
     ap_incidence_hypergraph,
     bit_reverse,
     build_residue_tree,
-    difference_stream,
     embed_integers,
     extension_residues,
     greedy_difference_sequence,
@@ -332,11 +332,9 @@ class TestGreedySequence:
             greedy_difference_sequence(D, 3)
 
     def test_named_streams(self):
-        assert isinstance(difference_stream("primes"), PrimeStream)
-        assert difference_stream("pow2").base == 2
-        assert difference_stream("pow3").base == 3
-        with pytest.raises(DomainError):
-            difference_stream("factorials")
+        assert isinstance(STREAMS["primes"], PrimeStream)
+        assert STREAMS["pow2"].base == 2
+        assert STREAMS["pow3"].base == 3
 
 
 def scan_solvable(residue_path, moduli):
@@ -485,10 +483,10 @@ class TestGeneralTranslation:
     @pytest.mark.parametrize("kind", ["primes", "pow3"])
     def test_nested_instance(self, kind):
         R = _nested22()
-        out = rects_to_D_aps(R, difference_stream(kind))
+        out = rects_to_D_aps(R, STREAMS[kind])
         assert len(out.aps) == 14
         # recompute the growth sequence independently and check membership
-        seq = greedy_difference_sequence(difference_stream(kind), 10)
+        seq = greedy_difference_sequence(STREAMS[kind], 10)
         assert {a.difference for a in out.aps} <= set(seq.terms)
         observed = ap_incidence_hypergraph(out.V, out.aps)
         want = relabel_to_x_order(R.hypergraph, R.points)

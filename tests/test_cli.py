@@ -155,6 +155,7 @@ class TestVerify:
 
     def test_mismatch_is_exit_1(self, h22_file, r22n_file, tmp_path, capsys):
         d = json.loads(h22_file.read_bytes())
+        del d["kind"]  # a plain hypergraph, so the drawing is what disagrees
         d["edges"][0] = [0, 5]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(d))
@@ -162,6 +163,18 @@ class TestVerify:
                       "--hypergraph", str(bad))
         assert code == 1
         assert err_json(capsys)["error"] == "verification-failed"
+
+    def test_staged_relabelled_parents_rejected(self, h22_file, r22n_file, tmp_path, capsys):
+        # consistent parents and edges, but not H(2,2)'s: refused as realize
+        # refuses it, before any rectangle is checked
+        staged = json.loads(h22_file.read_bytes())
+        staged["parents"] = [None] * 4 + [1, 3, 1, 2, 0, 3, 0, 2]
+        staged["edges"][:8] = [[p, v] for v, p in enumerate(staged["parents"]) if p is not None]
+        bad = tmp_path / "staged.json"
+        bad.write_text(json.dumps(staged))
+        code, out = cli("verify", "--realization", str(r22n_file), "--hypergraph", str(bad))
+        assert (code, out) == (1, b"")
+        assert one_error(capsys)["error"] == "domain-error"
 
     def test_sampled_mode(self, h22_file, r22n_file):
         out = cli_ok("verify", "--realization", str(r22n_file),
@@ -568,8 +581,8 @@ class TestErrorContract:
         assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err["message"]
 
     def test_girth_sweep_bound_over_node_budget_is_exit_2(self, g25_file, capsys):
-        # G(2,5) is a 15-cycle: n (n + m + sum |e|) = 15 * (15 + 15 + 30)
-        bound = 900
+        # G(2,5) is one 15-cycle, searched once: 15 + 15 nodes and 30 arcs
+        bound = 60
         code, out = cli("girth", "--input", str(g25_file), "--node-budget", str(bound - 1))
         assert (code, out) == (2, b"")
         err = one_error(capsys)
@@ -972,7 +985,7 @@ class TestErrorContract:
     def test_girth_recheck_rejects_infinite_on_cyclic(self, tmp_path, monkeypatch, capsys):
         h = tmp_path / "h.json"  # a triangle with a pendant edge
         h.write_text(json.dumps({"n": 4, "edges": [[0, 3], [0, 1], [1, 2], [0, 2]]}))
-        monkeypatch.setattr(hypergraph, "hypergraph_girth", lambda H: CyclesReport(Infinite, None))
+        monkeypatch.setattr(hypergraph, "hypergraph_girth", lambda H, **kwargs: CyclesReport(Infinite, None))
         code, out = cli("girth", "--input", str(h))
         assert (code, out) == (1, b"")
         assert one_error(capsys)["error"] == "verification-failed"
@@ -1096,6 +1109,35 @@ class TestPinnedArtifacts:
         assert _sha256(cli_ok("girth", "--input", str(staged))) == _GIRTH_DIGESTS[g]
         cli_ok("realize", "--input", str(staged), "--out", str(real))
         assert _sha256(cli_ok("hasse", "--input", str(real))) == _HASSE_DIGESTS[g]
+
+    def test_girth_of_g2_20001(self, tmp_path):
+        # one cycle of 60,003 vertices: a single search, far inside the
+        # default node budget
+        staged = tmp_path / "g.json"
+        cli_ok("construct", "gcg", "--c", "2", "--g", "20001", "--out", str(staged))
+        out = cli_ok("girth", "--input", str(staged))
+        assert json.loads(out)["girth"] == 60003
+        assert _sha256(out) == "43c25913c27268f6b130882ffb7472d03566cd17edb9b0375ac1408d55c5c04b"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["girth", "--input", "{h}"],
+            ["chromatic", "--input", "{h}"],
+            ["verify", "--realization", "{r}", "--hypergraph", "{h}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_staged_file_reads_as_its_plain_hypergraph(self, argv, h22_file, r22n_file, tmp_path):
+        plain = json.loads(h22_file.read_bytes())
+        del plain["kind"]
+        plain_file = tmp_path / "plain.json"
+        plain_file.write_text(json.dumps(plain))
+
+        def run_on(h):
+            return cli_ok(*(a.format(h=h, r=r22n_file) for a in argv))
+
+        assert run_on(h22_file) == run_on(plain_file)
 
     def test_girth_and_hasse_of_h22(self, h22_file, r22n_file):
         assert _sha256(cli_ok("girth", "--input", str(h22_file))) == (

@@ -454,6 +454,53 @@ def test_girth_sweep_traces_a_lone_cycle_once():
     assert 1 <= len(calls) <= 2
 
 
+def _over_budget_steps(H: OrderedHypergraph, bound: int) -> int:
+    """The steps hypergraph_girth reports when its budget is one short of
+    ``bound``, after checking that ``bound`` itself is enough."""
+    hypergraph_girth(H, node_budget=bound)
+    with pytest.raises(NodeBudgetExceeded) as info:
+        hypergraph_girth(H, node_budget=bound - 1)
+    assert info.value.details["node_budget"] == bound - 1
+    return info.value.details["steps"]
+
+
+def test_girth_bound_of_a_connected_input_of_rank_two_or_more():
+    H = build_Hkc(2, 2).base  # connected, with many cycles
+    n, m = H.n, len(H.edges)
+    bound = n * (n + m + sum(map(len, H.edges)))
+    assert _over_budget_steps(H, bound) == bound
+
+
+def test_girth_bound_charges_a_cut_one_cycle_component_at_every_root():
+    # A triangle first, then a 41-cycle reached through a 10-vertex path,
+    # with K pendant leaves on one cycle vertex.  Once the triangle is
+    # known, every search of the second component is cut at depth 4, long
+    # before its cycle, so each of its roots searches.
+    K = 5
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    path = [(v, v + 1) for v in range(3, 13)]  # vertices 3..12, then into the cycle
+    cycle = [(v, v + 1) for v in range(13, 53)] + [(13, 53)]
+    leaves = [(33, 54 + i) for i in range(K)]
+    H = OrderedHypergraph(54 + K, triangle + path + cycle + leaves)
+    n_c, m_c = 10 + 41 + K, len(path) + len(cycle) + K
+    # size_c is nodes plus arcs: 3 + 3 + 6 for the triangle, searched once
+    bound = 12 * 1 + (n_c + m_c + 2 * m_c) * n_c
+    assert _over_budget_steps(H, bound) == bound
+
+    traced = []
+    trace = hypergraph._trace_cycle
+
+    def recorded(parent, u, w):
+        traced.append(trace(parent, u, w))
+        return traced[-1]
+
+    with mock.patch.object(hypergraph, "_trace_cycle", recorded):
+        rep = hypergraph_girth(H, node_budget=bound)
+    assert rep.girth == 3
+    n = H.n
+    assert traced and all(set(c) <= {0, 1, 2, n, n + 1, n + 2} for c in traced)
+
+
 # ---------------------------------------------------------------------------
 # property tests from the module contract
 
