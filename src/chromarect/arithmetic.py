@@ -283,7 +283,14 @@ def build_residue_tree(seq: DifferenceSequence, depth: int) -> ResidueTree:
     taking the smallest extension residue unused at its level.  The growth
     inequality guarantees enough candidates (each parent offers d/gcd >=
     2^j choices at depth j), so exhaustion is an internal error, not a
-    domain error."""
+    domain error.
+
+    Every class at depth j-1 has the same modulus L and merges with the
+    same d, so the CRT step (g = gcd(L, d) and one inverse of L/g mod d/g)
+    is computed once per depth.  Parents whose residues agree mod g share
+    one candidate range and the others' ranges are disjoint from it, so
+    the used residues of a range are a prefix of it: one cursor per range
+    start gives the least unused candidate."""
     if depth < 0:
         raise DomainError("depth must be nonnegative", depth=depth)
     if depth > len(seq.terms):
@@ -293,38 +300,32 @@ def build_residue_tree(seq: DifferenceSequence, depth: int) -> ResidueTree:
             terms=len(seq.terms),
         )
     residues: Dict[str, int] = {}
-    classes: Dict[str, ResidueClass] = {"": ResidueClass(0, 1)}
+    classes: Dict[str, int] = {"": 0}  # label -> residue mod L, in label order
+    L = 1
     for j in range(1, depth + 1):
         d = seq.terms[j - 1]
-        used = set()
-        next_classes: Dict[str, ResidueClass] = {}
-        for s in sorted(classes):
-            cls = classes[s]
-            candidates = extension_residues(cls, d)
+        g = gcd(L, d)
+        step, M = d // g, L // g * d
+        inv = pow(L // g, -1, step) if step > 1 else 0
+        cursor: Dict[int, int] = {}
+        next_classes: Dict[str, int] = {}
+        for s, r in classes.items():
+            candidates = extension_residues((r, L), d)
+            rho = cursor.get(candidates.start, candidates.start)
             for bit in "01":
-                rho = next((x for x in candidates if x not in used), None)
-                if rho is None:
+                if rho >= candidates.stop:
                     raise AssertionError(
                         "residue candidates exhausted; growth inequality "
                         "should make this impossible"
                     )
-                used.add(rho)
-                label = s + bit
-                residues[label] = rho
-                merged = solve_modular_system(
-                    [(cls.residue, cls.modulus), (rho, d)]
-                )
-                if merged is None:
-                    raise AssertionError("extension residue produced an unsolvable system")
-                next_classes[label] = merged
-        classes = next_classes
-    if depth:
-        want = seq.lcms[depth - 1]
-        for s, cls in classes.items():
-            if cls.modulus != want:
-                raise AssertionError("leaf modulus is not the running lcm")
-    solutions = {s: cls.residue for s, cls in classes.items()}
-    return ResidueTree(depth, residues, solutions, seq)
+                residues[s + bit] = rho
+                next_classes[s + bit] = (r + L * ((rho - r) // g * inv % step)) % M
+                rho += g
+            cursor[candidates.start] = rho
+        classes, L = next_classes, M
+    if depth and L != seq.lcms[depth - 1]:
+        raise AssertionError("leaf modulus is not the running lcm")
+    return ResidueTree(depth, residues, classes, seq)
 
 
 # ---------------------------------------------------------------------------

@@ -100,13 +100,19 @@ class Rect(NamedTuple):
         return self.x_lo <= p.x <= self.x_hi and self.y_lo <= p.y <= self.y_hi
 
 
-def parse_coord(value) -> Fraction:
+def parse_coord(value) -> Coord:
     """A coordinate read from JSON: an int (not a bool) or a rational
-    string such as ``"-7/2"``.  Nothing else reaches ``Fraction``, which
-    would expand an exponent such as ``"1e100000000"`` digit by digit."""
-    if type(value) is int or type(value) is str and _COORD_TEXT.fullmatch(value):
+    string such as ``"-7/2"``.  A JSON int and integral text such as
+    ``"-12"`` load as ``int``, and only ``"p/q"`` as ``Fraction``; the two
+    compare and hash alike, so arithmetic stays exact either way.  Nothing
+    else reaches them: ``int`` would take ``"1_0"`` or ``" 3"``, and
+    ``Fraction`` would expand an exponent such as ``"1e100000000"`` digit
+    by digit."""
+    if type(value) is int:
+        return value
+    if type(value) is str and _COORD_TEXT.fullmatch(value):
         try:
-            return Fraction(value)
+            return Fraction(value) if "/" in value else int(value)
         except ZeroDivisionError:
             raise DomainError("coordinate has a zero denominator")
         except ValueError as exc:  # more digits than the interpreter converts

@@ -2,6 +2,7 @@
 residue trees, and the rectangle -> progression translations."""
 
 import itertools
+import random
 from fractions import Fraction as F
 from functools import lru_cache
 from math import gcd, lcm
@@ -399,6 +400,132 @@ class TestResidueTree:
         seq = greedy_difference_sequence(GeometricStream(2), 2)
         with pytest.raises(DomainError):
             build_residue_tree(seq, 3)
+
+
+def reference_residue_tree(seq, depth):
+    """The greedy/CRT builder as it stood before the per-depth inverse and
+    the per-class cursors, frozen: one `solve_modular_system` call per node
+    and a scan of the candidates for the least unused one."""
+    classes = {"": ResidueClass(0, 1)}
+    residues = {}
+    for j in range(1, depth + 1):
+        d = seq.terms[j - 1]
+        used = set()
+        next_classes = {}
+        for s in sorted(classes):
+            cls = classes[s]
+            candidates = extension_residues(cls, d)
+            for bit in "01":
+                rho = next((x for x in candidates if x not in used), None)
+                if rho is None:
+                    raise AssertionError(
+                        "residue candidates exhausted; growth inequality "
+                        "should make this impossible"
+                    )
+                used.add(rho)
+                residues[s + bit] = rho
+                merged = solve_modular_system([(cls.residue, cls.modulus), (rho, d)])
+                if merged is None:
+                    raise AssertionError("extension residue produced an unsolvable system")
+                next_classes[s + bit] = merged
+        classes = next_classes
+    if depth and any(c.modulus != seq.lcms[depth - 1] for c in classes.values()):
+        raise AssertionError("leaf modulus is not the running lcm")
+    return residues, {s: c.residue for s, c in classes.items()}
+
+
+def _outcome(build, seq, depth):
+    """(residues, solutions), or the type and text of what was raised."""
+    try:
+        tree = build(seq, depth)
+    except (AssertionError, DomainError) as exc:
+        return type(exc), str(exc)
+    return tree if build is reference_residue_tree else (tree.residues, tree.solutions)
+
+
+def _hand_made(terms):
+    """A sequence with honest running lcms and no growth check."""
+    return DifferenceSequence(tuple(terms), tuple(itertools.accumulate(terms, lcm)))
+
+
+def _seeded_lists():
+    """The 10-term growth sequences of seeded strictly increasing lists:
+    decoys below each bound, then a kept value just above it that is a
+    multiple of a seeded divisor of the running lcm (the whole lcm, a
+    part of it, or 1), so the terms share factors in varying amounts."""
+    for seed in range(24):
+        rng = random.Random(seed)
+        values, L = [], 1
+        for i in range(10):
+            bound = L << i
+            lo = values[-1] + 1 if values else 1
+            values += sorted({rng.randrange(lo, bound + 1) for _ in range(3)}) if bound >= lo else []
+            f = rng.choice((L, gcd(L, rng.randrange(1, 1000)), 1))
+            values.append((bound // f + 1 + rng.randrange(4)) * f)
+            L = lcm(L, values[-1])
+        yield pytest.param(greedy_difference_sequence(values, 10), id=f"seed{seed}")
+
+
+class TestResidueTreeAgainstReference:
+    @pytest.mark.parametrize("depth", range(11))
+    @pytest.mark.parametrize("name", ["primes", "pow2", "pow3"])
+    def test_named_streams(self, name, depth):
+        seq = greedy_difference_sequence(STREAMS[name], depth)
+        assert _outcome(build_residue_tree, seq, depth) == reference_residue_tree(seq, depth)
+
+    @pytest.mark.parametrize("seq", _seeded_lists())
+    def test_seeded_lists(self, seq):
+        for depth in range(len(seq.terms) + 1):
+            assert _outcome(build_residue_tree, seq, depth) == reference_residue_tree(seq, depth)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            (6, 10, 15),
+            (4, 6, 9, 10),
+            (12, 18, 8, 27),
+            (3, 6, 12, 24, 48),
+            (6, 4),  # the second level runs out of candidates
+            (2, 2),
+            (10, 4, 25, 8, 125),
+            (1, 2, 3),
+            (0, 5),
+            (4, -6),
+        ],
+    )
+    def test_shared_factors(self, terms):
+        seq = _hand_made(terms)
+        for depth in range(len(terms) + 1):
+            assert _outcome(build_residue_tree, seq, depth) == _outcome(
+                reference_residue_tree, seq, depth
+            )
+
+    def test_seeded_hand_made_sequences(self):
+        rng = random.Random(7)
+        raised = 0
+        for _ in range(400):
+            terms = [rng.choice((2, 3, 4, 6, 8, 9, 10, 12, 15, 18, 20, 24, 30, 36))
+                     * rng.randrange(1, 6) for _ in range(rng.randrange(1, 6))]
+            seq = _hand_made(terms)
+            for depth in range(len(terms) + 1):
+                want = _outcome(reference_residue_tree, seq, depth)
+                assert _outcome(build_residue_tree, seq, depth) == want
+                raised += want[0] is AssertionError
+        assert raised  # some of them exhaust their candidates
+
+    def test_wrong_running_lcm_still_refused(self):
+        seq = DifferenceSequence((2, 8), (2, 4))
+        want = (AssertionError, "leaf modulus is not the running lcm")
+        assert _outcome(reference_residue_tree, seq, 2) == want
+        assert _outcome(build_residue_tree, seq, 2) == want
+
+    def test_primes_leaves_solve_their_systems(self):
+        seq = greedy_difference_sequence(STREAMS["primes"], 8)
+        tree = build_residue_tree(seq, 8)
+        assert len(tree.solutions) == 256
+        for s, z in tree.solutions.items():
+            system = [(tree.residues[s[: j + 1]], seq.terms[j]) for j in range(8)]
+            assert solve_modular_system(system) == ResidueClass(z, seq.lcms[7])
 
 
 class TestApIncidence:

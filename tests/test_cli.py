@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -1138,6 +1139,32 @@ class TestPinnedArtifacts:
             return cli_ok(*(a.format(h=h, r=r22n_file) for a in argv))
 
         assert run_on(h22_file) == run_on(plain_file)
+
+    def test_drawing_divided_by_three_gives_the_same_bytes(self, h22_file, r22n_file, tmp_path):
+        # every coordinate of the nested H(2,2) drawing over 3, written as
+        # reduced "p/q" or integer text: the ranks and every output hold
+        d = json.loads(r22n_file.read_bytes())
+        for field in ("points", "rects"):
+            d[field] = [[str(Fraction(int(c), 3)) for c in row] for row in d[field]]
+        assert {"8/3", "12", "-1/3"} <= {c for row in d["points"] + d["rects"] for c in row}
+        mixed = tmp_path / "mixed.json"
+        mixed.write_text(json.dumps(d))
+        col = tmp_path / "col.json"
+        col.write_text(json.dumps({"c": 2, "colors": [0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0]}))
+
+        def outputs(real):
+            return [
+                cli_ok("hasse", "--input", str(real)),
+                cli_ok("mono-path", "--input", str(real), "--coloring", str(col), "--k", "2"),
+                cli_ok("verify", "--realization", str(real), "--hypergraph", str(h22_file)),
+                cli_ok("to-aps", "--input", str(real), "--mode", "pow2"),
+                cli_ok("to-aps", "--input", str(real), "--mode", "general", "--difference-set", "primes"),
+                cli_ok("to-aps", "--input", str(real), "--mode", "general", "--difference-set", "pow3"),
+            ]
+
+        got = outputs(mixed)
+        assert got == outputs(r22n_file)
+        assert _sha256(got[4]) == "6616379e6a3aafdd94e42881c1c2c74cac6a624ca844b0f059ab7dd557fd5a61"
 
     def test_girth_and_hasse_of_h22(self, h22_file, r22n_file):
         assert _sha256(cli_ok("girth", "--input", str(h22_file))) == (

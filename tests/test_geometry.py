@@ -1257,6 +1257,44 @@ class TestRealizationJson:
         with pytest.raises(DomainError, match="zero denominator"):
             geometry.parse_coord(text)
 
+    @pytest.mark.parametrize(
+        "value,kind",
+        [
+            (0, int), (-7, int), (10**40, int),
+            ("12", int), ("05", int), ("-0", int), ("-12", int), ("9" * 4300, int),
+            ("-7/2", F), ("6/3", F), ("0/5", F), ("05/010", F),
+        ],
+    )
+    def test_parse_coord_loads_integral_text_as_int(self, value, kind):
+        got = geometry.parse_coord(value)
+        assert type(got) is kind
+        assert got == F(value) and hash(got) == hash(F(value))
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            (True, "coordinate must be an int or a string p or p/q of decimal digits"),
+            (0.5, "coordinate must be an int or a string p or p/q of decimal digits"),
+            ("1.5", "coordinate must be an int or a string p or p/q of decimal digits"),
+            ("+3", "coordinate must be an int or a string p or p/q of decimal digits"),
+            (" 3", "coordinate must be an int or a string p or p/q of decimal digits"),
+            ("1_0", "coordinate must be an int or a string p or p/q of decimal digits"),
+            ("1e100000000", "coordinate must be an int or a string p or p/q of decimal digits"),
+            ("1/0", "coordinate has a zero denominator"),
+            ("9" * 5000, "coordinate too long: Exceeds the limit (4300 digits) for integer string conversion"),
+        ],
+        ids=["bool", "float", "decimal", "plus", "space", "underscore", "exponent", "zero-den", "5000-digits"],
+    )
+    def test_parse_coord_refusals_unchanged(self, value, message):
+        with pytest.raises(DomainError) as info:
+            geometry.parse_coord(value)
+        assert str(info.value).startswith(message)
+
+    def test_loaded_integral_drawing_holds_ints(self):
+        back = Realization.from_json_dict(_r22_nested().to_json_dict())
+        assert all(type(v) is int for p in back.points for v in p)
+        assert all(type(v) is int for r in back.rects for v in r)
+
 
 class TestRankPoints:
     @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=24))
