@@ -434,13 +434,17 @@ def reference_residue_tree(seq, depth):
     return residues, {s: c.residue for s, c in classes.items()}
 
 
+def _built(seq, depth):
+    tree = build_residue_tree(seq, depth)
+    return tree.residues, tree.solutions
+
+
 def _outcome(build, seq, depth):
     """(residues, solutions), or the type and text of what was raised."""
     try:
-        tree = build(seq, depth)
+        return build(seq, depth)
     except (AssertionError, DomainError) as exc:
         return type(exc), str(exc)
-    return tree if build is reference_residue_tree else (tree.residues, tree.solutions)
 
 
 def _hand_made(terms):
@@ -471,12 +475,12 @@ class TestResidueTreeAgainstReference:
     @pytest.mark.parametrize("name", ["primes", "pow2", "pow3"])
     def test_named_streams(self, name, depth):
         seq = greedy_difference_sequence(STREAMS[name], depth)
-        assert _outcome(build_residue_tree, seq, depth) == reference_residue_tree(seq, depth)
+        assert _outcome(_built, seq, depth) == _outcome(reference_residue_tree, seq, depth)
 
     @pytest.mark.parametrize("seq", _seeded_lists())
     def test_seeded_lists(self, seq):
         for depth in range(len(seq.terms) + 1):
-            assert _outcome(build_residue_tree, seq, depth) == reference_residue_tree(seq, depth)
+            assert _outcome(_built, seq, depth) == _outcome(reference_residue_tree, seq, depth)
 
     @pytest.mark.parametrize(
         "terms",
@@ -496,7 +500,7 @@ class TestResidueTreeAgainstReference:
     def test_shared_factors(self, terms):
         seq = _hand_made(terms)
         for depth in range(len(terms) + 1):
-            assert _outcome(build_residue_tree, seq, depth) == _outcome(
+            assert _outcome(_built, seq, depth) == _outcome(
                 reference_residue_tree, seq, depth
             )
 
@@ -509,7 +513,7 @@ class TestResidueTreeAgainstReference:
             seq = _hand_made(terms)
             for depth in range(len(terms) + 1):
                 want = _outcome(reference_residue_tree, seq, depth)
-                assert _outcome(build_residue_tree, seq, depth) == want
+                assert _outcome(_built, seq, depth) == want
                 raised += want[0] is AssertionError
         assert raised  # some of them exhaust their candidates
 
@@ -517,7 +521,7 @@ class TestResidueTreeAgainstReference:
         seq = DifferenceSequence((2, 8), (2, 4))
         want = (AssertionError, "leaf modulus is not the running lcm")
         assert _outcome(reference_residue_tree, seq, 2) == want
-        assert _outcome(build_residue_tree, seq, 2) == want
+        assert _outcome(_built, seq, 2) == want
 
     def test_primes_leaves_solve_their_systems(self):
         seq = greedy_difference_sequence(STREAMS["primes"], 8)
