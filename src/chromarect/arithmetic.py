@@ -441,8 +441,7 @@ def _emit_aps(R, fam, point_value, diff_and_residue) -> APRealization:
     edge_of_ap: List[int] = []
     expected: List[tuple] = []
     flagged: List[int] = []
-    for r in range(len(R.rects)):
-        w = R.window(r)
+    for r, w in enumerate(R.windows()):
         mem = tuple(P.x_rank[v] for v in index.members(w))
         if not mem:
             flagged.append(r)

@@ -193,9 +193,12 @@ def _cmd_realize(args, stdout) -> int:
         R = realize_Gcg(S)
     else:
         R = realize_Hkc_nested(S) if args.nested else realize_Hkc(S)
-    _write_artifact(args.out, _canonical_json(R.to_json_dict()), stdout)
+    # both artifacts are made and checked before either is written
+    data = R.to_json_bytes()
+    svg = _checked_svg(R) if args.svg else None
+    _write_artifact(args.out, data, stdout)
     if args.svg:
-        _write_artifact(args.svg, _checked_svg(R), stdout)
+        _write_artifact(args.svg, svg, stdout)
     return 0
 
 
@@ -395,12 +398,13 @@ def _cmd_vdc(args, stdout) -> int:
 
 
 def _checked_svg(R: Realization, width: float = SVG_WIDTH) -> bytes:
-    from xml.etree import ElementTree
+    """``emit_svg``'s bytes, once expat has parsed them as well-formed XML."""
+    from xml.parsers import expat
 
     data = emit_svg(R, width)
     try:
-        ElementTree.fromstring(data)
-    except ElementTree.ParseError as exc:
+        expat.ParserCreate().Parse(data, True)
+    except expat.ExpatError as exc:
         raise VerificationError(f"emitted SVG is not well-formed: {exc}")
     return data
 

@@ -138,12 +138,15 @@ class _StagedEdges(_LazySequence):
     def __iter__(self):
         return zip(*self.columns())
 
-    def columns(self, first: int = 0) -> list:
+    def columns(self, first: int = 0, through: Optional[array] = None) -> list:
         """The k edge columns as ``TYPECODE`` arrays: column j holds member
-        j of every edge from edge ``first`` on, in edge order.  The leaf
-        column is a range, the next a slice of the parent array, and each
-        further one a C-level parent lookup on the one before; transversal
-        columns interleave one strided range per template edge."""
+        j of every edge from edge ``first`` on, in edge order, or, given an
+        array ``through`` (a rank array), that member's entry in it.  The
+        leaf column is a range, the next a slice of the parent array, and
+        each further one a C-level parent lookup on the one before;
+        transversal columns interleave one strided range per template edge.
+        Read through an array, the leaf column and the strided ranges are
+        slices of it, and only the ancestor columns are looked up."""
         parent, skip = self._parent, first - self._n_path
         lo = self._first_leaf + min(first, self._n_path)
         cols = [array(TYPECODE, range(lo, len(parent)))]
@@ -151,6 +154,9 @@ class _StagedEdges(_LazySequence):
             cols.append(parent[lo:])
         for _ in range(self._k - 2):
             cols.append(array(TYPECODE, map(parent.__getitem__, cols[-1])))
+        if through is not None:
+            cols[1:] = [array(TYPECODE, map(through.__getitem__, col)) for col in cols[1:]]
+            cols[0] = through[lo:]
         cols.reverse()
         per_copy, stride = len(self._template), self._stride
         span = self._n_blocks * stride
@@ -158,7 +164,10 @@ class _StagedEdges(_LazySequence):
             part = array(TYPECODE, [0]) * (self._n_blocks * per_copy)
             for t, u in enumerate(members):
                 start = self._origin + u
-                part[t::per_copy] = array(TYPECODE, range(start, start + span, stride))
+                if through is None:
+                    part[t::per_copy] = array(TYPECODE, range(start, start + span, stride))
+                else:
+                    part[t::per_copy] = through[start : start + span : stride]
             col.extend(part[skip:] if skip > 0 else part)
         return cols
 

@@ -45,6 +45,16 @@ the builders refuse instances it cannot hold.  No floating point is
 involved except in SVG output.  The builder verifies its own incidence
 before returning, with the sample :func:`default_sample` picks.
 
+Whatever reads every rectangle reads them in bulk.  A built drawing's
+windows come from one pass, kept with its rects
+(:meth:`_RankRects.windows`): the edge columns read through the rank
+arrays, and each edge's lowest and highest rank taken at C level.  The
+full check reads those windows; :meth:`Realization.columns` turns them
+into bound columns, which the JSON writer
+(:meth:`Realization.to_json_bytes`, one template per row), :func:`emit_svg`
+and :func:`y_projections` read, with no rectangle built.  A sampled check
+reads only its own windows, one edge at a time.
+
 Every box-membership question goes through :class:`BoxIndex`, which
 reads rank windows only, and one block array of sorted slices of ``yx``;
 :meth:`_RankPoints.window`, a bisect of ``xs`` and of ``ys``, is the one
@@ -63,6 +73,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import isfinite, isqrt
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
@@ -79,7 +90,7 @@ FULL_VERIFY_EDGE_LIMIT = 100_000
 SAMPLE_VERIFY_COUNT = 1000
 _SAMPLE_SEED = 17
 
-# what a loaded coordinate may be: exactly what to_json_dict writes
+# what a loaded coordinate may be: exactly what to_json_bytes writes
 _COORD_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
@@ -213,6 +224,7 @@ class _RankRects(_LazySequence):
         self._xr = points.x_rank
         self._yr = points.y_rank
         self._n_path, self._first_leaf, self._leaf_size = leaf_stages or (0, 0, 1)
+        self._windows = None
 
     def __len__(self) -> int:
         return len(self._edges)
@@ -235,25 +247,61 @@ class _RankRects(_LazySequence):
         y_lo = 4 * y0 - (2 if e < self._n_path else 1)  # one unit lower on a nested path
         return Rect(4 * x0 - 1, 4 * x1 - 3, y_lo, 4 * y1 - 3)
 
-    def y_windows(self):
-        """(y_lo, y_hi) of every rectangle, as ``_item`` gives them, in
-        two arrays and without building the rectangles.  A nested path
-        rectangle takes its leaf stage's lowest point (one strided column
-        of y-ranks per stage offset); any other rectangle takes its
-        members' y-ranks, read at C level from the edge columns past
-        the path edges."""
-        yr, n_path, size, lo = self._yr, self._n_path, self._leaf_size, self._first_leaf
-        cols = [yr[lo + q : lo + n_path : size] for q in range(size)]
-        stage_lows = array(TYPECODE, [4 * y - 2 for y in map(min, zip(*cols))])
-        lows = array(TYPECODE, [0]) * n_path
-        for q in range(size):
-            lows[q::size] = stage_lows
-        highs = array(TYPECODE, [4 * len(yr) - 3]) * n_path
-        cols = [array(TYPECODE, map(yr.__getitem__, col)) for col in self._edges.columns(n_path)]
-        y_min, y_max = map(min, zip(*cols)), map(max, zip(*cols))
-        lows.extend(4 * y - 1 for y in y_min)
-        highs.extend(4 * y + 1 for y in y_max)
-        return lows, highs
+    def windows(self) -> tuple:
+        """Every edge's rank window, as :meth:`window` gives it, in four
+        ``TYPECODE`` arrays (x0, x1, y0, y1) made in one pass and kept: the
+        edge columns read through the rank arrays, each edge's lowest and
+        highest rank taken at C level.  A nested path row takes its leaf
+        stage's lowest y-rank (one strided column of y-ranks per stage
+        offset) and the top; the member y-ranks are read past the path
+        edges only."""
+        if self._windows is None:
+            xr, yr, n_path, size, lo = self._xr, self._yr, self._n_path, self._leaf_size, self._first_leaf
+            x0, x1 = _spans(self._edges.columns(through=xr))
+            stage_lows = array(TYPECODE, map(min, zip(*[yr[lo + q : lo + n_path : size] for q in range(size)])))
+            y0 = array(TYPECODE, [0]) * n_path
+            for q in range(size):
+                y0[q::size] = stage_lows
+            y1 = array(TYPECODE, [len(yr)]) * n_path
+            lows, highs = _spans(self._edges.columns(n_path, through=yr))
+            y0 += lows
+            y1 += highs
+            self._windows = x0, x1, y0, y1
+        return self._windows
+
+    def bounds(self) -> tuple:
+        """Every rectangle's (x_lo, x_hi, y_lo, y_hi) as :meth:`_item` draws
+        it, four ``TYPECODE`` arrays from :meth:`windows`."""
+        x0, x1, y0, y1 = self.windows()
+        n_path = self._n_path
+        y_lo = [4 * v - 2 for v in y0[:n_path]]
+        y_lo += [4 * v - 1 for v in y0[n_path:]]
+        cols = [4 * v - 1 for v in x0], [4 * v - 3 for v in x1], y_lo, [4 * v - 3 for v in y1]
+        return tuple(array(TYPECODE, col) for col in cols)
+
+
+def _spans(cols) -> tuple:
+    """Per row of the rank columns ``cols``, the lowest rank and one past
+    the highest, as two ``TYPECODE`` arrays.  A column may end early,
+    where its edges' members run out (a copy template narrower than the
+    paths), so each stretch of rows is spanned over the columns that reach
+    it.  The ranks go through a list, which ``array`` copies without
+    growing itself item by item."""
+    lows, highs = array(TYPECODE), array(TYPECODE)
+    while cols:
+        lo, hi = (cols[0], cols[0]) if len(cols) == 1 else (map(min, *cols), map(max, *cols))
+        lows += array(TYPECODE, list(lo))
+        highs += array(TYPECODE, list(map((1).__add__, hi)))
+        short = min(map(len, cols))
+        cols = [col[short:] for col in cols if len(col) > short]
+    return lows, highs
+
+
+def _column(coords, rank) -> Sequence:
+    """coords[rank[v]] for every v: a ``TYPECODE`` array on a builder's
+    grid of fours (a range), else a list."""
+    col = list(map(coords.__getitem__, rank))
+    return array(TYPECODE, col) if type(coords) is range else col
 
 
 class Realization:
@@ -275,22 +323,47 @@ class Realization:
         self.edge_of_rect = edge_of_rect
         self.hypergraph = hypergraph
 
-    def to_json_dict(self) -> dict:
-        return {
-            "points": [[str(p.x), str(p.y)] for p in self.points],
-            "rects": [
-                [str(r.x_lo), str(r.x_hi), str(r.y_lo), str(r.y_hi)]
-                for r in self.rects
-            ],
-            "edge_of_rect": list(self.edge_of_rect),
-        }
-
     def window(self, r: int) -> tuple:
         """Rectangle r's rank window: a builder's from its edge's member
         ranks, any other's from its coordinates."""
         if isinstance(self.rects, _RankRects):
             return self.rects.window(r)
         return self.points.window(self.rects[r])
+
+    def windows(self) -> Iterable[tuple]:
+        """Every rectangle's rank window, in rect order: a builder's from
+        its one window pass, any other's from its coordinates."""
+        if isinstance(self.rects, _RankRects):
+            return zip(*self.rects.windows())
+        return map(self.points.window, self.rects)
+
+    def columns(self) -> tuple:
+        """(x, y, x_lo, x_hi, y_lo, y_hi): the points' coordinates in vertex
+        order, xs[x_rank] and ys[y_rank], then the rectangles' bounds in
+        rect order, a builder's from its window pass
+        (:meth:`_RankRects.bounds`) and any other's from its rects."""
+        P = self.points
+        x, y = (_column(c, rank) for c, rank in ((P.xs, P.x_rank), (P.ys, P.y_rank)))
+        if not isinstance(self.rects, _RankRects):
+            return (x, y, *(list(zip(*self.rects)) or [()] * 4))
+        return (x, y, *self.rects.bounds())
+
+    def to_json_bytes(self) -> bytes:
+        """The drawing as canonical JSON (sorted keys, compact separators,
+        a trailing newline): every coordinate as decimal text "p" or "p/q",
+        written from :meth:`columns` with one template per row."""
+        x, y, *bounds = self.columns()
+        return b"".join(
+            [
+                b'{"edge_of_rect":[',
+                ",".join(map(str, self.edge_of_rect)).encode("ascii"),
+                b'],"points":[',
+                ",".join(map('["%s","%s"]'.__mod__, zip(x, y))).encode("ascii"),
+                b'],"rects":[',
+                ",".join(map('["%s","%s","%s","%s"]'.__mod__, zip(*bounds))).encode("ascii"),
+                b"]}\n",
+            ]
+        )
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Realization":
@@ -421,17 +494,20 @@ def verify_realization(
     # a builder's own range(m) is a bijection; a loaded list is sorted
     if n_r != m or (R.edge_of_rect != range(m) and sorted(R.edge_of_rect) != list(range(m))):
         raise DomainError("edge_of_rect must be a bijection onto edge indices")
-    indices = range(n_r)
-    if sample_count is not None:
-        if sample_count < 1:
-            raise DomainError("sample size must be at least 1", sample=sample_count)
-        if sample_count < n_r:
-            indices = random.Random(seed).sample(range(n_r), sample_count)
+    if sample_count is not None and sample_count < 1:
+        raise DomainError("sample size must be at least 1", sample=sample_count)
+    if sample_count is not None and sample_count < n_r:
+        # a sample reads only its own windows
+        indices = random.Random(seed).sample(range(n_r), sample_count)
+        windows = zip(indices, map(R.window, indices))
+    else:
+        indices = range(n_r)
+        windows = enumerate(R.windows())
     index = BoxIndex(R.points)
-    for r in indices:
+    for r, window in windows:
         e = R.edge_of_rect[r]
         expect = tuple(H.edges[e])
-        got = tuple(sorted(index.members(R.window(r))))
+        got = tuple(sorted(index.members(window)))
         if got != expect:
             raise VerificationError(
                 "rectangle does not capture its edge exactly",
@@ -623,7 +699,8 @@ def realize_Hkc_nested(S: StagedHypergraph) -> Realization:
     if S.kind != "hkc":
         raise DomainError("expected an instance from the staged k-uniform builder")
     R = _realize(S, nested=True)
-    if not is_nested(zip(*R.rects.y_windows())):
+    # the y-windows nest as the projections do: a path's reaches the top
+    if not is_nested(zip(*R.rects.windows()[2:])):
         raise VerificationError("y-projections failed the nested check")
     return R
 
@@ -663,20 +740,18 @@ def is_nested(intervals: Iterable) -> bool:
     return True
 
 
-def y_projections(R: Realization) -> List[Interval]:
-    """Half-open y-projections of the rectangles.  The conversion from
+def y_projections(R: Realization) -> List[tuple]:
+    """Half-open y-projections (lo, hi) of the rectangles, read from the
+    bound columns of :meth:`Realization.columns`.  The conversion from
     closed boxes is safe only when no point sits on a projection endpoint;
     that is checked here."""
-    point_ys = set(R.points.ys)
-    out = []
-    for r in R.rects:
-        if r.y_hi in point_ys:
-            raise VerificationError(
-                "a point lies on a rectangle's upper y-boundary; half-open "
-                "projection would change membership"
-            )
-        out.append(Interval(r.y_lo, r.y_hi))
-    return out
+    *_, y_lo, y_hi = R.columns()
+    if not set(R.points.ys).isdisjoint(y_hi):
+        raise VerificationError(
+            "a point lies on a rectangle's upper y-boundary; half-open "
+            "projection would change membership"
+        )
+    return list(zip(y_lo, y_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -921,12 +996,10 @@ def emit_svg(R: Realization, width: float = SVG_WIDTH) -> bytes:
         )
     if not R.points:
         raise DomainError("cannot draw an empty realization")
-    rects = list(R.rects)
-    xs = [p.x for p in R.points] + [v for r in rects for v in (r.x_lo, r.x_hi)]
-    ys = [p.y for p in R.points] + [v for r in rects for v in (r.y_lo, r.y_hi)]
+    px, py, x_lo, x_hi, y_lo, y_hi = R.columns()
     try:
-        x0, x1 = float(min(xs)), float(max(xs))
-        y0, y1 = float(min(ys)), float(max(ys))
+        x0, x1 = float(min(chain(px, x_lo, x_hi))), float(max(chain(px, x_lo, x_hi)))
+        y0, y1 = float(min(chain(py, y_lo, y_hi))), float(max(chain(py, y_lo, y_hi)))
     except OverflowError:
         raise DomainError("cannot draw a coordinate that does not fit in a float")
     span_x = (x1 - x0) or 1.0
@@ -937,29 +1010,21 @@ def emit_svg(R: Realization, width: float = SVG_WIDTH) -> bytes:
     if not all(map(isfinite, (span_x, span_y, scale, height))):
         raise DomainError("cannot draw a drawing whose extent or scale does not fit in a float")
 
-    def fx(v: Fraction) -> str:
-        return f"{_SVG_MARGIN + (float(v) - x0) * scale:.6f}"
-
-    def fy(v: Fraction) -> str:
-        return f"{_SVG_MARGIN + (y1 - float(v)) * scale:.6f}"
-
+    rect = (
+        f'<rect x="%.6f" y="%.6f" width="%.6f" height="%.6f" fill="none" '
+        f'stroke="{_RECT_COLOR}" stroke-width="{_STROKE_WIDTH:.6f}"/>'
+    )
+    circle = f'<circle cx="%.6f" cy="%.6f" r="{_POINT_RADIUS:.6f}" fill="{_POINT_COLOR}"/>'
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{width:.6f}" height="{height:.6f}" '
         f'viewBox="0 0 {width:.6f} {height:.6f}">'
     ]
-    for r in rects:
-        w = f"{(float(r.x_hi) - float(r.x_lo)) * scale:.6f}"
-        h = f"{(float(r.y_hi) - float(r.y_lo)) * scale:.6f}"
+    for a, b, c, d in zip(*(map(float, col) for col in (x_lo, x_hi, y_lo, y_hi))):
         out.append(
-            f'<rect x="{fx(r.x_lo)}" y="{fy(r.y_hi)}" width="{w}" height="{h}" '
-            f'fill="none" stroke="{_RECT_COLOR}" '
-            f'stroke-width="{_STROKE_WIDTH:.6f}"/>'
+            rect % (_SVG_MARGIN + (a - x0) * scale, _SVG_MARGIN + (y1 - d) * scale, (b - a) * scale, (d - c) * scale)
         )
-    for p in R.points:
-        out.append(
-            f'<circle cx="{fx(p.x)}" cy="{fy(p.y)}" '
-            f'r="{_POINT_RADIUS:.6f}" fill="{_POINT_COLOR}"/>'
-        )
+    for x, y in zip(map(float, px), map(float, py)):
+        out.append(circle % (_SVG_MARGIN + (x - x0) * scale, _SVG_MARGIN + (y1 - y) * scale))
     out.append("</svg>")
     return "\n".join(out).encode("utf-8")

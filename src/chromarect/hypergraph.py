@@ -365,16 +365,18 @@ def hypergraph_girth(H: OrderedHypergraph, node_budget: int = DEFAULT_NODE_BUDGE
     canonical form (rotation + direction), which makes golden tests
     deterministic.
 
-    One linear pass first finds each component's cycle rank (arcs − nodes
-    + 1).  A root is skipped when its component has rank 0, or rank 1 and
-    its one cycle has been traced already: such a search could offer no
-    cycle or only that one again, which changes neither the girth, the
-    witness nor the depth cut of any later search.
+    One union-find pass over the edges first finds each component's
+    vertices, edge nodes and arcs, hence its cycle rank (arcs − nodes + 1).
+    A root is skipped when its component has rank 0, or rank 1 and its one
+    cycle has been traced already: such a search could offer no cycle or
+    only that one again, which changes neither the girth, the witness nor
+    the depth cut of any later search.
 
-    Before the first search, the step bound Σ size_c·w_c over components
-    c (size_c its incidence nodes plus arcs, n_c its vertices) is checked
-    against ``node_budget``; past it, :class:`NodeBudgetExceeded`.  An
-    acyclic component is never searched: w_c = 0.  The first cyclic one, if
+    Before the first search, and before the incidence adjacency is built,
+    the step bound Σ size_c·w_c over components c (size_c its incidence
+    nodes plus arcs, n_c its vertices) is checked against
+    ``node_budget``; past it, :class:`NodeBudgetExceeded`.  An acyclic
+    component is never searched: w_c = 0.  The first cyclic one, if
     of rank 1, is searched once, uncut, and traces its cycle: w_c = 1.  Any
     other may search from every root, since a later one-cycle component's
     searches can all be cut short of its cycle: w_c = n_c.  A connected
@@ -382,41 +384,57 @@ def hypergraph_girth(H: OrderedHypergraph, node_budget: int = DEFAULT_NODE_BUDGE
     each length-L cycle met costs O(L) more.
     """
     n = H.n
-    adj = _incidence_adjacency(H)
-    total = len(adj)
-    best_len = None  # incidence-graph cycle length (= 2 * girth)
-    best_witness = None
-
-    # Each vertex's component and the component's cycle rank, arcs − nodes
-    # + 1 (edges are canonical, so no two arcs join the same pair).  A
-    # component whose searches can offer no new cycle gets rank 0.
-    comp = [-1] * total
+    # One union-find pass over the edges labels each vertex's component
+    # and sums the component's edge nodes and arcs at its root (an empty
+    # edge joins nothing and is never searched).
+    up = list(range(n))
+    edge_nodes, arcs = [0] * n, [0] * n
+    for e in H.edges:
+        a = -1
+        for b in e:
+            while up[b] != b:
+                up[b] = b = up[up[b]]
+            if a < 0:
+                a = b
+            elif b != a:
+                up[b] = a
+                edge_nodes[a] += edge_nodes[b]
+                arcs[a] += arcs[b]
+        if a >= 0:
+            edge_nodes[a] += 1
+            arcs[a] += len(e)
+    # Components are numbered by their lowest vertex.  The cycle rank is
+    # arcs − nodes + 1 (edges are canonical, so no two arcs join the same
+    # pair); a component whose searches can offer no new cycle gets rank 0.
+    comp, roots, verts = [0] * n, [], []
+    label = [-1] * n
+    for v in range(n):
+        r = v
+        while up[r] != r:
+            up[r] = r = up[up[r]]
+        if label[r] < 0:
+            label[r] = len(roots)
+            roots.append(r)
+            verts.append(0)
+        comp[v] = c = label[r]
+        verts[c] += 1
     rank = []
     steps = 0
-    for s in range(n):
-        if comp[s] != -1:
-            continue
-        c = len(rank)
-        comp[s] = c
-        stack, nodes, ends, verts = [s], 0, 0, 0
-        while stack:
-            u = stack.pop()
-            nodes += 1
-            verts += u < n
-            ends += len(adj[u])  # each arc counted from both of its ends
-            for w in adj[u]:
-                if comp[w] == -1:
-                    comp[w] = c
-                    stack.append(w)
-        rank.append(ends // 2 - nodes + 1)
-        if rank[c]:
+    for r, nv in zip(roots, verts):
+        nodes = nv + edge_nodes[r]
+        rank.append(arcs[r] - nodes + 1)
+        if rank[-1]:
             # steps is 0 until the first cyclic component
-            steps += (nodes + ends // 2) * (1 if rank[c] == 1 and not steps else verts)
+            steps += (nodes + arcs[r]) * (1 if rank[-1] == 1 and not steps else nv)
     if steps > node_budget:
         raise NodeBudgetExceeded(
             "girth sweep would exceed the node budget", steps=steps, node_budget=node_budget
         )
 
+    adj = _incidence_adjacency(H)
+    total = len(adj)
+    best_len = None  # incidence-graph cycle length (= 2 * girth)
+    best_witness = None
     parent = [-1] * total
     stamp = [0] * total  # run in which the node was reached
     done = [0] * total  # run in which the node was expanded

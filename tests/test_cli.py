@@ -974,6 +974,23 @@ class TestErrorContract:
         assert (code, out) == (1, b"")
         assert one_error(capsys)["error"] == "verification-failed"
 
+    @pytest.mark.parametrize("broken", [b"<svg", b"<svg></rect>", b"", b"<svg/><svg/>"])
+    @pytest.mark.parametrize("command", ["realize", "svg"])
+    def test_svg_recheck_rejects_broken_bytes(self, command, broken, h22_file, r22n_file, tmp_path, monkeypatch, capsys):
+        # the check runs before anything is written, the drawing included
+        out, svg = tmp_path / "r.json", tmp_path / "r.svg"
+        argv = {
+            "realize": ("realize", "--input", str(h22_file), "--out", str(out), "--svg", str(svg)),
+            "svg": ("svg", "--input", str(r22n_file), "--out", str(svg)),
+        }[command]
+        monkeypatch.setattr(cli_module, "emit_svg", lambda R, width=None: broken)
+        code, stdout = cli(*argv)
+        assert (code, stdout) == (1, b"")
+        error = one_error(capsys)
+        assert error["error"] == "verification-failed"
+        assert error["message"].startswith("emitted SVG is not well-formed: ")
+        assert not out.exists() and not svg.exists()
+
     def test_cover_check_refuses_a_pair_whose_y_window_runs_backwards(self):
         # the left point of (0, 3) is the highest, so its y-window is
         # [3, 1); (1, 2) is a cover

@@ -71,6 +71,11 @@ def _r25():
     return realize_Gcg(build_Gcg(2, 5))
 
 
+def _loaded(R):
+    """R written by its JSON writer and read back."""
+    return Realization.from_json_dict(json.loads(R.to_json_bytes()))
+
+
 def brute_members(points, rect):
     return tuple(i for i, p in enumerate(points) if rect.contains(p))
 
@@ -252,14 +257,23 @@ class TestNestedVariant:
 
 
 def _window_pairs(R, indices):
-    """(bulk windows, windows of the rectangle views) at ``indices``."""
-    lows, highs = R.rects.y_windows()
-    views = [R.rects[r] for r in indices]
-    return [(lows[r], highs[r]) for r in indices], [(v.y_lo, v.y_hi) for v in views]
+    """(bulk windows and bounds, the windows ``window`` reads and the
+    bounds of the rectangle views) at ``indices``."""
+    windows, bounds = R.rects.windows(), R.rects.bounds()
+    got = [(tuple(w[r] for w in windows), tuple(b[r] for b in bounds)) for r in indices]
+    return got, [(R.rects.window(r), tuple(R.rects[r])) for r in indices]
+
+
+def _leaf_stages(S):
+    """The nested variant's ``leaf_stages`` of S."""
+    last = S.levels[-1]
+    return S.n_path_edges, last.first_vertex, last.stage_size
 
 
 class TestBulkYWindows:
-    """``_RankRects.y_windows`` against the rectangles ``_item`` builds."""
+    """``_RankRects.windows`` and ``bounds``, the y-sides and the x-sides,
+    against the windows ``window`` reads one edge at a time and the
+    rectangles ``_item`` builds."""
 
     @pytest.mark.parametrize(
         "R",
@@ -271,20 +285,32 @@ class TestBulkYWindows:
         got, want = _window_pairs(R, range(len(R.rects)))
         assert got == want
 
+    def test_equal_rect_views_on_every_edge_of_every_rank_instance(self):
+        # every edge, plain and (for H(k, c)) nested, of every order
+        # instance, H(3, 2) and the (4, 2) and (5, 1) layouts
+        for S in _rank_instances():
+            yx, y_ids, ranks = geometry._orders(S)
+            points = geometry._RankPoints(yx, y_ids, *ranks)
+            for stages in [None] + ([_leaf_stages(S)] if S.kind == "hkc" else []):
+                rects = geometry._RankRects(S.base.edges, points, stages)
+                pairs = zip(zip(*rects.windows()), map(rects.window, range(len(rects))))
+                assert next((e for e, (got, want) in enumerate(pairs) if got != want), None) is None
+                assert len(rects.windows()[0]) == len(rects)
+
     def test_loaded_edge_list_matches_computed_edges(self):
         # a parsed staged instance computes its edges, as a built one does
         S = _h22()
         loaded = StagedHypergraph.from_json_dict(S.to_json_dict())
         assert type(loaded.base.edges) is _StagedEdges
-        assert realize_Hkc_nested(loaded).rects.y_windows() == _r22_nested().rects.y_windows()
+        nested = realize_Hkc_nested(loaded).rects
+        assert nested.windows() == _r22_nested().rects.windows()
+        assert nested.bounds() == _r22_nested().rects.bounds()
 
     def test_equal_rect_views_on_seeded_h32_sample(self):
         S = build_Hkc(3, 2)
-        last = S.levels[-1]
         yx, y_ids, ranks = geometry._orders(S)
         points = geometry._RankPoints(yx, y_ids, *ranks)
-        leaf_stages = (S.n_path_edges, last.first_vertex, last.stage_size)
-        for stages in (leaf_stages, None):
+        for stages in (_leaf_stages(S), None):
             R = Realization(points, geometry._RankRects(S.base.edges, points, stages), None)
             sample = random.Random(7).sample(range(len(R.rects)), 2000)
             sample += [0, S.n_path_edges - 1, S.n_path_edges, len(R.rects) - 1]
@@ -656,7 +682,7 @@ class TestBoxIndex:
         # points and on the same points loaded back from JSON
         branches = set()
         for R in (_r22(), _r22_nested(), _r25(), _r2_51()):
-            loaded = Realization.from_json_dict(R.to_json_dict())
+            loaded = _loaded(R)
             for points in (R.points, loaded.points):
                 index = BoxIndex(points)
                 x_scans = 0
@@ -793,7 +819,7 @@ class TestRankWindows:
     )
     def test_loaded_and_hand_made_windows_equal_built(self, R):
         R = R()
-        loaded = Realization.from_json_dict(R.to_json_dict())
+        loaded = _loaded(R)
         hand_made = Realization(list(R.points), list(R.rects), list(R.edge_of_rect))
         assert type(hand_made.points) is geometry._RankPoints
         want = [R.window(r) for r in range(len(R.rects))]
@@ -1068,7 +1094,7 @@ class TestDominance:
     @pytest.mark.parametrize("g", [5, 7, 9, 51, 71])
     def test_sweep_matches_cubic_scan_on_girth_drawings(self, g):
         R = realize_Gcg(build_Gcg(2, g))
-        for points in (R.points, Realization.from_json_dict(R.to_json_dict()).points):
+        for points in (R.points, _loaded(R).points):
             H = dominance_hasse(points)
             assert H.n == len(points) and H.edges == _dominance_hasse_cubic(points)
 
@@ -1172,6 +1198,111 @@ class TestMonochromaticPath:
             monochromatic_increasing_path(pts, Coloring(1, [0, 0]), 1)
 
 
+# Frozen copies of the writers the column writers replaced: the JSON of
+# ``Realization.to_json_dict`` through ``cli._canonical_json``, and
+# ``emit_svg`` one rectangle and one point at a time.  The bytes are the
+# contract.
+
+
+def _frozen_json(R):
+    d = {
+        "points": [[str(p.x), str(p.y)] for p in R.points],
+        "rects": [[str(r.x_lo), str(r.x_hi), str(r.y_lo), str(r.y_hi)] for r in R.rects],
+        "edge_of_rect": list(R.edge_of_rect),
+    }
+    return (json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+
+
+def _frozen_svg(R, width=900.0):
+    margin, radius, stroke = 40.0, 3.0, 1.2
+    rects = list(R.rects)
+    xs = [p.x for p in R.points] + [v for r in rects for v in (r.x_lo, r.x_hi)]
+    ys = [p.y for p in R.points] + [v for r in rects for v in (r.y_lo, r.y_hi)]
+    x0, x1 = float(min(xs)), float(max(xs))
+    y0, y1 = float(min(ys)), float(max(ys))
+    span_x = (x1 - x0) or 1.0
+    span_y = (y1 - y0) or 1.0
+    scale = (width - 2 * margin) / span_x
+    height = span_y * scale + 2 * margin
+
+    def fx(v):
+        return f"{margin + (float(v) - x0) * scale:.6f}"
+
+    def fy(v):
+        return f"{margin + (y1 - float(v)) * scale:.6f}"
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'width="{width:.6f}" height="{height:.6f}" '
+        f'viewBox="0 0 {width:.6f} {height:.6f}">'
+    ]
+    for r in rects:
+        w = f"{(float(r.x_hi) - float(r.x_lo)) * scale:.6f}"
+        h = f"{(float(r.y_hi) - float(r.y_lo)) * scale:.6f}"
+        out.append(
+            f'<rect x="{fx(r.x_lo)}" y="{fy(r.y_hi)}" width="{w}" height="{h}" '
+            f'fill="none" stroke="#2a6fc4" stroke-width="{stroke:.6f}"/>'
+        )
+    for p in R.points:
+        out.append(f'<circle cx="{fx(p.x)}" cy="{fy(p.y)}" r="{radius:.6f}" fill="#c4442a"/>')
+    out.append("</svg>")
+    return "\n".join(out).encode("utf-8")
+
+
+def _layout(k, m):
+    return _hkc(k, 2, build_Hkc(m, 1), _hkc_levels(k, m, 10**6))
+
+
+def _thirds(R):
+    """R loaded back with every coordinate divided by 3: "p/q" text and,
+    on multiples of 3, integer text."""
+    d = json.loads(R.to_json_bytes())
+    for field in ("points", "rects"):
+        d[field] = [[str(F(int(c), 3)) for c in row] for row in d[field]]
+    return Realization.from_json_dict(d)
+
+
+WRITER_DRAWINGS = {
+    "H(2,2)": _r22,
+    "nested H(2,2)": _r22_nested,
+    **{f"G(2,{g})": (lambda g=g: realize_Gcg(build_Gcg(2, g))) for g in (5, 7, 9, 51, 71)},
+    **{f"H({k},1)": (lambda k=k: realize_Hkc(build_Hkc(k, 1))) for k in (1, 2, 3, 5)},
+    "(4,2)": lambda: realize_Hkc(_layout(4, 2)),
+    "nested (4,2)": lambda: realize_Hkc_nested(_layout(4, 2)),
+    "(5,1)": lambda: realize_Hkc(_layout(5, 1)),
+    "nested (5,1)": lambda: realize_Hkc_nested(_layout(5, 1)),
+    "loaded p/q": lambda: _thirds(_r22_nested()),
+    "no rectangles": lambda: Realization(_r25().points, [], []),
+}
+
+
+class TestFrozenWriters:
+    @pytest.mark.parametrize("name", WRITER_DRAWINGS)
+    def test_json_bytes_equal_frozen_writer(self, name):
+        R = WRITER_DRAWINGS[name]()
+        assert R.to_json_bytes() == _frozen_json(R)
+        assert _loaded(R).to_json_bytes() == R.to_json_bytes()
+
+    @pytest.mark.parametrize("name", WRITER_DRAWINGS)
+    def test_svg_bytes_equal_frozen_writer(self, name):
+        R = WRITER_DRAWINGS[name]()
+        for width in (900.0, 500.0, 81.0):
+            assert emit_svg(R, width) == _frozen_svg(R, width)
+
+    def test_loaded_drawing_keeps_its_fractions(self):
+        R = _thirds(_r22_nested())
+        x, y, *bounds = R.columns()
+        assert any(type(v) is F for col in (x, y, *bounds) for v in col)
+        assert b'"-1/3"' in R.to_json_bytes()
+
+    def test_columns_equal_points_and_rect_views(self):
+        for make in WRITER_DRAWINGS.values():
+            R = make()
+            x, y, *bounds = R.columns()
+            assert list(zip(x, y)) == [tuple(p) for p in R.points]
+            assert list(zip(*bounds)) == [tuple(r) for r in R.rects]
+
+
 class TestSvg:
     def test_deterministic_bytes(self):
         assert emit_svg(_r22()) == emit_svg(_r22())
@@ -1197,14 +1328,13 @@ class TestSvg:
 class TestRealizationJson:
     def test_round_trip(self):
         R = _r22()
-        blob = json.dumps(R.to_json_dict(), sort_keys=True)
-        back = Realization.from_json_dict(json.loads(blob))
+        back = Realization.from_json_dict(json.loads(R.to_json_bytes()))
         assert back.points == list(R.points)
         assert list(back.rects) == list(R.rects)
         assert list(back.edge_of_rect) == list(R.edge_of_rect)
 
     def test_loaded_realization_verifies_against_hypergraph(self):
-        back = Realization.from_json_dict(_r22().to_json_dict())
+        back = _loaded(_r22())
         with pytest.raises(DomainError):
             verify_realization(back)  # no hypergraph attached
         back.hypergraph = _h22().base
@@ -1227,7 +1357,7 @@ class TestRealizationJson:
         # the built points sit in general position, so the loaded view's
         # one sort per axis finds the builder's own orders
         R = R()
-        back = Realization.from_json_dict(R.to_json_dict()).points
+        back = _loaded(R).points
         assert type(back) is geometry._RankPoints and back == R.points
         for name in ("yx", "y_ids", "x_rank", "y_rank"):
             assert list(getattr(back, name)) == list(getattr(R.points, name))
@@ -1291,7 +1421,7 @@ class TestRealizationJson:
         assert str(info.value).startswith(message)
 
     def test_loaded_integral_drawing_holds_ints(self):
-        back = Realization.from_json_dict(_r22_nested().to_json_dict())
+        back = _loaded(_r22_nested())
         assert all(type(v) is int for p in back.points for v in p)
         assert all(type(v) is int for r in back.rects for v in r)
 
@@ -1381,8 +1511,9 @@ def test_every_vertex_array_has_the_typecode(make):
     indexes = [BoxIndex(points)] + ([BoxIndex(list(points))] if S.n < 10**5 else [])
     for index in indexes:
         arrays += [index.yx, index.y_ids, index.x_rank, index.y_rank, index._runs]
-    if S.kind == "hkc":
-        last = S.levels[-1]
-        stages = (S.n_path_edges, last.first_vertex, last.stage_size)
-        arrays += geometry._RankRects(S.base.edges, points, stages).y_windows()
+    arrays += S.base.edges.columns(through=points.x_rank)
+    arrays += S.base.edges.columns(S.n_path_edges, through=points.y_rank)
+    for stages in [None] + ([_leaf_stages(S)] if S.kind == "hkc" else []):
+        rects = geometry._RankRects(S.base.edges, points, stages)
+        arrays += [*rects.windows(), *rects.bounds()]
     assert all(type(a) is array and (a.typecode, a.itemsize) == (TYPECODE, 4) for a in arrays)

@@ -501,6 +501,58 @@ def test_girth_bound_charges_a_cut_one_cycle_component_at_every_root():
     assert traced and all(set(c) <= {0, 1, 2, n, n + 1, n + 2} for c in traced)
 
 
+def _frozen_component_steps(H: OrderedHypergraph) -> int:
+    """The step bound as the former component pass found it: one search
+    over the incidence adjacency per component, in order of lowest vertex,
+    frozen as the reference for the union-find pass."""
+    n = H.n
+    adj = hypergraph._incidence_adjacency(H)
+    comp = [-1] * len(adj)
+    steps = 0
+    for s in range(n):
+        if comp[s] != -1:
+            continue
+        comp[s] = s
+        stack, nodes, ends, verts = [s], 0, 0, 0
+        while stack:
+            u = stack.pop()
+            nodes += 1
+            verts += u < n
+            ends += len(adj[u])
+            for w in adj[u]:
+                if comp[w] == -1:
+                    comp[w] = s
+                    stack.append(w)
+        rank = ends // 2 - nodes + 1
+        if rank:
+            steps += (nodes + ends // 2) * (1 if rank == 1 and not steps else verts)
+    return steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_uniform_hypergraphs(), _sparse_hypergraphs()))
+@example(OrderedHypergraph(6, [[], [1, 4], [1, 4]]))
+@example(OrderedHypergraph(9, [[0, 3], [3, 5], [0, 5], [5, 7], [7, 8], [5, 8], [1, 2, 4], [2, 4, 6]]))
+def test_girth_bound_equals_frozen_component_pass(H):
+    want = _frozen_component_steps(H)
+    hypergraph_girth(H, node_budget=want)
+    if want:
+        with pytest.raises(NodeBudgetExceeded) as info:
+            hypergraph_girth(H, node_budget=want - 1)
+        assert info.value.details["steps"] == want
+
+
+def test_girth_refusal_comes_before_the_adjacency():
+    # H(2, 2) is charged n·(n + m + Σ|e|) = 12 · 54; the refusal must not
+    # need the search's adjacency, and within budget the search builds it
+    H = build_Hkc(2, 2).base
+    with mock.patch.object(hypergraph, "_incidence_adjacency", side_effect=AssertionError):
+        with pytest.raises(NodeBudgetExceeded):
+            hypergraph_girth(H, node_budget=12 * 54 - 1)
+        with pytest.raises(AssertionError):
+            hypergraph_girth(H, node_budget=12 * 54)
+
+
 # ---------------------------------------------------------------------------
 # property tests from the module contract
 
