@@ -149,14 +149,13 @@ class _StagedEdges(_LazySequence):
         slices of it, and only the ancestor columns are looked up."""
         parent, skip = self._parent, first - self._n_path
         lo = self._first_leaf + min(first, self._n_path)
-        cols = [array(TYPECODE, range(lo, len(parent)))]
-        if self._k > 1:
-            cols.append(parent[lo:])
+        ancestors = [parent[lo:]] if self._k > 1 else []
         for _ in range(self._k - 2):
-            cols.append(array(TYPECODE, map(parent.__getitem__, cols[-1])))
-        if through is not None:
-            cols[1:] = [array(TYPECODE, map(through.__getitem__, col)) for col in cols[1:]]
-            cols[0] = through[lo:]
+            ancestors.append(array(TYPECODE, map(parent.__getitem__, ancestors[-1])))
+        if through is None:
+            cols = [array(TYPECODE, range(lo, len(parent)))] + ancestors
+        else:
+            cols = [through[lo:]] + [array(TYPECODE, map(through.__getitem__, col)) for col in ancestors]
         cols.reverse()
         per_copy, stride = len(self._template), self._stride
         span = self._n_blocks * stride
