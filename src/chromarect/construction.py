@@ -136,18 +136,18 @@ class _StagedEdges(_LazySequence):
         return tuple(map(shift.__add__, self._template[t]))
 
     def __iter__(self):
-        return zip(*self.columns())
+        """Every edge as :meth:`_item` gives it: the path columns zipped,
+        then the copies block by block, each template edge's members as
+        strided ranges, so a template narrower or wider than the paths
+        iterates whole."""
+        span, stride = self._n_blocks * self._stride, self._stride
+        copies = [zip(*[range(self._origin + u, self._origin + u + span, stride) for u in e]) for e in self._template]
+        return chain(zip(*self._path_columns(0, None)), chain.from_iterable(zip(*copies)))
 
-    def columns(self, first: int = 0, through: Optional[array] = None) -> list:
-        """The k edge columns as ``TYPECODE`` arrays: column j holds member
-        j of every edge from edge ``first`` on, in edge order, or, given an
-        array ``through`` (a rank array), that member's entry in it.  The
-        leaf column is a range, the next a slice of the parent array, and
-        each further one a C-level parent lookup on the one before;
-        transversal columns interleave one strided range per template edge.
-        Read through an array, the leaf column and the strided ranges are
-        slices of it, and only the ancestor columns are looked up."""
-        parent, skip = self._parent, first - self._n_path
+    def _path_columns(self, first: int, through: Optional[array]) -> list:
+        """The k columns of the path edges from path edge ``first`` on,
+        root first, as :meth:`columns` gives them."""
+        parent = self._parent
         lo = self._first_leaf + min(first, self._n_path)
         ancestors = [parent[lo:]] if self._k > 1 else []
         for _ in range(self._k - 2):
@@ -157,6 +157,20 @@ class _StagedEdges(_LazySequence):
         else:
             cols = [through[lo:]] + [array(TYPECODE, map(through.__getitem__, col)) for col in ancestors]
         cols.reverse()
+        return cols
+
+    def columns(self, first: int = 0, through: Optional[array] = None) -> list:
+        """The k edge columns as ``TYPECODE`` arrays: column j holds member
+        j of every edge from edge ``first`` on, in edge order, or, given an
+        array ``through`` (a rank array), that member's entry in it.  The
+        leaf column is a range, the next a slice of the parent array, and
+        each further one a C-level parent lookup on the one before;
+        transversal columns interleave one strided range per template edge.
+        Read through an array, the leaf column and the strided ranges are
+        slices of it, and only the ancestor columns are looked up.  A
+        template narrower than the paths leaves its last columns short; a
+        wider one's extra members are not in any column."""
+        cols, skip = self._path_columns(first, through), first - self._n_path
         per_copy, stride = len(self._template), self._stride
         span = self._n_blocks * stride
         for col, members in zip(cols, zip(*self._template)):
@@ -354,20 +368,35 @@ def _identity(n: int) -> array:
     """``array(TYPECODE, range(n))``, written one byte plane at a time.
     Byte j of entry i is (i >> 8·j) & 255: over all entries, a plane in
     which each byte value repeats 256**j times and the pattern cycles.
-    Each plane that is not all zero (at most four at 4 bytes) is one
-    strided assignment through a byte view of the array, so no Python
-    work is done per entry."""
-    ident = array(TYPECODE, [0]) * n
-    view, width = memoryview(ident).cast("B"), ident.itemsize
-    rep = 1
-    for j in range(width):
-        if rep >= n:
-            break
-        # byte values 0, 1, ... each rep times, as far as n reaches
-        cycle = b"".join(bytes([v]) * rep for v in range(min(256, -(-n // rep))))
-        plane = cycle * (n // len(cycle)) + cycle[: n % len(cycle)]
-        view[(j if sys.byteorder == "little" else width - 1 - j) :: width] = plane
-        rep *= 256
+    The two low planes cycle every 2**16 entries, so they are written for
+    one block of 2**16 entries, each by one strided assignment through a
+    byte view, and the block is repeated by C-level array repetition (the
+    partial last block appended in place, so no second full-size array is
+    made).  A higher plane is constant over each stretch of 256**j
+    entries, so each stretch whose byte is not 0 is one strided
+    assignment of that byte (the top plane's only past 2**24 entries).
+    No Python work is done per entry, and no temporary outgrows a block."""
+    size = min(n, 1 << 16)
+    block = array(TYPECODE, [0]) * size
+    width = block.itemsize
+    at = [j if sys.byteorder == "little" else width - 1 - j for j in range(width)]
+    with memoryview(block) as whole, whole.cast("B") as view:
+        for j in range(2):
+            rep = 256**j
+            if rep >= size:
+                break
+            # byte values 0, 1, ... each rep times, as far as the block reaches
+            cycle = b"".join(bytes([v]) * rep for v in range(min(256, -(-size // rep))))
+            view[at[j] :: width] = cycle * (size // len(cycle)) + cycle[: size % len(cycle)]
+    ident = block * (n >> 16)
+    ident += block[: n & 0xFFFF]
+    with memoryview(ident) as whole, whole.cast("B") as view:
+        for j in range(2, width):
+            rep = 256**j
+            for i in range(rep, n, rep):
+                byte, stop = i // rep & 255, min(i + rep, n)
+                if byte:
+                    view[i * width + at[j] : stop * width : width] = bytes([byte]) * (stop - i)
     return ident
 
 

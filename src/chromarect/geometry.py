@@ -27,11 +27,17 @@ builder writes its parents by (``construction._parent_rule``), so its
 x-order reads no parent, and the realizer first checks, by strided
 compares, that the parents are the rule's; 4,857 x-runs place all
 1,771,497 vertices of H(3,2).  G(c,g)'s forest has depth one, and one
-sort by parent gives its x-order.  The x-order checks that its runs
+sort by parent gives its x-order, cut into strided columns of arithmetic
+stretches: 6 x-runs place G(2, 20001).  The x-order checks that its runs
 cover every vertex; it and the parent check raise
 :class:`VerificationError` where they fail.  A y-run is one band entry
-of a run of stages, or one arithmetic stretch of the band of a lone
-stage; 99 place H(3,2), and 3 place G(2, 20001).
+of a tile of a run of stages (at most 2**16 y-ranks long), or one
+arithmetic stretch of the band of a lone stage, and the y-runs are
+written in order of their first y-rank.  An untiled run would sweep a
+whole stage run, so nearly every rank it writes and id it reads would
+miss the cache; tiled, the runs over one stretch of y-ranks fill it
+while it is in cache.  2,529 y-runs place H(3,2), and 3 place
+G(2, 20001).
 
 A point set, built, loaded or bare, is one rank view: the two rank
 arrays, the y-order ``y_ids``, the permutation ``yx`` (yx[i] is the
@@ -541,9 +547,13 @@ def _x_order(S: StagedHypergraph):
     against that rule.
 
     G(c, g)'s forest has depth one: each root comes right after its
-    children, which one sort of the non-roots by parent groups, one run
-    per vertex.  A non-root whose parent is no root raises
-    :class:`VerificationError`."""
+    children, which one sort of the non-roots by parent groups.  The
+    sorted order is cut into columns at a stride of one more than the
+    leaves per root, and each column into arithmetic stretches
+    (:func:`_stretches`): G(2, g)'s roots and its two leaf positions take
+    at most six runs.  A layout whose roots hold different numbers of
+    leaves is cut the same way and only takes more runs.  A non-root whose
+    parent is no root raises :class:`VerificationError`."""
     levels, n = S.levels, S.n
     if len(levels) == 1:
         runs = [(0, 1, 0, 1, n)]
@@ -552,9 +562,16 @@ def _x_order(S: StagedHypergraph):
         leaf_parents = parent[roots:]
         if leaf_parents and not 0 <= min(leaf_parents) <= max(leaf_parents) < roots:
             raise VerificationError("a leaf's parent is not a root")
-        # a leaf sorts by its parent, then id, and root o right after its leaves
+        # a leaf sorts by its parent, then id, and root o right after its
+        # leaves, so with L leaves per root each column of stride L + 1
+        # holds one leaf position (or the roots) of every root
         order = sorted(range(n), key=lambda v: 2 * parent[v] if v >= roots else 2 * v + 1)
-        runs = [(p, 1, v, 1, 1) for p, v in enumerate(order)]
+        stride = (n - roots) // roots + 1
+        runs = [
+            (q + i * stride, stride, v, dv, count)
+            for q in range(stride)
+            for i, v, dv, count in _stretches(order[q::stride])
+        ]
     else:
         m, top = S.m, levels[0]
         sizes = [1]  # subtree size per level
@@ -584,6 +601,17 @@ def _x_order(S: StagedHypergraph):
     return runs
 
 
+# A stage run's vertex runs go out in tiles of as many stages as span at
+# most this many y-ranks, and the y-runs are written in order of their
+# first y-rank.  So the tiles of every run over one stretch of y-ranks (on
+# H(3,2), the bands of 728 level-1 stages and of their children) fill that
+# stretch together and read one stretch of ids, which stays in cache while
+# its tiles go over it, where one run over a whole stage run misses on
+# nearly every entry.  Tiles of 2**15 to 2**17 ranks write H(3,2)'s
+# y-order alike; far smaller ones pay for the longer run list.
+_Y_TILE = 1 << 16
+
+
 def _y_order(S: StagedHypergraph):
     """The reverse pre-order of the stage tree, child subtrees last to
     first and then the stage's own band, as runs (p, dp, v, dv, count) in
@@ -593,11 +621,14 @@ def _y_order(S: StagedHypergraph):
     stage s + i·ds of the level has its subtree from y-rank y + i·dy, and
     a subtree's size depends only on its level.  Each entry of a stage's
     band (its blocks from last to first, each in the copy's own y-order)
-    is one vertex run of the stage run, above the child subtrees; a stage
-    run of one stage takes each arithmetic stretch of its band as one run.
+    is one vertex run per tile of the stage run (as many stages as span
+    at most ``_Y_TILE`` y-ranks), above the child subtrees; a stage run
+    of one stage takes each arithmetic stretch of its band as one run.
     Child t of stage s is stage s·r + t, so a stage run's children span
     the run's own axis and the sibling axis (last child lowest), and the
-    longer one carries the next level's stage runs."""
+    longer one carries the next level's stage runs.  The runs come sorted
+    by first y-rank, so the tiles that share a stretch of y-ranks are
+    written together."""
     levels, m = S.levels, S.m
     within = _orders(S.copy_template)[1] if S.copy_template is not None else range(m)
     sizes = [0]  # subtree size per level, and 0 below the last
@@ -614,11 +645,15 @@ def _y_order(S: StagedHypergraph):
             if count == 1:
                 runs += [(y + below + e, 1, v + p, dp, k) for e, p, dp, k in stretches]
             else:
-                runs += [(y + below + e, dy, v + p, ds * size, count) for e, p in enumerate(band)]
+                tile = max(1, _Y_TILE // dy)
+                for a in range(0, count, tile):
+                    y_a, v_a, t = y + a * dy + below, v + a * ds * size, min(tile, count - a)
+                    runs += [(y_a + e, dy, v_a + p, ds * size, t) for e, p in enumerate(band)]
             own, sib = (count, ds * r, dy), (r, -1, sizes[j + 1])
             (n1, ds1, dy1), (n2, ds2, dy2) = (own, sib) if r > count else (sib, own)
             nxt += [(s * r + r - 1 + a * ds1, ds2, y + a * dy1, dy2, n2) for a in range(n1)]
         stages = nxt
+    runs.sort()
     return runs
 
 

@@ -126,9 +126,20 @@ def test_hkc_parents_equal_product_reference(k, c, m):
     assert S.parent == _product_parents(S.m, S.levels)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 65535, 65536, 65537, 1771497])
+@pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 65535, 65536, 65537, 3 * 2**16 + 1, 1771497])
 def test_identity_equals_range(n):
     assert _identity(n) == array("l", range(n))
+
+
+def test_identity_top_byte_plane():
+    # past 2**24 entries the fourth byte plane is written too: every entry
+    # from the last 2**16 below 2**24 on, and a spread sample before (a
+    # whole range of 8-byte entries would take 130 MB)
+    n = 2**24 + 3 * 2**16 + 5
+    ident = _identity(n)
+    assert len(ident) == n
+    assert ident[2**24 - 2**16 :] == array(TYPECODE, range(2**24 - 2**16, n))
+    assert ident[::65521] == array(TYPECODE, range(0, n, 65521))
 
 
 def test_identity_other_byte_order(monkeypatch):
@@ -691,6 +702,27 @@ def test_edges_equal_materialized_reference(kind, a, b):
     step = max(1, len(expected) // 997)  # every item when small, a spread sample when not
     for i in range(0, len(expected), step):
         assert edges[i] == expected[i] and edges[i - len(expected)] == expected[i]
+
+
+@pytest.mark.parametrize("name", ["h22", "h32", "g25", "around-h21", "around-h22", "around-g25"])
+def test_iteration_equals_indexing(name):
+    # every edge iterates as indexing gives it, also around a copy template
+    # narrower (H(2, 1) under four levels) or wider (H(2, 2) under one)
+    # than the paths, and where the copies of a many-edge template repeat
+    # over several blocks (G(2, 5) under a seeded 15-uniform auxiliary);
+    # compared item by item, with nothing left over
+    rng = random.Random(0)
+    S = {
+        "h22": lambda: build_Hkc(2, 2),
+        "h32": lambda: build_Hkc(3, 2),
+        "g25": lambda: build_Gcg(2, 5),
+        "around-h21": lambda: _hkc(4, 2, build_Hkc(2, 1), _hkc_levels(4, 2, 10**6)),
+        "around-h22": lambda: _hkc(1, 3, build_Hkc(2, 2), _hkc_levels(1, 12, 10**6)),
+        "around-g25": lambda: _gcg(3, build_Gcg(2, 5), OrderedHypergraph(20, [rng.sample(range(20), 15) for _ in range(3)])),
+    }[name]()
+    E = S.base.edges
+    pairs = itertools.zip_longest(E, map(E.__getitem__, range(len(E))))
+    assert all(a == b for a, b in pairs)
 
 
 @pytest.mark.parametrize("kind,a,b", [i for i in EDGE_INSTANCES if i != ("hkc", 3, 2)])

@@ -574,10 +574,11 @@ class TestOrders:
                     assert marked == b"\x01" * S.n
 
     def test_h32_y_runs(self):
-        # one run per band entry of a stage run, not one per vertex, and
-        # one per block of level 0's single stage: 9 + 9 + 27 · 3 on levels
-        # 0, 1 and 2
-        assert len(geometry._y_order(build_Hkc(3, 2))) <= 99
+        # one run per block of level 0's single stage, then one per band
+        # entry of a stage run per tile: levels 1 and 2 hold 9 and 27 · 3
+        # band entries of stage runs of 19,683 stages 90 y-ranks apart, cut
+        # into tiles of 2**16 // 90 = 728 stages, so 9 + (9 + 81) · 28
+        assert len(geometry._y_order(build_Hkc(3, 2))) <= 2529
 
     def test_gcg_y_runs(self):
         # G(2, g)'s flat band of g roots is one run, and each of the two
@@ -595,6 +596,27 @@ class TestOrders:
         a = array(TYPECODE, [0]) * 7
         a[geometry._run_slice(6, -3, 3)] = array(TYPECODE, [1, 2, 3])
         assert list(a) == [3, 0, 0, 2, 0, 0, 1]
+
+    def test_gcg_x_runs(self):
+        # the sorted order cut into three columns (the roots and the two
+        # leaf positions), each column into arithmetic stretches: 2 + 3 + 1
+        for g in (5, 71, 20001):
+            assert len(geometry._x_order(build_Gcg(2, g))) == 6
+
+    def test_orders_equal_frozen_planners(self):
+        # the orders written from the untiled y-runs, one x-run per G(c, g)
+        # vertex and an identity from range, with every array compared on
+        # every rank instance (G(2, 5) and H(3, 2) among them) and G(2, 2001)
+        for S in _rank_instances() + [build_Gcg(2, 2001)]:
+            got = geometry._orders(S)
+            with mock.patch.multiple(
+                geometry,
+                _y_order=_frozen_y_order,
+                _x_order=_frozen_x_order,
+                _identity=lambda n: array(TYPECODE, range(n)),
+            ):
+                expect = geometry._orders(S)
+            assert got == expect
 
     def test_child_outside_stage_0_rejected(self):
         # G(2, g)'s x-order groups the leaves by parent, so a leaf whose
@@ -629,6 +651,43 @@ class TestOrders:
         parent[leaf.first_vertex] = prev.first_vertex + prev.stage_size
         with pytest.raises(VerificationError):
             realize_Hkc(_with_parents(S, parent))
+
+
+def _frozen_y_order(S):
+    """The y-order planner before tiling: one run per band entry of a
+    whole stage run, in planning order."""
+    levels, m = S.levels, S.m
+    within = geometry._orders(S.copy_template)[1] if S.copy_template is not None else range(m)
+    sizes = [0]
+    for li in reversed(levels):
+        sizes.insert(0, li.stage_size + li.children_per_stage * sizes[0])
+    runs, stages = [], [(0, 1, 0, sizes[0], 1)]
+    for j, li in enumerate(levels):
+        r, size = li.children_per_stage, li.stage_size
+        blocks = range(li.blocks_per_stage - 1, -1, -1)
+        band = [b * m + p for b in blocks for p in within] if blocks else range(size)
+        below, nxt, stretches = r * sizes[j + 1], [], geometry._stretches(band)
+        for s, ds, y, dy, count in stages:
+            v = li.first_vertex + s * size
+            if count == 1:
+                runs += [(y + below + e, 1, v + p, dp, k) for e, p, dp, k in stretches]
+            else:
+                runs += [(y + below + e, dy, v + p, ds * size, count) for e, p in enumerate(band)]
+            own, sib = (count, ds * r, dy), (r, -1, sizes[j + 1])
+            (n1, ds1, dy1), (n2, ds2, dy2) = (own, sib) if r > count else (sib, own)
+            nxt += [(s * r + r - 1 + a * ds1, ds2, y + a * dy1, dy2, n2) for a in range(n1)]
+        stages = nxt
+    return runs
+
+
+def _frozen_x_order(S, plan=geometry._x_order):
+    """The x-order planner's runs (``plan``), but G(c, g)'s one per vertex
+    of its sort by parent, as before its columns."""
+    if S.kind != "gcg" or len(S.levels) == 1:
+        return plan(S)
+    parent, roots = S.parent, S.levels[0].stage_size
+    order = sorted(range(S.n), key=lambda v: 2 * parent[v] if v >= roots else 2 * v + 1)
+    return [(p, 1, v, 1, 1) for p, v in enumerate(order)]
 
 
 def _rank_instances():
