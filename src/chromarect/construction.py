@@ -375,7 +375,7 @@ def _identity(n: int) -> array:
     made).  A higher plane is constant over each stretch of 256**j
     entries, so each stretch whose byte is not 0 is one strided
     assignment of that byte (the top plane's only past 2**24 entries).
-    No Python work is done per entry, and no temporary outgrows a block."""
+    No Python work is done per entry, and no temporary spans the array."""
     size = min(n, 1 << 16)
     block = array(TYPECODE, [0]) * size
     width = block.itemsize
